@@ -17,7 +17,8 @@ paper's examples (Figures 1, 3 and 4) need.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from functools import lru_cache
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..ir import (
     ClassDef,
@@ -27,6 +28,7 @@ from ..ir import (
     Module,
     Parameter,
     parse_type,
+    verify_module,
 )
 
 # (name, params as "Type name", return type, is_static)
@@ -481,10 +483,34 @@ def build_framework_classes() -> List[ClassDef]:
     return classes
 
 
-def install_framework(module: Module) -> Module:
-    """Add the framework stubs to a module (before lowering app sources)."""
+def framework_module(rewrite: Optional[Callable[[Module], None]] = None) \
+        -> Module:
+    """The framework stubs as a module of their own: built, optionally
+    rewritten in place by ``rewrite``, verified and sealed."""
+    module = Module("android")
     for cls in build_framework_classes():
         module.add_class(cls)
+    if rewrite is not None:
+        rewrite(module)
+    problems = verify_module(module, known_external=FRAMEWORK_CLASS_NAMES)
+    if problems:
+        raise RuntimeError("framework stubs failed IR verification:\n  "
+                           + "\n  ".join(problems))
+    return module.seal()
+
+
+@lru_cache(maxsize=None)
+def shared_framework() -> Module:
+    """The framework stubs, built, verified and sealed once per process
+    on first use -- a precomputed summary every app module shares as its
+    prelude and never writes into."""
+    return framework_module()
+
+
+def install_framework(module: Module) -> Module:
+    """Add the framework stubs to an empty module (before lowering app
+    sources): the shared classes of :func:`shared_framework`, not a copy."""
+    module.set_prelude(shared_framework())
     return module
 
 

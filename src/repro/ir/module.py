@@ -5,6 +5,11 @@ from an application's MiniDroid sources plus any synthetic classes added by
 threadification (the dummy main).  ``Module.seal()`` assigns global uids and
 allocation-site names, after which the module is treated as immutable by
 the analyses.
+
+A module may start with a *prelude*: the classes of another, already
+sealed module, shared rather than copied (the Android framework stubs,
+built once per process).  Sealing numbers the prelude exactly as the
+prelude's own ``seal()`` did and never writes into its objects.
 """
 
 from __future__ import annotations
@@ -128,6 +133,7 @@ class Module:
         self.name = name
         self.classes: Dict[str, ClassDef] = {}
         self._sealed = False
+        self._prelude: Optional["Module"] = None
         self._by_uid: Dict[int, Instruction] = {}
         self._method_by_uid: Dict[int, Method] = {}
         self._supertypes_cache: Dict[str, Set[str]] = {}
@@ -145,10 +151,46 @@ class Module:
         self._subclasses_cache.clear()
         return cls
 
+    def set_prelude(self, prelude: "Module") -> None:
+        """Share the classes of the sealed module ``prelude`` as the head of
+        this module's class table, without copying them.
+
+        An empty module gains them; a module that already has a prelude
+        swaps it for one with the same class names in the same order.
+        """
+        if self._sealed:
+            raise RuntimeError("module is sealed")
+        if not prelude.sealed:
+            raise ValueError("a prelude must be sealed")
+        if self._prelude is None:
+            if self.classes:
+                raise ValueError("a prelude must lead the class table")
+        elif list(prelude.classes) != list(self._prelude.classes):
+            raise ValueError("a prelude can only be swapped for one with "
+                             "the same classes")
+        self.classes.update(prelude.classes)
+        self._prelude = prelude
+        self._supertypes_cache.clear()
+        self._subclasses_cache.clear()
+
+    @property
+    def prelude(self) -> Optional["Module"]:
+        return self._prelude
+
     def seal(self) -> "Module":
         """Assign uids and allocation-site names; freeze the class table."""
         uid = 0
-        for cls in self.classes.values():
+        classes = list(self.classes.values())
+        prelude = self._prelude
+        if prelude is not None:
+            shared = list(prelude.classes.values())
+            if any(a is not b for a, b in zip(classes, shared)):
+                raise RuntimeError("prelude classes were replaced")
+            self._by_uid.update(prelude._by_uid)
+            self._method_by_uid.update(prelude._method_by_uid)
+            uid = len(prelude._by_uid)
+            classes = classes[len(shared):]
+        for cls in classes:
             for method in cls.methods.values():
                 site_counter = 0
                 for instr in method.instructions():

@@ -42,9 +42,14 @@ def verify_module(module: Module, known_external: Set[str] = frozenset()) -> Lis
 
     ``known_external`` lists type names that are allowed to be undeclared in
     the module (the Android framework classes supplied by the registry).
+    The classes of the module's prelude were verified when it was built
+    and are skipped.
     """
     problems: List[str] = []
+    shared = module.prelude.classes if module.prelude is not None else {}
     for cls in module.classes.values():
+        if shared.get(cls.name) is cls:
+            continue
         if cls.super_name and cls.super_name not in module.classes \
                 and cls.super_name not in known_external:
             problems.append(

@@ -7,7 +7,7 @@ This module provides that surface with the stdlib only:
 * :class:`LiveAggregator` -- a thread-safe sink the corpus runner feeds
   as each app starts/finishes.  It maintains the run funnel (done /
   total, analyzed / cached / faulted, retries), per-app latency
-  quantiles, and a merged :class:`~repro.obs.metrics.MetricsSnapshot`
+  quantiles over the most recent ``LATENCY_WINDOW`` apps, and a merged :class:`~repro.obs.metrics.MetricsSnapshot`
   of every finished app's counters and gauges (span trees are *not*
   retained -- the aggregator is O(metrics), not O(run)).
 * :class:`TelemetryServer` -- a background ``http.server`` thread bound
@@ -31,8 +31,9 @@ from __future__ import annotations
 import json
 import threading
 import time
+from collections import deque
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Deque, Dict, List, Optional, Tuple
 
 from .events import percentile
 from .exporters import prometheus_text
@@ -42,6 +43,11 @@ from .metrics import merge_snapshots, MetricsSnapshot
 #: internals beyond loopback is an operator decision this module
 #: deliberately does not offer
 TELEMETRY_HOST = "127.0.0.1"
+
+#: the most recent per-app latencies the p50/p95 quantiles are taken
+#: over; a long-running daemon forgets older ones (count and max stay
+#: exact over the whole lifetime)
+LATENCY_WINDOW = 4096
 
 
 class LoopbackHTTPServer(ThreadingHTTPServer):
@@ -83,7 +89,9 @@ class LiveAggregator:
         }
         self._retries = 0
         self._active: List[str] = []
-        self._durations: List[float] = []
+        self._durations: Deque[float] = deque(maxlen=LATENCY_WINDOW)
+        self._latency_count = 0
+        self._latency_max = 0.0
         self._merged = MetricsSnapshot()
 
     # -- runner-side hooks ----------------------------------------------------
@@ -119,6 +127,9 @@ class LiveAggregator:
                 self._active.remove(name)
             if duration_s is not None:
                 self._durations.append(float(duration_s))
+                self._latency_count += 1
+                self._latency_max = max(self._latency_max,
+                                        float(duration_s))
             if snapshot is not None:
                 # merge counters/gauges only: spans would make the
                 # aggregator's footprint proportional to the run
@@ -153,10 +164,10 @@ class LiveAggregator:
             latency = None
             if self._durations:
                 latency = {
-                    "apps": len(self._durations),
+                    "apps": self._latency_count,
                     "p50_s": percentile(self._durations, 0.50),
                     "p95_s": percentile(self._durations, 0.95),
-                    "max_s": max(self._durations),
+                    "max_s": self._latency_max,
                 }
             return {
                 "phase": self._phase or self._kind,
@@ -197,7 +208,7 @@ class LiveAggregator:
                 gauges["telemetry.latency.p95_seconds"] = \
                     percentile(self._durations, 0.95)
                 gauges["telemetry.latency.max_seconds"] = \
-                    max(self._durations)
+                    self._latency_max
             return MetricsSnapshot(counters=counters, gauges=gauges)
 
     def prometheus(self) -> str:

@@ -1,31 +1,39 @@
-"""Fault-isolating task pool: one killable process per pending app.
+"""Fault-isolating task pool: long-lived killable workers, one app each
+at a time.
 
 The previous runner pushed every pending app through one
 ``ProcessPoolExecutor`` and called ``future.result()`` bare -- a single
 parse error, ``RecursionError`` or OOM-killed worker
 (``BrokenProcessPool``) aborted the whole run and threw away every other
-app's result.  This pool restores per-app blast radius:
+app's result.  This pool keeps per-app blast radius without paying a
+fork per app:
 
-* each task runs in its **own** ``multiprocessing.Process`` (bounded to
-  ``jobs`` concurrent), so a dying worker loses exactly one app;
+* each :func:`run_tasks` call forks ``min(jobs, pending)`` **workers**
+  that serve tasks one at a time over their own ``Pipe`` until the call
+  returns; the task kind and ``params`` reach them through the fork, so
+  a task is just its app name on the wire;
+* a worker runs one app at a time, so a dying worker still loses
+  exactly one app -- the one it was running -- and is respawned for the
+  rest of the queue;
 * a **watchdog** enforces the per-app deadline by ``terminate()``-ing
-  the overrunning process and recording a canonical
+  the overrunning worker and recording a canonical
   :class:`~repro.resilience.errors.TimeoutFault`;
 * **transient** faults (worker lost) are re-submitted up to
   ``max_retries`` times; deterministic faults (parse/analysis crashes,
   timeouts) never are;
 * under ``keep_going`` every fault becomes an error envelope
   ``{"error": {...}}`` and the remaining apps complete; otherwise the
-  first final fault aborts the run with a one-line actionable
-  :class:`~repro.resilience.errors.FaultError`.
+  first final fault terminates every worker and aborts the run with a
+  one-line actionable :class:`~repro.resilience.errors.FaultError`.
 
-Results travel over a per-task ``Pipe``; a child that dies before
-sending (kill injection, OOM, segfault) surfaces as EOF on that pipe and
-classifies as :class:`WorkerLostFault`.  The serial path
-(:func:`run_serial`) implements the same contract in-process, with the
-cooperative deadline of :mod:`repro.resilience.deadline` standing in for
-the watchdog, so ``--jobs 1`` and ``--jobs N`` produce byte-identical
-fault records.
+Workers are forked after the shared Android framework is built, so
+they inherit it copy-on-write instead of each building its own.  A
+worker that dies before replying (kill injection, OOM, segfault)
+surfaces as EOF on its pipe and classifies as :class:`WorkerLostFault`.
+The serial path (:func:`run_serial`) implements the same contract
+in-process, with the cooperative deadline of
+:mod:`repro.resilience.deadline` standing in for the watchdog, so
+``--jobs 1`` and ``--jobs N`` produce byte-identical fault records.
 """
 
 from __future__ import annotations
@@ -182,31 +190,46 @@ def run_serial(
 # -- parallel path -----------------------------------------------------------
 
 
-def _child_main(conn, kind: str, name: str, params: Dict[str, Any]) -> None:
-    """Worker entry point: run one task, send ``("ok", envelope)`` or a
-    pre-classified ``("error", fault_dict)`` back over the pipe.
+def _worker_main(conn, kind: str, params: Dict[str, Any],
+                 inherited: Sequence[Any]) -> None:
+    """Worker entry point: serve app names from the pipe until it closes
+    or the parent terminates the worker, answering each with
+    ``("ok", envelope)`` or a pre-classified ``("error", fault_dict)``.
 
-    An injected ``kill`` (or a real OOM) exits without sending anything;
-    the parent reads EOF and classifies the loss itself.
+    ``inherited`` holds the parent's ends of this worker's and earlier
+    workers' pipes, which the fork copied; closing them lets this
+    worker see EOF -- and exit -- if the parent goes away.  An injected
+    ``kill`` (or a real OOM) exits without replying; the parent reads
+    EOF and classifies the loss itself.
     """
+    for connection in inherited:
+        connection.close()
     mark_worker_process()
     from ..runner.runner import execute_app_task_observed
+    from . import current_stage
 
     try:
-        envelope = execute_app_task_observed(kind, name, params)
-        conn.send(("ok", envelope))
+        while True:
+            try:
+                name = conn.recv()
+            except (EOFError, OSError):
+                return  # the parent is gone
+            try:
+                reply = ("ok", execute_app_task_observed(kind, name, params))
+            except Exception as exc:
+                fault = fault_from_exception(exc, name, stage=current_stage())
+                reply = ("error", fault.to_dict())
+            try:
+                conn.send(reply)
+            except OSError:
+                return  # the parent is gone
     except KeyboardInterrupt:
         # A terminal Ctrl-C delivers SIGINT to the whole process group,
         # so every worker gets one alongside the parent.  Exit quietly
-        # -- the parent is aborting anyway and classifies the EOF as a
-        # lost worker; re-raising would spray one multiprocessing
-        # traceback per live worker over the user's terminal.
+        # -- the parent is aborting anyway and terminates its workers;
+        # re-raising would spray one multiprocessing traceback per live
+        # worker over the user's terminal.
         pass
-    except Exception as exc:
-        from . import current_stage
-
-        fault = fault_from_exception(exc, name, stage=current_stage())
-        conn.send(("error", fault.to_dict()))
     finally:
         conn.close()
 
@@ -218,19 +241,21 @@ def _pool_context():
         return multiprocessing.get_context()
 
 
-class _Active:
-    """Bookkeeping for one running worker."""
+class _Worker:
+    """One live worker process and the task it is running, if any."""
 
-    __slots__ = ("proc", "conn", "deadline_at", "attempt")
+    __slots__ = ("proc", "conn", "task", "attempt", "deadline_at")
 
-    def __init__(self, proc, conn, deadline_at: Optional[float],
-                 attempt: int) -> None:
+    def __init__(self, proc, conn) -> None:
         self.proc = proc
         self.conn = conn
-        self.deadline_at = deadline_at
-        self.attempt = attempt
+        self.task: Optional[str] = None
+        self.attempt = 0
+        self.deadline_at: Optional[float] = None
 
-    def reap(self) -> None:
+    def stop(self) -> None:
+        """Terminate the worker (busy, idle or already dead); reap it."""
+        self.proc.terminate()
         self.conn.close()
         self.proc.join()
 
@@ -243,83 +268,89 @@ def run_parallel(
     policy: FaultPolicy,
     observer: Optional[Observer] = None,
 ) -> PoolOutcome:
-    """Fan tasks out, one killable process each, at most ``jobs`` live."""
+    """Fan tasks out over at most ``jobs`` long-lived workers."""
+    from ..threadify import build_shared_frameworks
+
+    # built before the first fork, so every worker inherits it
+    build_shared_frameworks()
     ctx = _pool_context()
     outcome = PoolOutcome(envelopes={}, faults={})
     queue = deque((name, 1) for name in names)
-    active: Dict[str, _Active] = {}
+    workers: List[_Worker] = []
 
-    def spawn(name: str, attempt: int) -> None:
-        if attempt == 1 and observer is not None:
-            observer("start", name, None)
-        parent_conn, child_conn = ctx.Pipe(duplex=False)
-        proc = ctx.Process(
-            target=_child_main, args=(child_conn, kind, name, params)
-        )
+    def spawn() -> _Worker:
+        parent_conn, child_conn = ctx.Pipe()
+        inherited = [parent_conn] + [worker.conn for worker in workers]
+        proc = ctx.Process(target=_worker_main,
+                           args=(child_conn, kind, params, inherited))
         proc.start()
         child_conn.close()
-        deadline_at = (
+        worker = _Worker(proc, parent_conn)
+        workers.append(worker)
+        return worker
+
+    def assign(worker: _Worker, name: str, attempt: int) -> None:
+        if attempt == 1 and observer is not None:
+            observer("start", name, None)
+        worker.task, worker.attempt = name, attempt
+        worker.deadline_at = (
             time.monotonic() + policy.timeout
             if policy.timeout is not None else None
         )
-        active[name] = _Active(proc, parent_conn, deadline_at, attempt)
-
-    def abort_all() -> None:
-        for entry in active.values():
-            entry.proc.terminate()
-            entry.reap()
-        active.clear()
-
-    def settle(name: str, fault: Fault, attempt: int) -> None:
         try:
-            if _finalize(name, fault, attempt, policy, outcome, observer):
-                queue.append((name, attempt + 1))
-        except FaultError:
-            abort_all()
-            raise
+            worker.conn.send(name)
+        except OSError:
+            pass  # the worker is gone; its EOF surfaces as a lost worker
+
+    def settle(worker: _Worker, fault: Fault) -> None:
+        """Free the worker's task slot and apply the policy to its fault."""
+        name, attempt = worker.task, worker.attempt
+        worker.task = None
+        if _finalize(name, fault, attempt, policy, outcome, observer):
+            queue.append((name, attempt + 1))
+
+    def lose(worker: _Worker) -> None:
+        workers.remove(worker)
+        worker.stop()
 
     try:
-        while queue or active:
-            while queue and len(active) < jobs:
-                spawn(*queue.popleft())
-            by_conn = {entry.conn: name for name, entry in active.items()}
-            wait_timeout = None
-            now = time.monotonic()
-            deadlines = [
-                entry.deadline_at for entry in active.values()
-                if entry.deadline_at is not None
-            ]
-            if deadlines:
-                wait_timeout = max(0.0, min(deadlines) - now)
-            ready = connection_wait(list(by_conn), timeout=wait_timeout)
-            for conn in ready:
-                name = by_conn[conn]
-                entry = active.pop(name)
+        while True:
+            idle = [worker for worker in workers if worker.task is None]
+            while queue and (idle or len(workers) < jobs):
+                assign(idle.pop() if idle else spawn(), *queue.popleft())
+            busy = {worker.conn: worker for worker in workers
+                    if worker.task is not None}
+            if not busy:
+                break
+            deadlines = [worker.deadline_at for worker in busy.values()
+                         if worker.deadline_at is not None]
+            wait_timeout = (max(0.0, min(deadlines) - time.monotonic())
+                            if deadlines else None)
+            for conn in connection_wait(list(busy), timeout=wait_timeout):
+                worker = busy[conn]
                 try:
                     status, payload = conn.recv()
                 except (EOFError, OSError):
-                    status, payload = "lost", None
-                entry.reap()
+                    lose(worker)
+                    settle(worker, worker_lost_fault(worker.task))
+                    continue
                 if status == "ok":
+                    name, worker.task = worker.task, None
                     outcome.envelopes[name] = payload
                     if observer is not None:
                         observer("ok", name, payload)
-                elif status == "error":
-                    settle(name, fault_from_dict(payload), entry.attempt)
                 else:
-                    settle(name, worker_lost_fault(name), entry.attempt)
+                    settle(worker, fault_from_dict(payload))
             now = time.monotonic()
-            for name in list(active):
-                entry = active[name]
-                if entry.deadline_at is not None and now >= entry.deadline_at:
-                    del active[name]
-                    entry.proc.terminate()
-                    entry.reap()
-                    settle(name, timeout_fault(name, policy.timeout),
-                           entry.attempt)
-    except BaseException:
-        abort_all()
-        raise
+            for worker in busy.values():
+                if worker.task is not None and worker.deadline_at is not None \
+                        and now >= worker.deadline_at:
+                    lose(worker)
+                    settle(worker, timeout_fault(worker.task, policy.timeout))
+    finally:
+        # done, failed fast or interrupted: no worker outlives the call
+        for worker in workers:
+            worker.stop()
     return outcome
 
 

@@ -17,7 +17,8 @@ on, daemonic handler threads, **127.0.0.1 only**).  Two layers:
   starve the rest.
 * :class:`ServiceServer` -- the HTTP front.  ``POST /v1/analyze`` /
   ``POST /v1/batch`` submit jobs (``"wait": true`` blocks until done),
-  ``GET /v1/jobs[/<id>[/report|/sarif]]`` reads them back, and the
+  ``GET /v1/jobs[/<id>[/report|/sarif]]`` reads them back (the
+  ``JOB_HISTORY`` most recently finished jobs are kept), and the
   :class:`~repro.obs.LiveAggregator` telemetry routes (``/metrics``,
   ``/healthz``, ``/progress``) are mounted on the same port.
 
@@ -48,6 +49,10 @@ from .jobs import execute_job, JobResult, JobSpec
 
 #: default bound on queued (not yet running) jobs
 DEFAULT_QUEUE_LIMIT = 8
+
+#: finished jobs kept for ``GET /v1/jobs``; older ones are forgotten, so
+#: a long-running daemon's memory stays bounded
+JOB_HISTORY = 256
 
 #: job lifecycle states
 JOB_STATUSES = ("queued", "running", "done", "failed", "cancelled")
@@ -137,6 +142,8 @@ class AnalysisService:
         #: client rotation order (head = next to be served)
         self._rotation: List[str] = []
         self._jobs: Dict[str, Job] = {}
+        #: ids of finished jobs still in ``_jobs``, oldest first
+        self._finished: Deque[str] = deque()
         self._seq = 0
         self._stop = False
         self._thread: Optional[threading.Thread] = None
@@ -194,6 +201,14 @@ class AnalysisService:
         with self._lock:
             return self._jobs.get(job_id)
 
+    def forgotten(self, job_id: str) -> bool:
+        """Was ``job_id`` issued, finished, and since dropped from the
+        history?"""
+        seq = job_id[1:]
+        with self._lock:
+            return job_id[:1] == "j" and seq.isdigit() \
+                and 0 < int(seq) <= self._seq and job_id not in self._jobs
+
     def list_jobs(self) -> List[Job]:
         with self._lock:
             return list(self._jobs.values())
@@ -249,6 +264,10 @@ class AnalysisService:
                 job.error = f"{type(exc).__name__}: {exc}"
                 job.status = "failed"
             job.wall_seconds = time.perf_counter() - started
+            with self._lock:
+                self._finished.append(job.id)
+                while len(self._finished) > JOB_HISTORY:
+                    del self._jobs[self._finished.popleft()]
             job.done.set()
 
 
@@ -315,6 +334,11 @@ class _ServiceHandler(BaseHTTPRequestHandler):
         if path.startswith("/v1/jobs/"):
             parts = path[len("/v1/jobs/"):].split("/")
             job = self._service.get(parts[0])
+            if job is None and self._service.forgotten(parts[0]):
+                self._error(410, f"job {parts[0]!r} is older than the "
+                            f"{JOB_HISTORY} most recently finished jobs "
+                            f"and was forgotten")
+                return
             if job is None:
                 self._error(404, f"no such job {parts[0]!r}")
                 return

@@ -9,6 +9,7 @@ from .resolve import (
 )
 from .transform import (
     ApiSite,
+    build_shared_frameworks,
     DUMMY_MAIN_CLASS,
     REGISTRY_CLASS,
     ThreadifiedProgram,
@@ -17,8 +18,9 @@ from .transform import (
 )
 
 __all__ = [
-    "ApiSite", "concrete_implementers", "discover_entry_callbacks",
-    "DUMMY_MAIN_CLASS", "EntryCallback", "REGISTRY_CLASS",
+    "ApiSite", "build_shared_frameworks", "concrete_implementers",
+    "discover_entry_callbacks", "DUMMY_MAIN_CLASS", "EntryCallback",
+    "REGISTRY_CLASS",
     "resolve_local_classes", "resolve_thread_tasks", "ThreadForest",
     "ThreadifiedProgram", "Threadifier", "threadify", "ThreadKind",
     "ThreadNode",

@@ -8,7 +8,10 @@ The transform mirrors what nAdroid does with Soot:
    interface).
 2. **Stub rewriting.**  Framework posting/registration methods get bodies
    that store their callback object into the matching registry field, so
-   callback receivers flow through the heap exactly once.
+   callback receivers flow through the heap exactly once.  The rewritten
+   stubs depend only on whether the app uses fragments and ordered
+   broadcasts, so each of the four variants is built and sealed once per
+   process and swapped in for the module's shared framework prelude.
 3. **Dummy main.**  A synthetic ``DummyMain.main`` allocates every
    component, invokes its entry callbacks, and drains every registry field
    by invoking the registered callbacks -- giving downstream analyses a
@@ -22,6 +25,7 @@ The transform mirrors what nAdroid does with Soot:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Dict, List, Optional, Set, Tuple
 
 from ..android.api import ApiKind, ApiSpec, lookup_api
@@ -30,7 +34,11 @@ from ..android.callbacks import (
     FRAGMENT_LIFECYCLE,
     PC_CATEGORY_BY_CALLBACK,
 )
-from ..android.framework import is_framework_class
+from ..android.framework import (
+    framework_module,
+    is_framework_class,
+    shared_framework,
+)
 from ..android.manifest import infer_manifest, Manifest
 from ..ir import (
     BOOLEAN,
@@ -111,6 +119,136 @@ class ThreadifiedProgram:
             and name not in self.synthetic_classes
             and name in self.module.classes
         )
+
+
+# ----------------------------------------------------------------------
+# Framework stub rewriting
+# ----------------------------------------------------------------------
+
+
+def _store_registry(field_name: str):
+    def build(builder: IRBuilder, method: Method) -> None:
+        ref = FieldRef(REGISTRY_CLASS, field_name)
+        builder.put_static(ref, Local(method.params[0].name))
+    return build
+
+
+def _store_registry_this(field_name: str):
+    def build(builder: IRBuilder, method: Method) -> None:
+        builder.put_static(FieldRef(REGISTRY_CLASS, field_name), Local("this"))
+    return build
+
+
+def rewrite_framework_stubs(module: Module, fragments: bool,
+                            ordered: bool) -> None:
+    """Replace the bodies of the framework posting/registration stubs in
+    ``module`` with stores into the matching ``$Registry`` field.
+
+    ``fragments`` and ``ordered`` add the fragment-transaction and
+    ordered-broadcast rewrites, whose registry channels exist only when
+    the application uses those APIs.
+    """
+    def reg(class_name: str, method_name: str, build) -> None:
+        method = module.lookup_method(class_name, method_name)
+        assert method is not None, \
+            f"missing framework stub {class_name}.{method_name}"
+        method.cfg = ControlFlowGraph()
+        builder = IRBuilder(method)
+        build(builder, method)
+        builder.finish()
+
+    reg("Handler", "post", _store_registry("$runnables"))
+    reg("Handler", "postDelayed", _store_registry("$runnables"))
+    reg("View", "post", _store_registry("$runnables"))
+    reg("View", "postDelayed", _store_registry("$runnables"))
+    reg("Activity", "runOnUiThread", _store_registry("$runnables"))
+    reg("Handler", "sendMessage", _store_registry_this("$handlers"))
+    reg("Handler", "sendMessageDelayed", _store_registry_this("$handlers"))
+    reg("Handler", "sendEmptyMessage", _store_registry_this("$handlers"))
+    reg("Thread", "start", _store_registry_this("$threads"))
+    reg("ExecutorService", "execute", _store_registry("$tasks"))
+    reg("ExecutorService", "submit", _store_registry("$tasks"))
+    reg("Timer", "schedule", _store_registry("$tasks"))
+    reg("AsyncTask", "execute", _store_registry_this("$asynctasks"))
+    reg("AsyncTask", "publishProgress", _store_registry_this("$asynctasks"))
+    reg("Context", "registerReceiver", _store_registry("$receivers"))
+
+    def bind_service(builder: IRBuilder, method: Method) -> None:
+        builder.put_static(
+            FieldRef(REGISTRY_CLASS, "$connections"),
+            Local(method.params[1].name),
+        )
+    reg("Context", "bindService", bind_service)
+
+    if fragments:
+        def commit_fragment(builder: IRBuilder, method: Method) -> None:
+            builder.put_static(
+                FieldRef(REGISTRY_CLASS, "$fragments"),
+                Local(method.params[1].name),
+            )
+            # Preserve the chaining return value of the original stub.
+            builder.ret(builder.new("FragmentTransaction"))
+        reg("FragmentTransaction", "add", commit_fragment)
+        reg("FragmentTransaction", "replace", commit_fragment)
+
+    if ordered:
+        def ordered_broadcast(builder: IRBuilder, method: Method) -> None:
+            builder.put_static(
+                FieldRef(REGISTRY_CLASS, "$ordered_receivers"),
+                Local(method.params[1].name),
+            )
+        reg("Context", "sendOrderedBroadcast", ordered_broadcast)
+
+    def thread_init(builder: IRBuilder, method: Method) -> None:
+        builder.put_field(
+            Local("this"), FieldRef("Thread", "$task"),
+            Local(method.params[0].name),
+        )
+    reg("Thread", "<init>", thread_init)
+
+    listener_registrations = [
+        ("View", "setOnClickListener", "OnClickListener"),
+        ("View", "setOnLongClickListener", "OnLongClickListener"),
+        ("View", "setOnTouchListener", "OnTouchListener"),
+        ("ListView", "setOnItemClickListener", "OnItemClickListener"),
+        ("MediaPlayer", "setOnCompletionListener", "OnCompletionListener"),
+        ("SharedPreferences", "registerOnSharedPreferenceChangeListener",
+         "OnSharedPreferenceChangeListener"),
+    ]
+    for class_name, method_name, iface in listener_registrations:
+        reg(class_name, method_name, _store_registry(f"$listener_{iface}"))
+
+    def location_updates(builder: IRBuilder, method: Method) -> None:
+        builder.put_static(
+            FieldRef(REGISTRY_CLASS, "$listener_LocationListener"),
+            Local(method.params[3].name),
+        )
+    reg("LocationManager", "requestLocationUpdates", location_updates)
+
+    def sensor_listener(builder: IRBuilder, method: Method) -> None:
+        builder.put_static(
+            FieldRef(REGISTRY_CLASS, "$listener_SensorEventListener"),
+            Local(method.params[0].name),
+        )
+    reg("SensorManager", "registerListener", sensor_listener)
+
+
+@lru_cache(maxsize=None)
+def threadified_framework(fragments: bool, ordered: bool) -> Module:
+    """The shared framework prelude with its stubs rewritten: one sealed
+    variant per process per rewrite choice, numbered exactly as the
+    rewritten stubs of a private framework would be."""
+    return framework_module(
+        lambda module: rewrite_framework_stubs(module, fragments, ordered))
+
+
+def build_shared_frameworks() -> None:
+    """Build every framework prelude variant now (before forking workers,
+    which then inherit them instead of each building its own)."""
+    shared_framework()
+    for fragments in (False, True):
+        for ordered in (False, True):
+            threadified_framework(fragments, ordered)
 
 
 class Threadifier:
@@ -245,101 +383,19 @@ class Threadifier:
         self.module.add_class(registry)
         self.synthetic.add(REGISTRY_CLASS)
 
-    def _rewrite_stub(self, class_name: str, method_name: str, build) -> None:
-        method = self.module.lookup_method(class_name, method_name)
-        assert method is not None, f"missing framework stub {class_name}.{method_name}"
-        method.cfg = ControlFlowGraph()
-        builder = IRBuilder(method)
-        build(builder, method)
-        builder.finish()
-
-    def _store_registry(self, field_name: str):
-        def build(builder: IRBuilder, method: Method) -> None:
-            ref = FieldRef(REGISTRY_CLASS, field_name)
-            builder.put_static(ref, Local(method.params[0].name))
-        return build
-
-    def _store_registry_this(self, field_name: str):
-        def build(builder: IRBuilder, method: Method) -> None:
-            builder.put_static(FieldRef(REGISTRY_CLASS, field_name), Local("this"))
-        return build
-
     def _rewrite_framework_stubs(self) -> None:
-        reg = self._rewrite_stub
-        reg("Handler", "post", self._store_registry("$runnables"))
-        reg("Handler", "postDelayed", self._store_registry("$runnables"))
-        reg("View", "post", self._store_registry("$runnables"))
-        reg("View", "postDelayed", self._store_registry("$runnables"))
-        reg("Activity", "runOnUiThread", self._store_registry("$runnables"))
-        reg("Handler", "sendMessage", self._store_registry_this("$handlers"))
-        reg("Handler", "sendMessageDelayed", self._store_registry_this("$handlers"))
-        reg("Handler", "sendEmptyMessage", self._store_registry_this("$handlers"))
-        reg("Thread", "start", self._store_registry_this("$threads"))
-        reg("ExecutorService", "execute", self._store_registry("$tasks"))
-        reg("ExecutorService", "submit", self._store_registry("$tasks"))
-        reg("Timer", "schedule", self._store_registry("$tasks"))
-        reg("AsyncTask", "execute", self._store_registry_this("$asynctasks"))
-        reg("AsyncTask", "publishProgress", self._store_registry_this("$asynctasks"))
-        reg("Context", "registerReceiver", self._store_registry("$receivers"))
+        """Give the posting/registration stubs their registry bodies.
 
-        def bind_service(builder: IRBuilder, method: Method) -> None:
-            builder.put_static(
-                FieldRef(REGISTRY_CLASS, "$connections"),
-                Local(method.params[1].name),
-            )
-        reg("Context", "bindService", bind_service)
-
-        if ApiKind.REGISTER_FRAGMENT in self._present_kinds:
-            def commit_fragment(builder: IRBuilder, method: Method) -> None:
-                builder.put_static(
-                    FieldRef(REGISTRY_CLASS, "$fragments"),
-                    Local(method.params[1].name),
-                )
-                # Preserve the chaining return value of the original stub.
-                builder.ret(builder.new("FragmentTransaction"))
-            reg("FragmentTransaction", "add", commit_fragment)
-            reg("FragmentTransaction", "replace", commit_fragment)
-
-        if ApiKind.SEND_ORDERED_BROADCAST in self._present_kinds:
-            def ordered_broadcast(builder: IRBuilder, method: Method) -> None:
-                builder.put_static(
-                    FieldRef(REGISTRY_CLASS, "$ordered_receivers"),
-                    Local(method.params[1].name),
-                )
-            reg("Context", "sendOrderedBroadcast", ordered_broadcast)
-
-        def thread_init(builder: IRBuilder, method: Method) -> None:
-            builder.put_field(
-                Local("this"), FieldRef("Thread", "$task"),
-                Local(method.params[0].name),
-            )
-        reg("Thread", "<init>", thread_init)
-
-        listener_registrations = [
-            ("View", "setOnClickListener", "OnClickListener"),
-            ("View", "setOnLongClickListener", "OnLongClickListener"),
-            ("View", "setOnTouchListener", "OnTouchListener"),
-            ("ListView", "setOnItemClickListener", "OnItemClickListener"),
-            ("MediaPlayer", "setOnCompletionListener", "OnCompletionListener"),
-            ("SharedPreferences", "registerOnSharedPreferenceChangeListener",
-             "OnSharedPreferenceChangeListener"),
-        ]
-        for class_name, method_name, iface in listener_registrations:
-            reg(class_name, method_name, self._store_registry(f"$listener_{iface}"))
-
-        def location_updates(builder: IRBuilder, method: Method) -> None:
-            builder.put_static(
-                FieldRef(REGISTRY_CLASS, "$listener_LocationListener"),
-                Local(method.params[3].name),
-            )
-        reg("LocationManager", "requestLocationUpdates", location_updates)
-
-        def sensor_listener(builder: IRBuilder, method: Method) -> None:
-            builder.put_static(
-                FieldRef(REGISTRY_CLASS, "$listener_SensorEventListener"),
-                Local(method.params[0].name),
-            )
-        reg("SensorManager", "registerListener", sensor_listener)
+        A module whose framework is the shared prelude swaps it for the
+        pre-built variant with those bodies; a module that owns private
+        framework classes has them rewritten in place.
+        """
+        fragments = ApiKind.REGISTER_FRAGMENT in self._present_kinds
+        ordered = ApiKind.SEND_ORDERED_BROADCAST in self._present_kinds
+        if self.module.prelude is not None:
+            self.module.set_prelude(threadified_framework(fragments, ordered))
+        else:
+            rewrite_framework_stubs(self.module, fragments, ordered)
 
     @staticmethod
     def _default_arg(type_: Type) -> Operand:

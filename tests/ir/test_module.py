@@ -102,6 +102,56 @@ def test_seal_assigns_unique_uids_and_sites():
         assert module.method_of(instr.uid) is method
 
 
+def _one_class_module(name, class_name, allocations):
+    module = Module(name)
+    cls = ClassDef(class_name)
+    method = Method(class_name, "m", is_static=True)
+    builder = IRBuilder(method)
+    for _ in range(allocations):
+        builder.new(class_name)
+    builder.finish()
+    cls.add_method(method)
+    module.add_class(cls)
+    return module
+
+
+def test_prelude_is_numbered_first_and_never_rewritten():
+    prelude = _one_class_module("prelude", "P", 2).seal()
+    shared = [(i.uid, i.site if isinstance(i, New) else None)
+              for i in prelude.instructions()]
+    module = Module("app")
+    module.set_prelude(prelude)
+    module.add_class(_one_class_module("x", "A", 1).classes["A"])
+    module.seal()
+    assert module.classes["P"] is prelude.classes["P"]
+    assert [(i.uid, i.site if isinstance(i, New) else None)
+            for i in prelude.instructions()] == shared
+    uids = [i.uid for i in module.instructions()]
+    assert uids == list(range(len(uids)))
+    for instr in module.instructions():
+        assert module.instruction_at(instr.uid) is instr
+
+
+def test_prelude_rules():
+    unsealed = _one_class_module("p", "P", 0)
+    with pytest.raises(ValueError, match="sealed"):
+        Module("app").set_prelude(unsealed)
+    prelude = _one_class_module("p", "P", 0).seal()
+    crowded = _one_class_module("app", "A", 0)
+    with pytest.raises(ValueError, match="lead"):
+        crowded.set_prelude(prelude)
+    module = Module("app")
+    module.set_prelude(prelude)
+    with pytest.raises(ValueError, match="same classes"):
+        module.set_prelude(_one_class_module("q", "Q", 0).seal())
+    swapped = _one_class_module("p2", "P", 1).seal()
+    module.set_prelude(swapped)
+    assert module.classes["P"] is swapped.classes["P"]
+    module.classes["P"] = ClassDef("P")
+    with pytest.raises(RuntimeError, match="replaced"):
+        module.seal()
+
+
 def test_sealed_module_rejects_new_classes():
     module = Module("t")
     module.add_class(ClassDef("A"))

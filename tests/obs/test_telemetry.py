@@ -16,7 +16,12 @@ from repro.obs import (
     MetricsSnapshot,
     prometheus_text,
 )
-from repro.obs.telemetry import TELEMETRY_HOST, TelemetryServer
+from repro.obs.events import percentile
+from repro.obs.telemetry import (
+    LATENCY_WINDOW,
+    TELEMETRY_HOST,
+    TelemetryServer,
+)
 from repro.runner import CorpusRunner
 
 SUBSET = ["todolist", "swiftnotes", "clipstack"]
@@ -55,6 +60,34 @@ def test_aggregator_tracks_the_run_funnel():
     assert progress["latency"]["max_s"] == 0.2
     agg.run_finished()
     assert agg.progress()["phase"] == "idle"
+
+
+def test_aggregator_latency_memory_is_bounded():
+    agg = LiveAggregator(clock=lambda: 0.0)
+    count = 10_000
+    for index in range(count):
+        agg.app_finished(f"app{index}", "analyzed",
+                         duration_s=(index * 7919 % count) / 1000)
+    assert len(agg._durations) == LATENCY_WINDOW < count
+    latency = agg.progress()["latency"]
+    assert latency["apps"] == count
+    assert latency["max_s"] == (count - 1) / 1000
+    gauges = agg.snapshot().gauges
+    assert gauges["telemetry.latency.max_seconds"] == (count - 1) / 1000
+
+
+def test_aggregator_quantiles_are_exact_within_the_window():
+    durations = [(index * 7919 % 1000) / 1000 for index in range(1000)]
+    assert len(durations) <= LATENCY_WINDOW
+    agg = LiveAggregator(clock=lambda: 0.0)
+    for index, duration in enumerate(durations):
+        agg.app_finished(f"app{index}", "analyzed", duration_s=duration)
+    assert agg.progress()["latency"] == {
+        "apps": len(durations),
+        "p50_s": percentile(durations, 0.50),
+        "p95_s": percentile(durations, 0.95),
+        "max_s": max(durations),
+    }
 
 
 def test_aggregator_explicit_phase_wins_over_kind():

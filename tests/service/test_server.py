@@ -148,6 +148,25 @@ def test_failed_job_reports_its_error_without_killing_the_daemon(
     service.shutdown()
 
 
+def test_only_the_most_recent_finished_jobs_are_kept(monkeypatch):
+    monkeypatch.setattr(server_mod, "execute_job",
+                        lambda spec, runner: JobResult(report=build_report([])))
+    monkeypatch.setattr(server_mod, "JOB_HISTORY", 2)
+    service = AnalysisService(queue_limit=8).start()
+    jobs = []
+    for _ in range(5):
+        jobs.append(service.submit(_spec()))
+        assert service.wait(jobs[-1].id, timeout=30).status == "done"
+    service.shutdown()
+    assert [job.id for job in service.list_jobs()] == \
+        [job.id for job in jobs[-2:]]
+    assert service.get(jobs[0].id) is None
+    assert service.forgotten(jobs[0].id)
+    assert not service.forgotten(jobs[-1].id)
+    assert not service.forgotten("j999")
+    assert not service.forgotten("x1")
+
+
 # -- HTTP surface -------------------------------------------------------------
 
 
@@ -157,6 +176,24 @@ def _analyze_payload(name="todolist", **extra):
                "wait": True}
     payload.update(extra)
     return payload
+
+
+def test_forgotten_jobs_answer_410(tmp_path, monkeypatch):
+    monkeypatch.setattr(server_mod, "execute_job",
+                        lambda spec, runner: JobResult(report=build_report([])))
+    monkeypatch.setattr(server_mod, "JOB_HISTORY", 1)
+    service = AnalysisService(queue_limit=4)
+    srv = ServiceServer(service, port=0).start()
+    try:
+        ids = [json.loads(_request(srv.url + "/v1/analyze",
+                                   _analyze_payload())[2])["id"]
+               for _ in range(2)]
+        assert _request(f"{srv.url}/v1/jobs/{ids[1]}")[0] == 200
+        status, _, body = _request(f"{srv.url}/v1/jobs/{ids[0]}/report")
+        assert status == 410 and "forgotten" in json.loads(body)["error"]
+        assert _request(f"{srv.url}/v1/jobs/j99")[0] == 404
+    finally:
+        srv.close()
 
 
 def test_post_analyze_and_read_back_artifacts(server):
