@@ -34,8 +34,7 @@ def test_mhp_off_by_default_and_harmless_here():
     orders poster/postee pairs that PHB would prune anyway)."""
     base = run_connectbot()
     with_mhp = run_connectbot(
-        AnalysisConfig(detector=DetectorOptions(use_mhp=True,
-                                                engine="imperative"))
+        AnalysisConfig(detector=DetectorOptions(use_mhp=True))
     )
     base_keys = {w.key for w in base.remaining()}
     mhp_keys = {w.key for w in with_mhp.remaining()}
@@ -67,7 +66,7 @@ def test_lockset_at_detection_time_would_hide_uafs():
     }
     """
     respecting = analyze_app(source, config=AnalysisConfig(
-        detector=DetectorOptions(respect_locks=True, engine="imperative")
+        detector=DetectorOptions(respect_locks=True)
     ))
     ignoring = analyze_app(source)
     ignored_fields = {w.fieldref.field_name for w in ignoring.remaining()}

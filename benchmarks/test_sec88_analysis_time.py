@@ -1,8 +1,8 @@
 """Section 8.8: analysis execution-time breakdown.
 
 Paper reference: modeling 1.19%, filtering 3.08%, static detection
-95.73%.  Asserted shape: detection (the Chord-style points-to + Datalog
-race solving) dominates; modeling and filtering are minor stages.
+95.73%.  Asserted shape: detection (the Chord-style points-to + racy-pair
+joins) dominates; modeling and filtering are minor stages.
 """
 
 import pytest

@@ -15,4 +15,4 @@ Public entry points:
 * :mod:`repro.obs` -- span tracing, metrics, and profiling for all of it
 """
 
-__version__ = "1.8.0"
+__version__ = "1.9.0"

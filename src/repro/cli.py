@@ -15,8 +15,8 @@ Subcommands:
 * ``table2``           -- injected false-negative study
 * ``table3``           -- DEvA comparison
 * ``timing``           -- section 8.8 stage breakdown
-* ``hotspots``         -- top-K hotspot attribution table (per-rule,
-  per-stratum, per-(method, context) work inside the fixpoint cores)
+* ``hotspots``         -- top-K hotspot attribution table (per-(method,
+  context) work inside the points-to fixpoint)
 * ``events summarize`` -- funnel + latency digest of an
   ``--events-out`` JSONL stream
 * ``bench``            -- corpus benchmark writing ``BENCH_<date>.json``;
@@ -311,12 +311,8 @@ def _single_app_report(args, result, recorder):
 def cmd_analyze(args: argparse.Namespace) -> int:
     from . import obs
     from .core import analyze_app, AnalysisConfig
-    from .race.detector import DetectorOptions
 
-    config = AnalysisConfig(
-        k=args.k,
-        detector=DetectorOptions(engine=args.engine),
-    )
+    config = AnalysisConfig(k=args.k)
     recorder = obs.Recorder(profile_stages=args.profile_stage or ())
     with obs.use(recorder):
         if args.memory:
@@ -394,13 +390,9 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 def cmd_explain(args: argparse.Namespace) -> int:
     from . import obs
     from .core import analyze_app, AnalysisConfig
-    from .race.detector import DetectorOptions
     from .report import render_app_explanations
 
-    config = AnalysisConfig(
-        k=args.k,
-        detector=DetectorOptions(engine=args.engine),
-    )
+    config = AnalysisConfig(k=args.k)
     recorder = obs.Recorder()
     with obs.use(recorder):
         result = analyze_app(_read_sources(args.files), config=config)
@@ -678,8 +670,6 @@ def cmd_hotspots(args: argparse.Namespace) -> int:
     _emit_observability(args, runner)
     metrics = runner.last_metrics
     entries = collect_hotspots(metrics.apps.values()) if metrics else []
-    if args.domain:
-        entries = [e for e in entries if e.domain == args.domain]
     if args.flame:
         from .obs import collapsed_stacks
 
@@ -949,8 +939,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("files", nargs="+", help="MiniDroid (.mjava) source files")
     p.add_argument("--k", type=int, default=2,
                    help="k for k-object-sensitive points-to (default 2)")
-    p.add_argument("--engine", choices=("datalog", "imperative"),
-                   default="datalog", help="race-pair solver backend")
     p.add_argument("--validate", action="store_true",
                    help="dynamically confirm surviving warnings")
     p.add_argument("--trace", action="store_true",
@@ -965,7 +953,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "detect); repeatable; report goes to stderr")
     p.add_argument("--hotspots", type=int, default=None, metavar="K",
                    help="print the top-K hotspot attribution table "
-                        "(per-rule/stratum/context work) to stderr")
+                        "(per-(method, context) work) to stderr")
     p.add_argument("--memory", action="store_true",
                    help="record tracemalloc peak-memory gauges per "
                         "pipeline stage")
@@ -979,8 +967,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("files", nargs="+", help="MiniDroid (.mjava) source files")
     p.add_argument("--k", type=int, default=2,
                    help="k for k-object-sensitive points-to (default 2)")
-    p.add_argument("--engine", choices=("datalog", "imperative"),
-                   default="datalog", help="race-pair solver backend")
     p.add_argument("--status", action="append", metavar="STATUS",
                    choices=("remaining", "downgraded", "pruned"),
                    help="only explain warnings with this status "
@@ -1148,18 +1134,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "hotspots",
-        help="top-K hotspot attribution over the corpus: which Datalog "
-             "rules, strata and points-to (method, context) pairs do "
-             "the work",
+        help="top-K hotspot attribution over the corpus: which "
+             "points-to (method, context) pairs do the work",
     )
     p.add_argument("--apps", nargs="+", metavar="NAME",
                    help="restrict to these corpus apps (default: all 27)")
     p.add_argument("--top", type=int, default=20, metavar="K",
                    help="rows in the table (default 20)")
-    p.add_argument("--domain", metavar="DOMAIN",
-                   choices=("datalog.rule", "datalog.stratum",
-                            "pointsto.pair"),
-                   help="restrict to one attribution domain")
     p.add_argument("--flame", metavar="PATH",
                    help="also write collapsed-stack lines (span "
                         "self-time plus hotspot counters, flamegraph.pl "

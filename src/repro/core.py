@@ -132,7 +132,7 @@ def analyze_module(
             pointsto = run_pointsto(program.module, k=config.k)
         with obs.span("lockset"):
             lockset = LocksetAnalysis(program.module, pointsto)
-        with obs.span("detect", engine=config.detector.engine):
+        with obs.span("detect"):
             warnings = detect_uaf_warnings(
                 program, pointsto, config.detector, lockset
             )

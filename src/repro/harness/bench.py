@@ -8,7 +8,7 @@ Runs the corpus through the cached parallel runner and emits a
 * ``apps.<name>.timings`` -- per-stage seconds (lowering, modeling,
   detection, filtering, total),
 * ``apps.<name>.counters`` -- the deterministic analysis metrics
-  (points-to passes and fact counts, Datalog facts, detector funnel,
+  (points-to passes and fact counts, detector funnel,
   per-filter drop counts); identical across ``--jobs`` settings,
 * ``apps.<name>.spans`` -- the serialized trace tree,
 * ``totals`` -- timings and counters summed over all apps.
@@ -44,21 +44,16 @@ BENCH_SCHEMA = 1
 #: and expected never to grow for the same input.  ``bench --compare``
 #: fails when any of these increases over the baseline.
 GATED_COUNTERS = (
-    "datalog.passes",
-    "datalog.derived_facts",
-    "datalog.total_facts",
-    "datalog.index.builds",
-    "datalog.index.evictions",
     "pointsto.passes",
     "pointsto.worklist.popped",
     "pointsto.worklist.pushed",
 )
 
 #: counter-name prefixes gated the same way: every ``hotspot.*`` count
-#: (per-rule derived facts, per-pair worklist pops) is deterministic
-#: work attribution, so a growth present in both payloads is a real
-#: regression in that unit.  Prefix-matched counters missing on one
-#: side (older baseline) simply do not gate.
+#: (per-pair worklist pops) is deterministic work attribution, so a
+#: growth present in both payloads is a real regression in that unit.
+#: Prefix-matched counters missing on one side (older baseline) simply
+#: do not gate.
 GATED_COUNTER_PREFIXES = ("hotspot.",)
 
 #: absolute wall-time slack (seconds) added on top of the relative
@@ -282,7 +277,7 @@ def render_compare(comparison: Dict[str, Any]) -> str:
         f"+ {comparison['time_slack']:g}s)"
     )
     header = (f"{'app':<16} {'old s':>8} {'new s':>8} {'delta':>8} "
-              f"{'popped':>12} {'dl passes':>10}")
+              f"{'popped':>12} {'pts passes':>10}")
     lines.append(header)
     lines.append("-" * len(header))
 
@@ -301,7 +296,7 @@ def render_compare(comparison: Dict[str, Any]) -> str:
             f"{name:<16} {entry['old_s']:>8.3f} {entry['new_s']:>8.3f} "
             f"{entry['delta_pct']:>+7.1f}% "
             f"{_counter_cell(entry, 'pointsto.worklist.popped'):>12} "
-            f"{_counter_cell(entry, 'datalog.passes'):>10}{flag}"
+            f"{_counter_cell(entry, 'pointsto.passes'):>10}{flag}"
         )
     for name in comparison["only_old"]:
         lines.append(f"{name:<16} (only in baseline)")

@@ -36,8 +36,7 @@ from .bench import BENCH_SCHEMA, GATED_COUNTERS
 #: counters whose corpus-wide totals appear as trend table columns
 TREND_COUNTERS = (
     "pointsto.worklist.popped",
-    "datalog.passes",
-    "datalog.total_facts",
+    "pointsto.passes",
 )
 
 #: relative wall-time growth across the window tolerated before

@@ -131,7 +131,7 @@ def metric_family(name: str, is_counter: bool) -> Tuple[str, Dict[str, str]]:
     labeled samples; everything else maps positionally --
     ``a.b.c`` -> ``nadroid_a_b_c`` (counters gain the conventional
     ``_total`` suffix).  Characters outside ``[a-zA-Z0-9_:]`` (unicode
-    app names, rule ids with ``#``) fold to ``_`` in metric names and
+    app names, context keys with ``#``) fold to ``_`` in metric names and
     survive verbatim, escaped, in label values.
     """
     if name.startswith(HOTSPOT_PREFIX):

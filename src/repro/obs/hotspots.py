@@ -1,17 +1,12 @@
-"""Hotspot attribution: who burns the time inside the fixpoint cores.
+"""Hotspot attribution: who burns the time inside the points-to fixpoint.
 
 Stage spans say *how long* detection took; hotspot metrics say *where*
-inside it.  The two incremental cores attribute their inner loops to
-named units of work under a shared ``hotspot.`` metric namespace:
-
-* the Datalog engine records, per compiled rule and per stratum, the
-  cumulative join time and the number of facts the unit derived
-  (``hotspot.datalog.rule.<id>.facts`` / ``.seconds``,
-  ``hotspot.datalog.stratum.<i>.facts`` / ``.seconds``);
-* the points-to worklist solver records, per ``(method, context)``
-  pair, how often the pair was popped and the cumulative
-  ``_process`` time (``hotspot.pointsto.pair.<key>.pops`` /
-  ``.seconds``).
+inside it.  The points-to worklist solver attributes its inner loop to
+named units of work under the ``hotspot.`` metric namespace: per
+``(method, context)`` pair, how often the pair was popped and the
+cumulative ``_process`` time (``hotspot.pointsto.pair.<key>.pops`` /
+``.seconds``).  The ``<domain>`` segment keeps the namespace open for
+further attribution domains.
 
 Counts land in **counters** (deterministic: identical across ``--jobs``
 settings and gated by ``bench --compare``, see
@@ -36,10 +31,10 @@ from typing import Any, Dict, Iterable, List, Tuple
 HOTSPOT_PREFIX = "hotspot."
 
 #: attribution domains, longest-prefix-first for parsing
-DOMAINS = ("datalog.rule", "datalog.stratum", "pointsto.pair")
+DOMAINS = ("pointsto.pair",)
 
 #: counter suffixes that carry the deterministic count of a unit
-_COUNT_METRICS = ("facts", "pops")
+_COUNT_METRICS = ("pops",)
 #: gauge suffix that carries the cumulative seconds of a unit
 _TIME_METRIC = "seconds"
 
@@ -48,9 +43,9 @@ _TIME_METRIC = "seconds"
 class HotspotEntry:
     """One attributed unit of work, aggregated over snapshots."""
 
-    domain: str   #: ``datalog.rule`` | ``datalog.stratum`` | ``pointsto.pair``
-    name: str     #: rule id, stratum index, or ``method@context`` key
-    count: int    #: derived facts (datalog) or worklist pops (points-to)
+    domain: str   #: ``pointsto.pair``
+    name: str     #: ``method@context`` key
+    count: int    #: worklist pops
     seconds: float
 
     @property
@@ -76,7 +71,7 @@ def collect_hotspots(snapshots: Iterable[Any]) -> List[HotspotEntry]:
 
     Counts and seconds are *summed* across snapshots (per-app snapshots
     of one corpus run aggregate into corpus-wide attribution; the same
-    rule in two apps is one row).  Unparseable ``hotspot.*`` names are
+    pair in two apps is one row).  Unparseable ``hotspot.*`` names are
     ignored -- forward compatibility with newer emitters.
     """
     counts: Dict[Tuple[str, str], int] = {}
@@ -110,6 +105,26 @@ def collect_hotspots(snapshots: Iterable[Any]) -> List[HotspotEntry]:
     ]
     entries.sort(key=lambda e: e.sort_key)
     return entries
+
+
+def fold_hotspot_units(metrics: Dict[str, Any]) -> Dict[str, Any]:
+    """Sum every ``hotspot.<domain>.<unit>.<metric>`` into one
+    ``hotspot.<domain>.<metric>`` total; other names pass through.
+
+    The live aggregate keeps only these totals: its key count is then
+    bounded by the code, not by the set of methods ever analyzed.
+    """
+    folded: Dict[str, Any] = {}
+    for metric, value in metrics.items():
+        if metric.startswith(HOTSPOT_PREFIX):
+            try:
+                domain, _, suffix = _parse(metric)
+            except ValueError:
+                pass
+            else:
+                metric = f"{HOTSPOT_PREFIX}{domain}.{suffix}"
+        folded[metric] = folded.get(metric, 0) + value
+    return folded
 
 
 def top_hotspots(entries: List[HotspotEntry], top: int,

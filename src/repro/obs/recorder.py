@@ -155,7 +155,7 @@ class Recorder:
 
     def add_gauge(self, name: str, delta: float) -> None:
         """Accumulate a float gauge -- the right update for cumulative
-        measurements like per-rule join seconds."""
+        measurements like per-pair processing seconds."""
         self.gauges[name] = self.gauges.get(name, 0.0) + delta
 
     def snapshot(self) -> "MetricsSnapshot":

@@ -7,9 +7,11 @@ This module provides that surface with the stdlib only:
 * :class:`LiveAggregator` -- a thread-safe sink the corpus runner feeds
   as each app starts/finishes.  It maintains the run funnel (done /
   total, analyzed / cached / faulted, retries), per-app latency
-  quantiles over the most recent ``LATENCY_WINDOW`` apps, and a merged :class:`~repro.obs.metrics.MetricsSnapshot`
-  of every finished app's counters and gauges (span trees are *not*
-  retained -- the aggregator is O(metrics), not O(run)).
+  quantiles over the most recent ``LATENCY_WINDOW`` apps, and a merged
+  :class:`~repro.obs.metrics.MetricsSnapshot` of every finished app's
+  counters and gauges (span trees are *not* retained and hotspot units
+  are folded to per-domain totals -- the aggregator is O(metric
+  names in the code), not O(run)).
 * :class:`TelemetryServer` -- a background ``http.server`` thread bound
   to **127.0.0.1 only** (the endpoint is an operator surface, never a
   public one) serving:
@@ -37,6 +39,7 @@ from typing import Any, Deque, Dict, List, Optional, Tuple
 
 from .events import percentile
 from .exporters import prometheus_text
+from .hotspots import fold_hotspot_units
 from .metrics import merge_snapshots, MetricsSnapshot
 
 #: the only address the telemetry endpoint ever binds; serving run
@@ -131,12 +134,15 @@ class LiveAggregator:
                 self._latency_max = max(self._latency_max,
                                         float(duration_s))
             if snapshot is not None:
-                # merge counters/gauges only: spans would make the
-                # aggregator's footprint proportional to the run
+                # merge counters/gauges only, hotspot units folded to
+                # per-domain totals: spans or per-method keys would make
+                # the aggregator's footprint proportional to the run
                 self._merged = merge_snapshots([
                     self._merged,
-                    MetricsSnapshot(counters=snapshot.counters,
-                                    gauges=snapshot.gauges),
+                    MetricsSnapshot(
+                        counters=fold_hotspot_units(snapshot.counters),
+                        gauges=fold_hotspot_units(snapshot.gauges),
+                    ),
                 ])
 
     def run_finished(self, run_snapshot: Optional[MetricsSnapshot] = None) \

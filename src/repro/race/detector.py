@@ -38,11 +38,6 @@ class DetectorOptions:
     #: require a common lock to *suppress* warnings at detection time
     #: (paper: off -- locks do not prevent ordering violations)
     respect_locks: bool = False
-    #: solve the racy-pair relation declaratively, like Chord's
-    #: Datalog/bddbddb backend ("datalog"), or with the equivalent direct
-    #: joins ("imperative").  Non-default MHP/lock options force the
-    #: imperative engine.
-    engine: str = "datalog"
 
 
 class UafDetector:
@@ -170,52 +165,9 @@ class UafDetector:
                     for w in warnings for o in w.occurrences))
 
     def detect(self) -> List[UafWarning]:
-        if (
-            self.options.engine == "datalog"
-            and not self.options.use_mhp
-            and not self.options.respect_locks
-        ):
-            return self._detect_datalog()
-        return self._detect_imperative()
-
-    def _detect_datalog(self) -> List[UafWarning]:
-        """Chord-style: solve the racy-pair relation with the Datalog
-        engine (the default, mirroring the paper's bddbddb backend)."""
-        from ..datalog.chord import build_race_program
-        from ..datalog.engine import evaluate
-
-        events = collect_access_events(self.program)
-        dl = build_race_program(
-            self.program, self.pointsto,
-            use_escape=self.options.use_escape_analysis,
-            events=events,
-        )
-        relations = evaluate(dl)
-        warnings: Dict[Tuple[int, int], UafWarning] = {}
-        for use_index, free_index in sorted(relations.get("racyPair", ())):
-            use = events[use_index]
-            free = events[free_index]
-            key = (use.uid, free.uid)
-            warning = warnings.get(key)
-            if warning is None:
-                warning = UafWarning(
-                    fieldref=use.fieldref,
-                    use_uid=use.uid,
-                    free_uid=free.uid,
-                    use_method=use.method_qname,
-                    free_method=free.method_qname,
-                )
-                warnings[key] = warning
-            warning.occurrences.append(self._make_occurrence(use, free))
-        result = sorted(
-            warnings.values(), key=lambda w: (w.fieldref.class_name,
-                                              w.fieldref.field_name,
-                                              w.use_uid, w.free_uid)
-        )
-        self._record_funnel(events, result)
-        return result
-
-    def _detect_imperative(self) -> List[UafWarning]:
+        """Chord's ``racyPair`` relation as direct joins: same-field
+        use/free pairs on different modeled threads whose receivers may
+        alias (``tests/race/test_chord_oracle.py`` pins the rules)."""
         events = collect_access_events(self.program)
         by_field: Dict[Tuple[str, str], Dict[str, List[AccessEvent]]] = defaultdict(
             lambda: {USE: [], FREE: []}

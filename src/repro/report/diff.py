@@ -127,8 +127,8 @@ def render_diff(diff: ReportDiff) -> str:
         lines.append("changed classification:")
         lines.extend(_describe(diff.changed))
     if diff.metric_deltas:
-        # Hotspot attribution counters are numerous (one per rule /
-        # stratum / context pair) and usually change together, e.g.
+        # Hotspot attribution counters are numerous (one per method /
+        # context pair) and usually change together, e.g.
         # when one side predates the hotspot namespace entirely; a
         # single summary line keeps the diff readable.  They still
         # participate in `clean`, just not line-by-line.

@@ -27,7 +27,6 @@ import hashlib
 from dataclasses import dataclass
 from typing import Any, Dict, Optional, Type
 
-from ..datalog.errors import DatalogError
 from ..lang.errors import SourceError
 
 try:  # pragma: no cover - the pool never raises this itself
@@ -208,12 +207,6 @@ def fault_from_exception(exc: BaseException, app: str,
     if isinstance(exc, SourceError):
         cls: Type[Fault] = ParseFault
         message = str(exc)
-    elif isinstance(exc, DatalogError):
-        # engine-level rejections (mixed-type builtin comparison, an
-        # unstratifiable user extension) are deterministic analysis
-        # faults, never crashes and never retried
-        cls = AnalysisFault
-        message = f"{type(exc).__name__}: {exc}"
     elif isinstance(exc, RecursionError):
         cls = AnalysisFault
         message = f"RecursionError: {exc}"

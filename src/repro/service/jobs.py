@@ -31,7 +31,6 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..core import AnalysisConfig
-from ..race.detector import DetectorOptions
 from ..report import (
     build_app_report,
     build_report,
@@ -43,16 +42,14 @@ from ..report import (
 from ..resilience import FaultPolicy
 from ..runner.serialize import result_data_from_dict
 
-#: engines the job layer accepts (mirrors the CLI --engine choices)
-ENGINES = ("datalog", "imperative")
-
 #: the app key single-app jobs report under -- the same constant the
 #: ``repro analyze`` path uses, so the two artifacts line up byte-wise
 SINGLE_APP_NAME = "app"
 
 
 class JobSpecError(ValueError):
-    """A request described an invalid job (bad engine, empty sources...)."""
+    """A request described an invalid job (bad field type, empty
+    sources...)."""
 
 
 @dataclass(frozen=True)
@@ -93,7 +90,6 @@ class JobSpec:
 
     apps: Tuple[AppSource, ...]
     k: int = 2
-    engine: str = "datalog"
     client: str = "anonymous"
     #: per-job deadline/retry policy (``None`` timeout = no deadline)
     timeout: Optional[float] = None
@@ -104,10 +100,6 @@ class JobSpec:
     def __post_init__(self) -> None:
         if not self.apps:
             raise JobSpecError("a job needs at least one app")
-        if self.engine not in ENGINES:
-            raise JobSpecError(
-                f"unknown engine {self.engine!r}; expected one of {ENGINES}"
-            )
         if self.k < 0:
             raise JobSpecError("k must be >= 0")
         if self.timeout is not None and self.timeout <= 0:
@@ -119,9 +111,7 @@ class JobSpec:
             raise JobSpecError("app names within a job must be unique")
 
     def config(self) -> AnalysisConfig:
-        return AnalysisConfig(
-            k=self.k, detector=DetectorOptions(engine=self.engine)
-        )
+        return AnalysisConfig(k=self.k)
 
     def policy(self) -> FaultPolicy:
         """Per-job fault policy: a daemon always keeps going -- one bad
@@ -152,22 +142,33 @@ class JobSpec:
         client = payload.get("client", "anonymous")
         if not isinstance(client, str) or not client:
             raise JobSpecError("'client' must be a non-empty string")
+        timeout = payload.get("timeout")
         try:
-            k = int(payload.get("k", 2))
-            max_retries = int(payload.get("max_retries", 1))
-            timeout = payload.get("timeout")
             timeout = None if timeout is None else float(timeout)
         except (TypeError, ValueError) as exc:
             raise JobSpecError(f"bad numeric field: {exc}") from exc
+        sarif = payload.get("sarif", False)
+        if not isinstance(sarif, bool):
+            raise JobSpecError("'sarif' must be true or false")
         return cls(
             apps=apps,
-            k=k,
-            engine=payload.get("engine", "datalog"),
+            k=_integer_field(payload, "k", 2),
             client=client,
             timeout=timeout,
-            max_retries=max_retries,
-            sarif=bool(payload.get("sarif", False)),
+            max_retries=_integer_field(payload, "max_retries", 1),
+            sarif=sarif,
         )
+
+
+def _integer_field(payload: Dict[str, Any], key: str, default: int) -> int:
+    """``payload[key]`` as a JSON integer: ``true`` and ``2.9`` are
+    rejected rather than coerced."""
+    value = payload.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise JobSpecError(
+            f"bad numeric field {key!r}: expected an integer, got {value!r}"
+        )
+    return value
 
 
 @dataclass

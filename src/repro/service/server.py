@@ -7,9 +7,9 @@ on, daemonic handler threads, **127.0.0.1 only**).  Two layers:
 
 * :class:`AnalysisService` -- the scheduler.  Holds the long-lived warm
   state (the content-addressed :class:`~repro.runner.ResultCache`, the
-  interned framework model and compiled Datalog plans living in this
-  process's modules, which forked workers inherit) and a single drain
-  thread that executes queued jobs one at a time on a
+  interned framework model living in this process's modules, which
+  forked workers inherit) and a single drain thread that executes
+  queued jobs one at a time on a
   :class:`~repro.runner.CorpusRunner` (``--jobs N`` fan-out *within*
   each job keeps results deterministic).  Admission control: a bounded
   queue (:class:`QueueFullError` -> HTTP 429 with ``Retry-After``) and

@@ -13,8 +13,6 @@ from repro.harness import (
 
 def payload(date="2026-01-01", total=1.0, counters=None, apps=("alpha",)):
     counters = counters or {
-        "datalog.passes": 3,
-        "datalog.derived_facts": 100,
         "pointsto.passes": 5,
         "pointsto.worklist.popped": 40,
         "pointsto.worklist.pushed": 40,
@@ -62,13 +60,13 @@ def test_counter_increase_is_a_regression():
 def test_counter_decrease_is_an_improvement_not_a_regression():
     old = payload()
     new = copy.deepcopy(old)
-    new["apps"]["alpha"]["counters"]["datalog.derived_facts"] = 50
+    new["apps"]["alpha"]["counters"]["pointsto.worklist.pushed"] = 30
     assert not has_regressions(compare_bench(old, new))
 
 
 def test_missing_counter_never_gates():
     """Baselines from an older engine generation lack new counters."""
-    old = payload(counters={"datalog.passes": 3})
+    old = payload(counters={"pointsto.passes": 5})
     new = payload()
     comparison = compare_bench(old, new)
     assert not has_regressions(comparison)
@@ -78,13 +76,13 @@ def test_missing_counter_never_gates():
 
 def test_hotspot_prefix_counters_gate_when_present_on_both_sides():
     old = payload()
-    old["apps"]["alpha"]["counters"]["hotspot.datalog.rule.r#0.0.facts"] = 10
+    old["apps"]["alpha"]["counters"]["hotspot.pointsto.pair.A.m@.pops"] = 10
     new = copy.deepcopy(old)
-    new["apps"]["alpha"]["counters"]["hotspot.datalog.rule.r#0.0.facts"] = 11
+    new["apps"]["alpha"]["counters"]["hotspot.pointsto.pair.A.m@.pops"] = 11
     comparison = compare_bench(old, new)
     assert has_regressions(comparison)
     (reg,) = comparison["regressions"]
-    assert reg["name"] == "hotspot.datalog.rule.r#0.0.facts"
+    assert reg["name"] == "hotspot.pointsto.pair.A.m@.pops"
     assert reg["old"] == 10 and reg["new"] == 11
 
 
@@ -93,7 +91,7 @@ def test_hotspot_counter_missing_on_one_side_never_gates():
     that adds hotspot.* counters must still compare clean."""
     old = payload()
     new = copy.deepcopy(old)
-    new["apps"]["alpha"]["counters"]["hotspot.datalog.rule.r#0.0.facts"] = 11
+    new["apps"]["alpha"]["counters"]["hotspot.pointsto.pair.A.m@.pops"] = 11
     assert not has_regressions(compare_bench(old, new))
     # and the other direction: a baseline with them, a candidate without
     assert not has_regressions(compare_bench(new, old))
@@ -130,9 +128,11 @@ def test_disjoint_apps_reported_but_never_gate():
     assert "(only in candidate)" in rendered
 
 
-def test_gated_counters_cover_both_engines():
-    joined = " ".join(GATED_COUNTERS)
-    assert "datalog." in joined and "pointsto." in joined
+def test_gated_counters_cover_the_pointsto_core():
+    assert {"pointsto.passes", "pointsto.worklist.popped"} <= \
+        set(GATED_COUNTERS)
+    assert not [name for name in GATED_COUNTERS
+                if name.startswith("datalog.")]
 
 
 # -- CLI surface ---------------------------------------------------------------

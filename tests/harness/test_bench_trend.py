@@ -20,8 +20,7 @@ from repro.harness import (
 def payload(date="2026-01-01", total=1.0, popped=40, apps=("alpha",),
             corpus=None):
     counters = {
-        "datalog.passes": 3,
-        "datalog.total_facts": 100,
+        "pointsto.passes": 3,
         "pointsto.worklist.popped": popped,
     }
     body = {
@@ -205,9 +204,9 @@ def test_render_trend_table_and_verdicts():
 
 def test_trend_rows_tolerate_missing_counters():
     body = payload(date="2026-01-01")
-    del body["totals"]["counters"]["datalog.total_facts"]
+    del body["totals"]["counters"]["pointsto.passes"]
     (row,) = trend_rows(history_of(body))
-    assert row["counters"]["datalog.total_facts"] is None
+    assert row["counters"]["pointsto.passes"] is None
     assert "-" in render_trend(history_of(body), [])
 
 

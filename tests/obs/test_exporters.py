@@ -43,12 +43,12 @@ def test_prometheus_empty_snapshot_is_empty_string():
 
 def test_prometheus_counter_and_gauge_families():
     snapshot = MetricsSnapshot(
-        counters={"datalog.passes": 3, "pointsto.worklist.popped": 41},
+        counters={"pointsto.passes": 3, "pointsto.worklist.popped": 41},
         gauges={"telemetry.uptime_seconds": 1.5},
     )
     text = prometheus_text(snapshot)
-    assert "# TYPE nadroid_datalog_passes_total counter" in text
-    assert "nadroid_datalog_passes_total 3" in text
+    assert "# TYPE nadroid_pointsto_passes_total counter" in text
+    assert "nadroid_pointsto_passes_total 3" in text
     assert "nadroid_pointsto_worklist_popped_total 41" in text
     assert "# TYPE nadroid_telemetry_uptime_seconds gauge" in text
     assert "nadroid_telemetry_uptime_seconds 1.5" in text
@@ -71,12 +71,12 @@ def test_prometheus_output_is_byte_stable():
 
 def test_prometheus_hotspot_family_mapping():
     snapshot = MetricsSnapshot(
-        counters={"hotspot.datalog.rule.race#1.derived": 7},
+        counters={"hotspot.pointsto.pair.M@ctx#1.pops": 7},
         gauges={"hotspot.pointsto.pair.M@ctx.seconds": 0.5},
     )
     text = prometheus_text(snapshot)
-    assert ('nadroid_hotspot_count_total{domain="datalog.rule",'
-            'metric="derived",unit="race#1"} 7') in text
+    assert ('nadroid_hotspot_count_total{domain="pointsto.pair",'
+            'metric="pops",unit="M@ctx#1"} 7') in text
     assert ('nadroid_hotspot_seconds{domain="pointsto.pair",'
             'unit="M@ctx"} 0.5') in text
 
@@ -112,7 +112,7 @@ def test_prometheus_metric_names_are_always_legal():
     import re
 
     legal = re.compile(r"[a-zA-Z_:][a-zA-Z0-9_:]*$")
-    for name in ("höt.mötric", "hotspot.datalog.rule.r#@!.x",
+    for name in ("höt.mötric", "hotspot.pointsto.pair.r#@!.x",
                  "mem.stage.po intso.peak_kb", "123.starts.with.digit"):
         family, _ = metric_family(name, True)
         assert legal.match(family), family
@@ -121,10 +121,10 @@ def test_prometheus_metric_names_are_always_legal():
 
 def test_prometheus_unicode_app_name_survives_in_labels():
     snapshot = MetricsSnapshot(
-        counters={"hotspot.datalog.rule.règle-α.derived": 1},
+        counters={"hotspot.pointsto.pair.règle-α@.pops": 1},
     )
     text = prometheus_text(snapshot)
-    assert 'unit="règle-α"' in text
+    assert 'unit="règle-α@"' in text
     # the family name itself stays ASCII-legal
     for line in text.splitlines():
         if not line.startswith("#"):
@@ -286,7 +286,7 @@ def test_collapsed_stacks_sanitizes_separators_and_aggregates():
 
 def test_collapsed_stacks_includes_hotspot_lines():
     snapshot = MetricsSnapshot(
-        gauges={"hotspot.datalog.rule.race.seconds": 0.5},
+        gauges={"hotspot.pointsto.pair.M@ctx.seconds": 0.5},
     )
     text = collapsed_stacks([snapshot])
-    assert "hotspot;datalog.rule;race 500000" in text
+    assert "hotspot;pointsto.pair;M@ctx 500000" in text

@@ -1,12 +1,10 @@
-"""Hotspot attribution: emitters in the two fixpoint cores, the
-collector, and the deterministic top-K table."""
+"""Hotspot attribution: the points-to emitter, the collector, the
+live-aggregate fold, and the deterministic top-K table."""
 
 import pytest
 
 from repro import obs
 from repro.analysis import run_pointsto
-from repro.datalog import engine as dl_engine
-from repro.datalog.terms import Literal, Program, Rule, Var
 from repro.lowering import compile_app
 from repro.obs import (
     collect_hotspots,
@@ -15,19 +13,8 @@ from repro.obs import (
     render_hotspots,
     top_hotspots,
 )
-from repro.obs.hotspots import _parse
+from repro.obs.hotspots import _parse, fold_hotspot_units
 from repro.threadify import threadify
-
-X, Y, Z = Var("X"), Var("Y"), Var("Z")
-
-
-def _path_program():
-    program = Program()
-    program.add_facts("edge", [("a", "b"), ("b", "c"), ("c", "d")])
-    program.rule(Literal("path", (X, Y)), Literal("edge", (X, Y)))
-    program.rule(Literal("path", (X, Z)),
-                 Literal("edge", (X, Y)), Literal("path", (Y, Z)))
-    return program
 
 
 APP = """
@@ -43,38 +30,6 @@ class Worker {
 
 
 # -- emitters -----------------------------------------------------------------
-
-
-def test_datalog_emits_per_rule_and_per_stratum_attribution():
-    rec = Recorder()
-    with obs.use(rec):
-        relations = dl_engine.evaluate(_path_program())
-    assert len(relations["path"]) == 6
-    # rule ids are <head>#<stratum>.<rule>: both rules live in stratum 0
-    assert rec.counters["hotspot.datalog.rule.path#0.0.facts"] == 3
-    assert rec.counters["hotspot.datalog.rule.path#0.1.facts"] == 3
-    assert rec.counters["hotspot.datalog.stratum.0.facts"] == 6
-    # per-rule facts sum to the existing derived-facts counter, which
-    # must be unchanged by the instrumentation
-    assert rec.counters["datalog.derived_facts"] == 6
-    for name in ("hotspot.datalog.rule.path#0.0.seconds",
-                 "hotspot.datalog.rule.path#0.1.seconds",
-                 "hotspot.datalog.stratum.0.seconds"):
-        assert rec.gauges[name] >= 0.0
-
-
-def test_datalog_zero_fact_rules_still_get_a_counter():
-    """The counter key set is a function of the program alone, so a
-    rule that never fires still appears (deterministically) with 0."""
-    program = Program()
-    program.add_facts("edge", [("a", "b")])
-    program.rule(Literal("path", (X, Y)), Literal("edge", (X, Y)))
-    # never fires: no self-loop edges exist
-    program.rule(Literal("loop", (X, X)), Literal("edge", (X, X)))
-    rec = Recorder()
-    with obs.use(rec):
-        dl_engine.evaluate(program)
-    assert rec.counters["hotspot.datalog.rule.loop#0.1.facts"] == 0
 
 
 def test_pointsto_emits_per_pair_attribution():
@@ -100,9 +55,10 @@ def test_pointsto_emits_per_pair_attribution():
 
 def test_hotspot_counters_are_deterministic_across_runs():
     def snapshot_counters():
+        program = threadify(compile_app([("app.mjava", APP)], seal=False))
         rec = Recorder()
         with obs.use(rec):
-            dl_engine.evaluate(_path_program())
+            run_pointsto(program.module)
         return {name: value for name, value in rec.counters.items()
                 if name.startswith("hotspot.")}
 
@@ -113,8 +69,6 @@ def test_hotspot_counters_are_deterministic_across_runs():
 
 
 def test_parse_handles_dotted_names_and_rejects_unknown_domains():
-    assert _parse("hotspot.datalog.rule.path#0.1.facts") == \
-        ("datalog.rule", "path#0.1", "facts")
     assert _parse("hotspot.pointsto.pair.A.m@B.n#3.pops") == \
         ("pointsto.pair", "A.m@B.n#3", "pops")
     with pytest.raises(ValueError):
@@ -123,15 +77,15 @@ def test_parse_handles_dotted_names_and_rejects_unknown_domains():
 
 def test_collect_hotspots_sums_across_snapshots_and_ranks_by_count():
     first, second = Recorder(), Recorder()
-    for rec, facts in ((first, 5), (second, 7)):
-        rec.add("hotspot.datalog.rule.r#0.0.facts", facts)
-        rec.add_gauge("hotspot.datalog.rule.r#0.0.seconds", 0.5)
+    for rec, pops in ((first, 5), (second, 7)):
+        rec.add("hotspot.pointsto.pair.B.n@A.m#2.pops", pops)
+        rec.add_gauge("hotspot.pointsto.pair.B.n@A.m#2.seconds", 0.5)
         rec.add("hotspot.pointsto.pair.A.m@.pops", 1)
         rec.add_gauge("hotspot.pointsto.pair.A.m@.seconds", 0.1)
         rec.add("unrelated.counter", 99)
     entries = collect_hotspots([first.snapshot(), second.snapshot()])
     assert [(e.domain, e.name, e.count) for e in entries] == [
-        ("datalog.rule", "r#0.0", 12),
+        ("pointsto.pair", "B.n@A.m#2", 12),
         ("pointsto.pair", "A.m@", 2),
     ]
     assert entries[0].seconds == pytest.approx(1.0)
@@ -141,6 +95,24 @@ def test_collect_hotspots_sums_across_snapshots_and_ranks_by_count():
 def test_collect_hotspots_ignores_unparseable_names():
     rec = Recorder()
     rec.add("hotspot.future.domain.x.facts", 3)
+    assert collect_hotspots([rec.snapshot()]) == []
+
+
+def test_fold_hotspot_units_sums_units_per_domain_and_metric():
+    folded = fold_hotspot_units({
+        "hotspot.pointsto.pair.A.m@.pops": 3,
+        "hotspot.pointsto.pair.B.n@A.m#1.pops": 4,
+        "hotspot.future.domain.x.pops": 1,
+        "pointsto.passes": 2,
+    })
+    assert folded == {
+        "hotspot.pointsto.pair.pops": 7,
+        "hotspot.future.domain.x.pops": 1,
+        "pointsto.passes": 2,
+    }
+    # a folded total is not a unit: the collector skips it
+    rec = Recorder()
+    rec.add("hotspot.pointsto.pair.pops", 7)
     assert collect_hotspots([rec.snapshot()]) == []
 
 

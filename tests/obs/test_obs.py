@@ -240,7 +240,6 @@ def test_pipeline_records_expected_counter_families(instrumented_result):
     counters = rec.snapshot().counters
     for required in (
         "pointsto.passes", "pointsto.var_facts", "pointsto.abstract_objects",
-        "datalog.passes", "datalog.total_facts",
         "detector.candidate_pairs", "detector.potential_warnings",
         "filters.potential", "filters.after_sound", "filters.after_unsound",
         "funnel.potential", "funnel.after_sound", "funnel.remaining",

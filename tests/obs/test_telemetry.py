@@ -103,16 +103,16 @@ def test_aggregator_merges_finished_snapshots():
     agg = LiveAggregator()
     agg.run_started("timing", 2)
     agg.app_finished("a", "analyzed", snapshot=MetricsSnapshot(
-        counters={"datalog.passes": 2},
+        counters={"pointsto.passes": 2},
         gauges={"mem.app.peak_kb": 10.0},
     ))
     agg.app_finished("b", "analyzed", snapshot=MetricsSnapshot(
-        counters={"datalog.passes": 3},
+        counters={"pointsto.passes": 3},
         gauges={"mem.app.peak_kb": 30.0},
     ))
     agg.run_finished(MetricsSnapshot(counters={"runner.apps.analyzed": 2}))
     snapshot = agg.snapshot()
-    assert snapshot.counters["datalog.passes"] == 5
+    assert snapshot.counters["pointsto.passes"] == 5
     assert snapshot.counters["runner.apps.analyzed"] == 2
     # peak gauges merge max-wins
     assert snapshot.gauges["mem.app.peak_kb"] == 30.0
@@ -199,6 +199,28 @@ def test_server_close_is_idempotent():
 # -- runner integration and the determinism contract --------------------------
 
 
+def test_aggregator_key_count_is_bounded_by_hotspot_domains():
+    """A long-lived daemon sees ever new methods; their per-unit
+    hotspot keys fold to per-domain totals instead of accumulating."""
+    agg = LiveAggregator()
+
+    def snapshot(i):
+        unit = f"hotspot.pointsto.pair.App{i}.m@."
+        return MetricsSnapshot(
+            counters={unit + "pops": 2, "pointsto.passes": 1},
+            gauges={unit + "seconds": 0.5},
+        )
+
+    agg.app_finished("app0", "analyzed", snapshot=snapshot(0))
+    keys = (len(agg.snapshot().counters), len(agg.snapshot().gauges))
+    for i in range(1, 2000):
+        agg.app_finished(f"app{i}", "analyzed", snapshot=snapshot(i))
+    merged = agg.snapshot()
+    assert (len(merged.counters), len(merged.gauges)) == keys
+    assert merged.counters["hotspot.pointsto.pair.pops"] == 4000
+    assert merged.counters["pointsto.passes"] == 2000
+
+
 def test_runner_feeds_the_aggregator():
     agg = LiveAggregator()
     runner = CorpusRunner(jobs=1, telemetry=agg)
@@ -212,7 +234,7 @@ def test_runner_feeds_the_aggregator():
     assert progress["latency"]["apps"] == len(SUBSET)
     snapshot = agg.snapshot()
     # the per-app analysis counters merged in
-    assert snapshot.counters["datalog.passes"] > 0
+    assert snapshot.counters["pointsto.passes"] > 0
     # the runner's own fan-out counters joined at run_finished
     assert snapshot.counters["runner.apps.analyzed"] == len(SUBSET)
 
@@ -227,7 +249,7 @@ def test_runner_reports_cache_hits_to_the_aggregator(tmp_path):
     progress = agg.progress()
     assert progress["apps"]["cached"] == len(SUBSET)
     # replayed envelopes still carry their recorded metrics
-    assert agg.snapshot().counters["datalog.passes"] > 0
+    assert agg.snapshot().counters["pointsto.passes"] > 0
 
 
 def _run_payloads(telemetry, jobs):

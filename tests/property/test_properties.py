@@ -4,7 +4,6 @@ import string
 
 from hypothesis import given, settings, strategies as st
 
-from repro.datalog import Literal, Program, query, vars_
 from repro.android.lifecycle import sound_mhb_pairs
 from repro.harness import render_table
 from repro.lang import tokenize
@@ -12,52 +11,6 @@ from repro.lang.tokens import KEYWORDS, TokenType
 from repro.runtime.interpreter import Interpreter
 from repro.runtime.values import Heap
 from repro.ir import FieldRef
-
-
-# -- Datalog: semi-naive closure equals the naive fixpoint ---------------------
-
-edges_strategy = st.sets(
-    st.tuples(st.integers(0, 9), st.integers(0, 9)), max_size=35
-)
-
-
-@given(edges=edges_strategy)
-@settings(max_examples=60, deadline=None)
-def test_datalog_closure_equals_naive(edges):
-    X, Y, Z = vars_("X Y Z")
-    program = Program().add_facts("edge", edges)
-    program.rule(Literal("path", (X, Y)), Literal("edge", (X, Y)))
-    program.rule(
-        Literal("path", (X, Z)),
-        Literal("path", (X, Y)), Literal("edge", (Y, Z)),
-    )
-    got = query(program, "path")
-
-    expected = set(edges)
-    changed = True
-    while changed:
-        changed = False
-        for (a, b) in list(expected):
-            for (c, d) in edges:
-                if b == c and (a, d) not in expected:
-                    expected.add((a, d))
-                    changed = True
-    assert got == expected
-
-
-@given(edges=edges_strategy, negated=st.sets(st.integers(0, 9), max_size=5))
-@settings(max_examples=40, deadline=None)
-def test_datalog_negation_is_set_difference(edges, negated):
-    X, Y = vars_("X Y")
-    program = Program().add_facts("edge", edges)
-    program.add_facts("banned", {(n,) for n in negated})
-    program.rule(
-        Literal("ok", (X, Y)),
-        Literal("edge", (X, Y)),
-        Literal("banned", (X,), negated=True),
-    )
-    got = query(program, "ok")
-    assert got == {(a, b) for (a, b) in edges if a not in negated}
 
 
 # -- lifecycle automaton: sound MHB is a strict partial order --------------------

@@ -3,10 +3,9 @@ bookkeeping, detector options."""
 
 import pytest
 
-from repro.core import analyze_app, AnalysisConfig
+from repro.core import analyze_app
 from repro.lowering import compile_app
 from repro.race import collect_access_events, classify_pair, FREE, USE
-from repro.race.detector import DetectorOptions
 from repro.threadify import threadify, ThreadKind
 
 
@@ -144,17 +143,6 @@ def test_same_node_accesses_never_pair():
         """
     )
     assert not result.warnings
-
-
-def test_detector_engines_agree_on_uaf_app():
-    datalog = analyze_app(UAF_APP)
-    imperative = analyze_app(
-        UAF_APP,
-        config=AnalysisConfig(detector=DetectorOptions(engine="imperative")),
-    )
-    assert {w.key for w in datalog.warnings} == {
-        w.key for w in imperative.warnings
-    }
 
 
 def test_static_field_pairs_by_name():

@@ -28,9 +28,10 @@ def test_spec_rejects_empty_apps():
         JobSpec(apps=())
 
 
-def test_spec_rejects_unknown_engine():
-    with pytest.raises(JobSpecError, match="unknown engine"):
-        JobSpec(apps=(_app_source(),), engine="prolog")
+def test_from_request_ignores_an_engine_key():
+    body = {"files": [{"path": "a.mjava", "text": "class A {}"}]}
+    spec = JobSpec.from_request(dict(body, engine="prolog"), batch=False)
+    assert spec == JobSpec.from_request(body, batch=False)
 
 
 def test_spec_rejects_duplicate_app_names():
@@ -69,7 +70,6 @@ def test_from_request_single_app_uses_the_cli_app_key():
     assert [a.name for a in spec.apps] == [SINGLE_APP_NAME]
     assert spec.apps[0].files == (("a.mjava", "class A {}"),)
     assert spec.k == 2
-    assert spec.engine == "datalog"
     assert spec.client == "anonymous"
     assert spec.sarif is False
 
@@ -87,7 +87,7 @@ def test_from_request_batch_parses_every_app():
         "sarif": True,
     }, batch=True)
     assert [a.name for a in spec.apps] == ["one", "two"]
-    assert (spec.client, spec.k, spec.engine) == ("ci", 1, "imperative")
+    assert (spec.client, spec.k) == ("ci", 1)
     assert spec.timeout == 30.0
     assert spec.sarif is True
 
@@ -104,6 +104,16 @@ def test_from_request_batch_parses_every_app():
      "client"),
     ({"files": [{"path": "a", "text": "x"}], "k": "lots"}, False,
      "numeric"),
+    ({"files": [{"path": "a", "text": "x"}], "k": True}, False, "'k'"),
+    ({"files": [{"path": "a", "text": "x"}], "k": 2.9}, False, "'k'"),
+    ({"files": [{"path": "a", "text": "x"}], "k": "2"}, False, "'k'"),
+    ({"files": [{"path": "a", "text": "x"}], "max_retries": True}, False,
+     "max_retries"),
+    ({"files": [{"path": "a", "text": "x"}], "max_retries": 1.5}, False,
+     "max_retries"),
+    ({"files": [{"path": "a", "text": "x"}], "sarif": "false"}, False,
+     "sarif"),
+    ({"files": [{"path": "a", "text": "x"}], "sarif": 1}, False, "sarif"),
 ])
 def test_from_request_rejects_malformed_bodies(payload, batch, match):
     with pytest.raises(JobSpecError, match=match):

@@ -7,7 +7,8 @@ import urllib.request
 
 import pytest
 
-from repro.corpus import all_apps, app
+from repro.corpus import all_apps, app, GeneratorConfig
+from repro.corpus.generator import generate_app
 from repro.obs import LiveAggregator
 from repro.report import build_report
 from repro.runner import CorpusRunner, ResultCache
@@ -244,6 +245,27 @@ def test_second_post_of_the_same_app_hits_the_warm_cache(server):
     text = metrics.decode()
     assert "nadroid_telemetry_apps_cached_total 1" in text
     assert "nadroid_telemetry_apps_analyzed_total 1" in text
+
+
+def test_metrics_line_count_plateaus_over_distinct_apps(server):
+    """Per-method hotspot units are folded away before the live merge:
+    new apps with new methods must not grow ``/metrics``."""
+    gconfig = GeneratorConfig(seed=42, count=40)
+    apps = [generate_app(gconfig, index) for index in range(gconfig.count)]
+
+    def post_and_count(batch):
+        status, _, _ = _request(server.url + "/v1/batch", {
+            "apps": [{"name": gen.name,
+                      "files": [{"path": f"{gen.name}.mjava",
+                                 "text": gen.source}]} for gen in batch],
+            "wait": True,
+        })
+        assert status == 200
+        _, _, metrics = _request(server.url + "/metrics")
+        return len(metrics.decode().splitlines())
+
+    after_10 = post_and_count(apps[:10])
+    assert post_and_count(apps[10:]) == after_10
 
 
 def test_overlapping_batches_from_two_clients(server, tmp_path):
