@@ -1,8 +1,9 @@
-"""Structured event stream for corpus runs (``--events-out``).
+"""The run-lifecycle stream for corpus runs (``--events-out``).
 
-A long generated-corpus run used to be a silent wait; this module turns
-it into a tail-able JSONL stream.  Each line is one schema-versioned
-event::
+Each lifecycle fact of a run is stated once, as one record of this
+stream; the JSONL file, ``--progress``, the ``--trace-out`` instants,
+the live telemetry and the runner's :class:`~repro.runner.RunStats` are
+all folds over it.  Each line is one schema-versioned event::
 
     {"schema": 1, "event": "app-done", "t": 1.234567, "app": "...",
      "status": "analyzed", "duration_s": 0.021}
@@ -22,17 +23,21 @@ and existing fields never change meaning):
 ``run-end``
     run totals: ``analyzed``, ``cached``, ``faulted``, ``wall_seconds``.
 
-Timestamps ``t`` are monotonic seconds since the stream's first event.
+Timestamps ``t`` are monotonic seconds since the stream's first event,
+stamped when the event happens, so an app's ``app-start``..``app-done``
+window is its actual lifetime.
 
-**Determinism.**  Events are buffered per app and flushed strictly in
-input-app order: app *i*'s block is written the moment its outcome --
-and every earlier app's -- is known.  A ``--jobs 4`` run therefore
-produces the same event sequence as ``--jobs 1`` (only ``t``,
+**Determinism.**  Records are buffered per app and written to the sinks
+strictly in input-app order: app *i*'s block is written the moment its
+outcome -- and every earlier app's -- is known.  A ``--jobs 4`` run
+therefore produces the same event sequence as ``--jobs 1`` (only ``t``,
 ``duration_s`` and ``wall_seconds`` differ), while a serial run streams
-fully live and a parallel run streams its completed prefix.
+fully live and a parallel run streams its completed prefix; ``t`` is
+monotone within an app's block, not across blocks.  Live listeners (the
+telemetry aggregator) see each record as it is stamped.
 
-:func:`summarize_events` is the reader: the run funnel plus p50/p95/max
-per-app latency, rendered by ``repro events summarize``.
+:class:`RunFunnel` is the one counter of the run funnel;
+:func:`summarize_events` (``repro events summarize``) is the reader.
 """
 
 from __future__ import annotations
@@ -40,7 +45,8 @@ from __future__ import annotations
 import json
 import math
 import time
-from typing import Any, Dict, Iterable, List, Optional, TextIO
+from dataclasses import asdict, dataclass, field
+from typing import Any, Callable, Dict, Iterable, List, Optional, TextIO
 
 #: bump when an existing event or field changes meaning (never for
 #: purely additive fields)
@@ -52,9 +58,55 @@ EVENT_TYPES = (
 )
 
 
+#: the ``app-done`` statuses the funnel counts
+APP_STATUSES = ("analyzed", "cached", "faulted")
+
+#: a live listener: ``listener(record, snapshot)`` as each record is
+#: stamped; the snapshot is the app's metrics on ``app-done``, the run's
+#: on ``run-end``, else ``None``
+Listener = Callable[[Dict[str, Any], Any], None]
+
+
 def encode_event(record: Dict[str, Any]) -> str:
     """One canonical JSONL line (sorted keys, no trailing newline)."""
     return json.dumps(record, sort_keys=True, separators=(",", ":"))
+
+
+@dataclass
+class RunFunnel:
+    """The run funnel, folded one lifecycle record at a time: the only
+    counter of runs, apps, outcomes, retries, timeouts and fault kinds."""
+
+    runs: int = 0
+    #: input apps announced by ``run-start`` records
+    apps: int = 0
+    #: apps closed by an ``app-done``
+    done: int = 0
+    analyzed: int = 0
+    cached: int = 0
+    faulted: int = 0
+    retries: int = 0
+    timeouts: int = 0
+    #: fault-kind histogram, e.g. ``{"parse": 1, "timeout": 1}``
+    fault_kinds: Dict[str, int] = field(default_factory=dict)
+
+    def fold(self, record: Dict[str, Any]) -> None:
+        event = record.get("event")
+        if event == "run-start":
+            self.runs += 1
+            self.apps += int(record.get("apps", 0))
+        elif event == "retry":
+            self.retries += 1
+        elif event == "timeout":
+            self.timeouts += 1
+        elif event == "fault":
+            kind = str(record.get("kind", "unknown"))
+            self.fault_kinds[kind] = self.fault_kinds.get(kind, 0) + 1
+        elif event == "app-done":
+            self.done += 1
+            status = record.get("status")
+            if status in APP_STATUSES:
+                setattr(self, status, getattr(self, status) + 1)
 
 
 class JsonlEventSink:
@@ -103,60 +155,58 @@ class ProgressSink:
 
     def __init__(self, stream: TextIO) -> None:
         self._stream = stream
-        self._total = 0
-        self._done = 0
-        self._faults = 0
-        self._cache_hits = 0
+        self._funnel = RunFunnel()
 
     def emit(self, record: Dict[str, Any]) -> None:
-        event = record.get("event")
-        if event == "run-start":
-            self._total += int(record.get("apps", 0))
-        elif event == "app-done":
-            self._done += 1
-            status = record.get("status")
-            if status == "faulted":
-                self._faults += 1
-            elif status == "cached":
-                self._cache_hits += 1
-            print(
-                f"[progress] {self._done}/{self._total} apps, "
-                f"{self._faults} fault{'s' if self._faults != 1 else ''}, "
-                f"{self._cache_hits} cache "
-                f"hit{'s' if self._cache_hits != 1 else ''}",
-                file=self._stream, flush=True,
-            )
+        funnel = self._funnel
+        funnel.fold(record)
+        if record.get("event") == "app-done":
+            faults, hits = funnel.faulted, funnel.cached
+            print(f"[progress] {funnel.done}/{funnel.apps} apps, "
+                  f"{faults} fault{'s' if faults != 1 else ''}, "
+                  f"{hits} cache hit{'s' if hits != 1 else ''}",
+                  file=self._stream, flush=True)
 
 
 class RunEventLog:
-    """Ordered, incrementally flushed event log for corpus runs.
+    """The single place a run's lifecycle facts are stated.
 
-    The runner records per-app events as they happen (in any completion
-    order); the log buffers them per app and flushes whole-app blocks in
-    input order.  Multiple sequential ``run_start``/``run_end`` cycles
-    may share one log (a driver that fans out twice appends two runs to
-    the same stream; ``t`` stays monotonic across them).
+    Each fact is stamped as it happens (in any completion order), folded
+    into :attr:`funnel` and shown to the run's live listeners, then
+    buffered per app; whole-app blocks reach the ``sinks`` in input
+    order.  Sequential runs may share one log (``t`` keeps its anchor).
     """
 
     def __init__(self, sinks: Iterable[Any],
                  clock=time.monotonic) -> None:
         self.sinks = list(sinks)
+        #: the current (or last) run's funnel, folded live
+        self.funnel = RunFunnel()
         self._clock = clock
         self._t0: Optional[float] = None
+        self._listeners: List[Listener] = []
         self._names: List[str] = []
-        self._buffers: Dict[str, List] = {}
+        self._buffers: Dict[str, List[Dict[str, Any]]] = {}
         self._final: set = set()
         self._next = 0
 
     # -- emission -------------------------------------------------------------
 
-    def _emit(self, event: str, **fields: Any) -> None:
+    def _record(self, event: str, snapshot: Any = None,
+                **fields: Any) -> Dict[str, Any]:
+        """Stamp one record now, fold it and show it to the listeners."""
         now = self._clock()
         if self._t0 is None:
             self._t0 = now
         record = {"schema": EVENTS_SCHEMA, "event": event,
                   "t": round(now - self._t0, 6)}
         record.update(fields)
+        self.funnel.fold(record)
+        for listener in self._listeners:
+            listener(record, snapshot)
+        return record
+
+    def _write(self, record: Dict[str, Any]) -> None:
         for sink in self.sinks:
             sink.emit(record)
 
@@ -165,42 +215,53 @@ class RunEventLog:
             name = self._names[self._next]
             if name not in self._final:
                 break
-            for event, fields in self._buffers.pop(name, ()):
-                self._emit(event, app=name, **fields)
+            for record in self._buffers.pop(name, ()):
+                self._write(record)
             self._next += 1
 
     # -- run lifecycle --------------------------------------------------------
 
-    def run_start(self, kind: str, names: Iterable[str]) -> None:
+    def run_start(self, kind: str, names: Iterable[str],
+                  listeners: Iterable[Listener] = ()) -> None:
+        """Open a run; ``listeners`` see its records until run-end."""
         self._names = list(dict.fromkeys(names))
         self._buffers = {name: [] for name in self._names}
         self._final = set()
         self._next = 0
-        self._emit("run-start", kind=kind, apps=len(self._names))
+        self.funnel = RunFunnel()
+        self._listeners = list(listeners)
+        self._write(self._record("run-start", kind=kind,
+                                 apps=len(self._names)))
 
     def app_event(self, name: str, event: str, **fields: Any) -> None:
         """Record one mid-flight event for ``name`` (buffered)."""
         if name in self._buffers:
-            self._buffers[name].append((event, fields))
+            self._buffers[name].append(self._record(event, app=name,
+                                                    **fields))
 
     def app_done(self, name: str, status: str,
-                 duration_s: Optional[float] = None) -> None:
-        """Close ``name`` and flush every app whose turn has come."""
+                 duration_s: Optional[float] = None,
+                 snapshot: Any = None) -> None:
+        """Close ``name`` (``snapshot``: its metrics, for the listeners)
+        and flush every app whose turn has come."""
         if name not in self._buffers or name in self._final:
             return
         fields: Dict[str, Any] = {"status": status}
         if duration_s is not None:
             fields["duration_s"] = round(duration_s, 6)
-        self._buffers[name].append(("app-done", fields))
+        self._buffers[name].append(self._record("app-done", snapshot,
+                                                app=name, **fields))
         self._final.add(name)
         self._flush_ready()
 
-    def run_end(self, **fields: Any) -> None:
+    def run_end(self, snapshot: Any = None, **fields: Any) -> None:
+        """Close the run (``snapshot``: its metrics, for the listeners)."""
         # A fail-fast abort can leave apps unclosed; flush what we have
         # so the stream stays a faithful prefix of the run.
         self._final.update(self._names)
         self._flush_ready()
-        self._emit("run-end", **fields)
+        self._write(self._record("run-end", snapshot, **fields))
+        self._listeners = []
 
     def close(self) -> None:
         for sink in self.sinks:
@@ -246,35 +307,16 @@ def percentile(values: List[float], q: float) -> float:
 
 def summarize_events(records: List[Dict[str, Any]]) -> Dict[str, Any]:
     """The funnel and latency digest of one event stream."""
-    summary: Dict[str, Any] = {
-        "runs": 0, "apps": 0, "analyzed": 0, "cached": 0, "faulted": 0,
-        "retries": 0, "timeouts": 0, "fault_kinds": {},
-        "latency": None,
-    }
+    funnel = RunFunnel()
     durations: List[float] = []
     for record in records:
-        event = record.get("event")
-        if event == "run-start":
-            summary["runs"] += 1
-            summary["apps"] += int(record.get("apps", 0))
-        elif event == "retry":
-            summary["retries"] += 1
-        elif event == "timeout":
-            summary["timeouts"] += 1
-        elif event == "fault":
-            kind = str(record.get("kind", "unknown"))
-            summary["fault_kinds"][kind] = \
-                summary["fault_kinds"].get(kind, 0) + 1
-        elif event == "app-done":
-            status = record.get("status")
-            if status == "analyzed":
-                summary["analyzed"] += 1
-            elif status == "cached":
-                summary["cached"] += 1
-            elif status == "faulted":
-                summary["faulted"] += 1
-            if record.get("duration_s") is not None:
-                durations.append(float(record["duration_s"]))
+        funnel.fold(record)
+        if record.get("event") == "app-done" \
+                and record.get("duration_s") is not None:
+            durations.append(float(record["duration_s"]))
+    summary: Dict[str, Any] = asdict(funnel)
+    del summary["done"]
+    summary["latency"] = None
     if durations:
         summary["latency"] = {
             "apps": len(durations),

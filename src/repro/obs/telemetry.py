@@ -4,9 +4,9 @@ A 1000-app generated-corpus run (or a future ``repro serve`` daemon) is
 minutes of silence unless something exposes its state *while it runs*.
 This module provides that surface with the stdlib only:
 
-* :class:`LiveAggregator` -- a thread-safe sink the corpus runner feeds
-  as each app starts/finishes.  It maintains the run funnel (done /
-  total, analyzed / cached / faulted, retries), per-app latency
+* :class:`LiveAggregator` -- a thread-safe live listener of the run's
+  event log.  It folds the run funnel (done / total, analyzed / cached
+  / faulted, retries), per-app latency
   quantiles over the most recent ``LATENCY_WINDOW`` apps, and a merged
   :class:`~repro.obs.metrics.MetricsSnapshot` of every finished app's
   counters and gauges (span trees are *not* retained and hotspot units
@@ -37,7 +37,7 @@ from collections import deque
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Deque, Dict, List, Optional, Tuple
 
-from .events import percentile
+from .events import APP_STATUSES, percentile, RunFunnel
 from .exporters import prometheus_text
 from .hotspots import fold_hotspot_units
 from .metrics import merge_snapshots, MetricsSnapshot
@@ -71,39 +71,52 @@ class LoopbackHTTPServer(ThreadingHTTPServer):
 class LiveAggregator:
     """Thread-safe run aggregation behind the telemetry endpoint.
 
-    The runner thread calls the ``run_*``/``app_*`` hooks; HTTP handler
-    threads call :meth:`progress`, :meth:`prometheus`, and
-    :meth:`healthy` concurrently.  All state lives behind one lock.
+    A live listener of the run's :class:`~repro.obs.events.RunEventLog`:
+    the runner thread hands every lifecycle record to :meth:`observe`
+    the moment it happens, while HTTP handler threads call
+    :meth:`progress`, :meth:`prometheus`, and :meth:`healthy`
+    concurrently.  All state lives behind one lock.
     """
 
     def __init__(self, clock=time.monotonic) -> None:
-        self._lock = threading.Lock()
+        self._lock = threading.RLock()
         self._clock = clock
         self._started_at = clock()
         #: explicit driver-level label (set_phase) -- wins over the kind
         self._phase: Optional[str] = None
-        #: the task kind of the current run (run_started)
+        #: the task kind of the current run (its run-start record)
         self._kind = "idle"
-        self._runs = 0
-        self._total = 0
-        self._done = 0
-        self._statuses: Dict[str, int] = {
-            "analyzed": 0, "cached": 0, "faulted": 0,
-        }
-        self._retries = 0
+        self._funnel = RunFunnel()
         self._active: List[str] = []
         self._durations: Deque[float] = deque(maxlen=LATENCY_WINDOW)
         self._latency_count = 0
         self._latency_max = 0.0
         self._merged = MetricsSnapshot()
 
-    # -- runner-side hooks ----------------------------------------------------
+    # -- runner side ----------------------------------------------------------
 
-    def run_started(self, kind: str, apps: int) -> None:
+    def observe(self, record: Dict[str, Any],
+                snapshot: Optional[MetricsSnapshot] = None) -> None:
+        """The listener: fold one lifecycle record as it happens.  The
+        run-end ``snapshot`` (the runner's fan-out/cache counters) joins
+        the aggregate so ``/metrics`` exposes the ``runner.*`` family."""
+        event = record.get("event")
         with self._lock:
-            self._runs += 1
-            self._total += int(apps)
-            self._kind = kind
+            self._funnel.fold(record)
+            if event == "run-start":
+                self._kind = str(record.get("kind"))
+            elif event == "app-start":
+                self.app_started(record["app"])
+            elif event == "app-done":
+                self.app_finished(record["app"], record["status"],
+                                  record.get("duration_s"), snapshot)
+            elif event == "run-end":
+                if snapshot is not None:
+                    self._merge(snapshot.counters, snapshot.gauges)
+                # a fail-fast abort leaves in-flight apps unclosed; the
+                # run is over either way
+                self._active.clear()
+                self._kind = "idle"
 
     def set_phase(self, phase: str) -> None:
         """Name the current stage of a multi-run driver (e.g. a bench
@@ -112,20 +125,17 @@ class LiveAggregator:
             self._phase = str(phase)
 
     def app_started(self, name: str) -> None:
+        """The per-app fold step of an ``app-start`` record."""
         with self._lock:
             if name not in self._active:
                 self._active.append(name)
 
-    def record_retry(self) -> None:
-        with self._lock:
-            self._retries += 1
-
     def app_finished(self, name: str, status: str,
                      duration_s: Optional[float] = None,
                      snapshot: Optional[MetricsSnapshot] = None) -> None:
+        """The per-app fold step of an ``app-done`` record: latency and
+        metrics (the funnel counts the outcome itself)."""
         with self._lock:
-            self._done += 1
-            self._statuses[status] = self._statuses.get(status, 0) + 1
             if name in self._active:
                 self._active.remove(name)
             if duration_s is not None:
@@ -137,27 +147,14 @@ class LiveAggregator:
                 # merge counters/gauges only, hotspot units folded to
                 # per-domain totals: spans or per-method keys would make
                 # the aggregator's footprint proportional to the run
-                self._merged = merge_snapshots([
-                    self._merged,
-                    MetricsSnapshot(
-                        counters=fold_hotspot_units(snapshot.counters),
-                        gauges=fold_hotspot_units(snapshot.gauges),
-                    ),
-                ])
+                self._merge(fold_hotspot_units(snapshot.counters),
+                            fold_hotspot_units(snapshot.gauges))
 
-    def run_finished(self, run_snapshot: Optional[MetricsSnapshot] = None) \
-            -> None:
-        """Close one run; ``run_snapshot`` (the runner's fan-out/cache
-        counters) joins the aggregate so ``/metrics`` exposes the
-        ``runner.*`` family too."""
-        with self._lock:
-            if run_snapshot is not None:
-                self._merged = merge_snapshots([
-                    self._merged,
-                    MetricsSnapshot(counters=run_snapshot.counters,
-                                    gauges=run_snapshot.gauges),
-                ])
-            self._kind = "idle"
+    def _merge(self, counters: Dict[str, Any],
+               gauges: Dict[str, Any]) -> None:
+        self._merged = merge_snapshots([
+            self._merged, MetricsSnapshot(counters=counters, gauges=gauges),
+        ])
 
     # -- reader side ----------------------------------------------------------
 
@@ -175,19 +172,20 @@ class LiveAggregator:
                     "p95_s": percentile(self._durations, 0.95),
                     "max_s": self._latency_max,
                 }
+            funnel = self._funnel
             return {
                 "phase": self._phase or self._kind,
                 "kind": self._kind,
-                "runs": self._runs,
+                "runs": funnel.runs,
                 "apps": {
-                    "total": self._total,
-                    "done": self._done,
-                    "analyzed": self._statuses.get("analyzed", 0),
-                    "cached": self._statuses.get("cached", 0),
-                    "faulted": self._statuses.get("faulted", 0),
+                    "total": funnel.apps,
+                    "done": funnel.done,
+                    "analyzed": funnel.analyzed,
+                    "cached": funnel.cached,
+                    "faulted": funnel.faulted,
                 },
                 "active": list(self._active),
-                "retries": self._retries,
+                "retries": funnel.retries,
                 "latency": latency,
                 "uptime_s": round(self._clock() - self._started_at, 6),
             }
@@ -198,13 +196,14 @@ class LiveAggregator:
         with self._lock:
             counters = dict(self._merged.counters)
             gauges = dict(self._merged.gauges)
-            counters["telemetry.runs"] = self._runs
-            counters["telemetry.apps.total"] = self._total
-            counters["telemetry.apps.done"] = self._done
-            for status in sorted(self._statuses):
+            funnel = self._funnel
+            counters["telemetry.runs"] = funnel.runs
+            counters["telemetry.apps.total"] = funnel.apps
+            counters["telemetry.apps.done"] = funnel.done
+            for status in APP_STATUSES:
                 counters[f"telemetry.apps.{status}"] = \
-                    self._statuses[status]
-            counters["telemetry.retries"] = self._retries
+                    getattr(funnel, status)
+            counters["telemetry.retries"] = funnel.retries
             gauges["telemetry.apps.active"] = float(len(self._active))
             gauges["telemetry.uptime_seconds"] = \
                 self._clock() - self._started_at

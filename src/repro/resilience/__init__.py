@@ -56,7 +56,6 @@ from .faultinject import (
     maybe_fault,
 )
 from .pool import (
-    compose_observers,
     FaultPolicy,
     Observer,
     PoolOutcome,
@@ -138,7 +137,6 @@ __all__ = [
     "fault_from_exception",
     "install",
     "maybe_fault",
-    "compose_observers",
     "Observer",
     "run_tasks",
     "task_scope",

@@ -43,7 +43,7 @@ import time
 from collections import deque
 from dataclasses import dataclass
 from multiprocessing.connection import wait as connection_wait
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from .deadline import deadline_scope
 from .errors import (
@@ -77,35 +77,10 @@ class FaultPolicy:
 #: optional pool observer: called as ``observer(event, name, payload)``
 #: with events ``"start"`` (first attempt spawned, payload ``None``),
 #: ``"retry"`` (transient fault re-submitted, payload the fault),
-#: ``"fault"`` (final fault recorded under keep-going, payload the
-#: fault) and ``"ok"`` (payload the success envelope).  Fail-fast
-#: aborts raise :class:`FaultError` without a ``"fault"`` callback.
+#: ``"fault"`` (final fault, payload the fault) and ``"ok"`` (payload
+#: the success envelope).  Under fail-fast the ``"fault"`` callback
+#: fires before :class:`FaultError` aborts the run.
 Observer = Callable[[str, str, Any], None]
-
-
-def compose_observers(
-    observers: Sequence[Optional[Observer]],
-) -> Optional[Observer]:
-    """Fan one pool-observer slot out to several sinks.
-
-    The runner narrates each run to up to two independent consumers --
-    the ordered event log and the live telemetry aggregator -- through
-    the single ``observer`` parameter; this composes them.  ``None``
-    entries are dropped; an empty set composes to ``None`` (no observer
-    overhead at all).  Callbacks fire in input order, on the pool's
-    coordinating thread.
-    """
-    active = [observer for observer in observers if observer is not None]
-    if not active:
-        return None
-    if len(active) == 1:
-        return active[0]
-
-    def observer(event: str, name: str, payload: Any) -> None:
-        for callback in active:
-            callback(event, name, payload)
-
-    return observer
 
 
 @dataclass
@@ -116,8 +91,6 @@ class PoolOutcome:
     envelopes: Dict[str, Dict[str, Any]]
     #: app name -> final fault, for the apps that failed
     faults: Dict[str, Fault]
-    #: transient re-submissions performed
-    retries: int = 0
 
 
 def _finalize(
@@ -135,16 +108,15 @@ def _finalize(
     envelope.
     """
     if fault.transient and attempt <= policy.max_retries:
-        outcome.retries += 1
         if observer is not None:
             observer("retry", name, fault)
         return True
+    if observer is not None:
+        observer("fault", name, fault)
     if not policy.keep_going:
         raise FaultError(fault)
     outcome.envelopes[name] = {"error": fault.to_dict()}
     outcome.faults[name] = fault
-    if observer is not None:
-        observer("fault", name, fault)
     return False
 
 

@@ -18,6 +18,8 @@ Observability: every task executes under a fresh :class:`repro.obs
 analysis counters) rides back across the process boundary -- and into the
 cache, so cache hits replay the metrics recorded when the entry was
 built.  The runner exposes them as :attr:`CorpusRunner.last_metrics`.
+:class:`RunStats`, the event sinks and the live telemetry are all folds
+over one lifecycle stream (:class:`repro.obs.RunEventLog`).
 """
 
 from __future__ import annotations
@@ -32,8 +34,8 @@ from ..obs.telemetry import LiveAggregator
 from ..resilience import (
     active_plan,
     checkpoint,
-    compose_observers,
     Fault,
+    FaultError,
     FaultPolicy,
     run_tasks,
     task_scope,
@@ -297,17 +299,20 @@ class CorpusRunner:
     payloads -- drivers skip them -- and the normalized faults are
     exposed, in input-app order, as :attr:`last_faults`.
 
-    ``events`` attaches a :class:`repro.obs.RunEventLog`: the runner
-    narrates each run as a structured event stream (run-start, per-app
-    lifecycle, run-end) flushed in input-app order.  ``memory=True``
-    turns on tracemalloc peak gauges in every worker; it joins the cache
-    fingerprint, so instrumented and plain runs never share entries.
+    Each run is narrated once, into a :class:`repro.obs.RunEventLog`
+    -- ``events`` when given (its sinks flush in input-app order), else
+    a sink-less one -- and :class:`RunStats` is read off its funnel.  A
+    fail-fast abort still states the fault and the run-end first.
+    ``memory=True`` turns on tracemalloc peak gauges in every worker; it
+    joins the cache fingerprint, so instrumented and plain runs never
+    share entries.
 
-    ``telemetry`` attaches a :class:`repro.obs.LiveAggregator`: the
-    runner feeds it each app's outcome (and metrics snapshot) the moment
-    it lands, which is what the ``--serve-telemetry`` endpoint reads
-    mid-run.  The aggregator is a pure observer -- results, reports and
-    bench counters are byte-identical with and without it.
+    ``telemetry`` attaches a :class:`repro.obs.LiveAggregator` as the
+    log's live listener: it sees each record (and each app's metrics
+    snapshot) the moment it happens, which is what the
+    ``--serve-telemetry`` endpoint reads mid-run.  The aggregator is a
+    pure observer -- results, reports and bench counters are
+    byte-identical with and without it.
     """
 
     def __init__(self, jobs: int = 1,
@@ -345,6 +350,31 @@ class CorpusRunner:
             out["fault_plan"] = plan.digest()
         return out
 
+    def _close_run(self, log: RunEventLog, start: float,
+                   cache_base: Tuple[int, int, int, int]) -> RunStats:
+        """Read the run's stats off its funnel and state its run-end."""
+        funnel = log.funnel
+        stats = RunStats(
+            analyzed=funnel.analyzed, cached=funnel.cached,
+            faulted=funnel.faulted, retries=funnel.retries,
+            timeouts=funnel.timeouts, fault_kinds=dict(funnel.fault_kinds),
+            wall_seconds=time.perf_counter() - start, jobs=self.jobs,
+        )
+        if self.cache is not None:
+            stats.cache_hits = self.cache.hits - cache_base[0]
+            stats.cache_misses = self.cache.misses - cache_base[1]
+            stats.cache_stores = self.cache.stores - cache_base[2]
+            stats.cache_corrupt = self.cache.corrupt - cache_base[3]
+        log.run_end(
+            stats.to_snapshot(),
+            analyzed=stats.analyzed,
+            cached=stats.cached,
+            faulted=stats.faulted,
+            wall_seconds=round(stats.wall_seconds, 6),
+        )
+        self.last_stats = stats
+        return stats
+
     def run(
         self,
         kind: str,
@@ -367,14 +397,39 @@ class CorpusRunner:
             if self.cache is not None else (0, 0, 0, 0)
         )
 
-        events = self.events
-        telemetry = self.telemetry
-        if events is not None:
-            events.run_start(kind, app_names)
-        if telemetry is not None:
-            telemetry.run_started(kind, len(dict.fromkeys(app_names)))
+        log = self.events if self.events is not None else RunEventLog(())
+        log.run_start(kind, app_names, listeners=(
+            [self.telemetry.observe] if self.telemetry is not None else []
+        ))
 
         envelopes: Dict[str, Dict[str, Any]] = {}
+        snapshots: Dict[str, MetricsSnapshot] = {}
+
+        def landed(name: str, status: str,
+                   envelope: Dict[str, Any]) -> None:
+            envelopes[name] = envelope
+            snapshot = _envelope_snapshot(envelope)
+            if snapshot is not None:
+                snapshots[name] = snapshot
+            log.app_done(name, status, _envelope_duration(envelope),
+                         snapshot)
+
+        def narrate(event: str, name: str, payload: Any) -> None:
+            """State one pool callback in the log."""
+            if event == "start":
+                log.app_event(name, "app-start")
+            elif event == "retry":
+                log.app_event(name, "retry", kind=payload.kind)
+            elif event == "fault":
+                if payload.kind == "timeout" \
+                        and self.policy.timeout is not None:
+                    log.app_event(name, "timeout",
+                                  seconds=self.policy.timeout)
+                log.app_event(name, "fault", kind=payload.kind)
+                log.app_done(name, "faulted")
+            elif event == "ok":
+                landed(name, "analyzed", payload)
+
         keys: Dict[str, str] = {}
         pending: List[str] = []
         for name in app_names:
@@ -386,64 +441,23 @@ class CorpusRunner:
                 keys[name] = key
                 hit = self.cache.lookup(key)
                 if hit is not None:
-                    envelopes[name] = hit
-                    if events is not None:
-                        events.app_event(name, "app-start")
-                        events.app_event(name, "cache-hit")
-                        events.app_done(name, "cached",
-                                        _envelope_duration(hit))
-                    if telemetry is not None:
-                        telemetry.app_finished(
-                            name, "cached", _envelope_duration(hit),
-                            _envelope_snapshot(hit),
-                        )
+                    log.app_event(name, "app-start")
+                    log.app_event(name, "cache-hit")
+                    landed(name, "cached", hit)
                     continue
             pending.append(name)
 
-        events_observer = None
-        if events is not None:
-            def events_observer(event: str, name: str,
-                                payload: Any) -> None:
-                if event == "start":
-                    events.app_event(name, "app-start")
-                elif event == "retry":
-                    events.app_event(name, "retry", kind=payload.kind)
-                elif event == "fault":
-                    if payload.kind == "timeout" \
-                            and self.policy.timeout is not None:
-                        events.app_event(name, "timeout",
-                                         seconds=self.policy.timeout)
-                    events.app_event(name, "fault", kind=payload.kind)
-                    events.app_done(name, "faulted")
-                elif event == "ok":
-                    events.app_done(name, "analyzed",
-                                    _envelope_duration(payload))
-
-        telemetry_observer = None
-        if telemetry is not None:
-            def telemetry_observer(event: str, name: str,
-                                   payload: Any) -> None:
-                if event == "start":
-                    telemetry.app_started(name)
-                elif event == "retry":
-                    telemetry.record_retry()
-                elif event == "fault":
-                    telemetry.app_finished(name, "faulted")
-                elif event == "ok":
-                    telemetry.app_finished(
-                        name, "analyzed", _envelope_duration(payload),
-                        _envelope_snapshot(payload),
-                    )
-
-        observer = compose_observers([events_observer, telemetry_observer])
-
-        retries = 0
         faults: Dict[str, Fault] = {}
         if pending:
-            outcome = run_tasks(kind, pending, params, self.jobs,
-                                self.policy, observer)
+            try:
+                outcome = run_tasks(kind, pending, params, self.jobs,
+                                    self.policy, narrate)
+            except FaultError:
+                # fail-fast: the aborting app's fault is already stated;
+                # close the run so the stream and telemetry end with it
+                self._close_run(log, start, cache_base)
+                raise
             envelopes.update(outcome.envelopes)
-            retries = outcome.retries
             faults = outcome.faults
             if self.cache is not None:
                 for name in pending:
@@ -452,42 +466,13 @@ class CorpusRunner:
                     if name not in faults:
                         self.cache.store(keys[name], envelopes[name])
 
-        stats = RunStats(
-            analyzed=len(pending) - len(faults),
-            cached=len(envelopes) - len(pending),
-            wall_seconds=time.perf_counter() - start,
-            jobs=self.jobs,
-            faulted=len(faults),
-            retries=retries,
-        )
-        for fault in faults.values():
-            stats.fault_kinds[fault.kind] = \
-                stats.fault_kinds.get(fault.kind, 0) + 1
-        stats.timeouts = stats.fault_kinds.get("timeout", 0)
-        if self.cache is not None:
-            stats.cache_hits = self.cache.hits - cache_base[0]
-            stats.cache_misses = self.cache.misses - cache_base[1]
-            stats.cache_stores = self.cache.stores - cache_base[2]
-            stats.cache_corrupt = self.cache.corrupt - cache_base[3]
-        if events is not None:
-            events.run_end(
-                analyzed=stats.analyzed,
-                cached=stats.cached,
-                faulted=stats.faulted,
-                wall_seconds=round(stats.wall_seconds, 6),
-            )
-        if telemetry is not None:
-            telemetry.run_finished(stats.to_snapshot())
-        self.last_stats = stats
+        stats = self._close_run(log, start, cache_base)
         self.last_faults = [faults[name] for name in app_names
                             if name in faults]
         self.last_metrics = RunMetrics(
             run=stats.to_snapshot(),
-            apps={
-                name: MetricsSnapshot.from_dict(envelopes[name]["obs"])
-                for name in app_names
-                if name in envelopes and "obs" in envelopes[name]
-            },
+            apps={name: snapshots[name] for name in app_names
+                  if name in snapshots},
         )
         return [
             envelopes[name]["data"] if "data" in envelopes[name]

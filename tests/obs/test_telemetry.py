@@ -27,6 +27,12 @@ from repro.runner import CorpusRunner
 SUBSET = ["todolist", "swiftnotes", "clipstack"]
 
 
+def feed(agg, event, snapshot=None, **fields):
+    """Hand the aggregator one lifecycle record, as the event log does."""
+    agg.observe(dict({"schema": 1, "event": event, "t": 0.0}, **fields),
+                snapshot)
+
+
 # -- LiveAggregator -----------------------------------------------------------
 
 
@@ -42,14 +48,14 @@ def test_aggregator_starts_idle():
 
 def test_aggregator_tracks_the_run_funnel():
     agg = LiveAggregator(clock=lambda: 0.0)
-    agg.run_started("timing", 3)
-    agg.app_started("a")
-    agg.app_started("b")
+    feed(agg, "run-start", kind="timing", apps=3)
+    feed(agg, "app-start", app="a")
+    feed(agg, "app-start", app="b")
     assert agg.progress()["active"] == ["a", "b"]
-    agg.record_retry()
-    agg.app_finished("a", "analyzed", duration_s=0.2)
-    agg.app_finished("b", "cached", duration_s=0.1)
-    agg.app_finished("c", "faulted")
+    feed(agg, "retry", app="a", kind="worker-lost")
+    feed(agg, "app-done", app="a", status="analyzed", duration_s=0.2)
+    feed(agg, "app-done", app="b", status="cached", duration_s=0.1)
+    feed(agg, "app-done", app="c", status="faulted")
     progress = agg.progress()
     assert progress["phase"] == "timing"
     assert progress["apps"] == {"total": 3, "done": 3, "analyzed": 1,
@@ -58,7 +64,7 @@ def test_aggregator_tracks_the_run_funnel():
     assert progress["retries"] == 1
     assert progress["latency"]["apps"] == 2
     assert progress["latency"]["max_s"] == 0.2
-    agg.run_finished()
+    feed(agg, "run-end", analyzed=1, cached=1, faulted=1)
     assert agg.progress()["phase"] == "idle"
 
 
@@ -93,7 +99,7 @@ def test_aggregator_quantiles_are_exact_within_the_window():
 def test_aggregator_explicit_phase_wins_over_kind():
     agg = LiveAggregator()
     agg.set_phase("bench:generated:50")
-    agg.run_started("gen-timing", 50)
+    feed(agg, "run-start", kind="gen-timing", apps=50)
     progress = agg.progress()
     assert progress["phase"] == "bench:generated:50"
     assert progress["kind"] == "gen-timing"
@@ -101,16 +107,18 @@ def test_aggregator_explicit_phase_wins_over_kind():
 
 def test_aggregator_merges_finished_snapshots():
     agg = LiveAggregator()
-    agg.run_started("timing", 2)
-    agg.app_finished("a", "analyzed", snapshot=MetricsSnapshot(
+    feed(agg, "run-start", kind="timing", apps=2)
+    feed(agg, "app-done", MetricsSnapshot(
         counters={"pointsto.passes": 2},
         gauges={"mem.app.peak_kb": 10.0},
-    ))
-    agg.app_finished("b", "analyzed", snapshot=MetricsSnapshot(
+    ), app="a", status="analyzed")
+    feed(agg, "app-done", MetricsSnapshot(
         counters={"pointsto.passes": 3},
         gauges={"mem.app.peak_kb": 30.0},
-    ))
-    agg.run_finished(MetricsSnapshot(counters={"runner.apps.analyzed": 2}))
+    ), app="b", status="analyzed")
+    feed(agg, "run-end",
+         MetricsSnapshot(counters={"runner.apps.analyzed": 2}),
+         analyzed=2, cached=0, faulted=0)
     snapshot = agg.snapshot()
     assert snapshot.counters["pointsto.passes"] == 5
     assert snapshot.counters["runner.apps.analyzed"] == 2
@@ -125,9 +133,9 @@ def test_aggregator_merges_finished_snapshots():
 
 def test_aggregator_prometheus_is_valid_exposition():
     agg = LiveAggregator(clock=lambda: 0.0)  # pin the uptime gauge
-    agg.run_started("timing", 1)
-    agg.app_finished("a", "analyzed",
-                     snapshot=MetricsSnapshot(counters={"x.y": 1}))
+    feed(agg, "run-start", kind="timing", apps=1)
+    feed(agg, "app-done", MetricsSnapshot(counters={"x.y": 1}),
+         app="a", status="analyzed")
     text = agg.prometheus()
     assert "# TYPE nadroid_x_y_total counter" in text
     assert "nadroid_telemetry_apps_done_total 1" in text
@@ -164,8 +172,8 @@ def test_server_serves_healthz(server):
 
 
 def test_server_serves_metrics(server):
-    server.aggregator.run_started("timing", 2)
-    server.aggregator.app_finished("a", "analyzed")
+    feed(server.aggregator, "run-start", kind="timing", apps=2)
+    feed(server.aggregator, "app-done", app="a", status="analyzed")
     status, headers, body = _get(server, "/metrics")
     assert status == 200
     assert headers["Content-Type"].startswith("text/plain; version=0.0.4")
@@ -174,7 +182,7 @@ def test_server_serves_metrics(server):
 
 
 def test_server_serves_progress_json(server):
-    server.aggregator.run_started("table1", 5)
+    feed(server.aggregator, "run-start", kind="table1", apps=5)
     status, headers, body = _get(server, "/progress")
     assert status == 200
     assert headers["Content-Type"].startswith("application/json")
@@ -235,7 +243,7 @@ def test_runner_feeds_the_aggregator():
     snapshot = agg.snapshot()
     # the per-app analysis counters merged in
     assert snapshot.counters["pointsto.passes"] > 0
-    # the runner's own fan-out counters joined at run_finished
+    # the runner's own fan-out counters joined at run-end
     assert snapshot.counters["runner.apps.analyzed"] == len(SUBSET)
 
 
@@ -284,3 +292,53 @@ def test_telemetry_does_not_perturb_results_or_counters():
         assert json.dumps(payloads, sort_keys=True) == \
             json.dumps(base_payloads, sort_keys=True)
         assert counters == base_counters
+
+
+def test_aggregator_folds_concurrent_listeners_without_lost_updates():
+    """Runner threads feed records while readers poll: every record is
+    folded exactly once."""
+    import sys
+    import threading
+
+    agg = LiveAggregator()
+    writers, apps = 8, 200
+
+    def write(worker):
+        feed(agg, "run-start", kind="timing", apps=apps)
+        for index in range(apps):
+            name = f"w{worker}-{index}"
+            feed(agg, "app-start", app=name)
+            feed(agg, "retry", app=name, kind="worker-lost")
+            feed(agg, "app-done", MetricsSnapshot(counters={"x.y": 1}),
+                 app=name, status="analyzed", duration_s=0.001)
+
+    def read(stop):
+        while not stop.is_set():
+            agg.progress()
+            agg.prometheus()
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    stop = threading.Event()
+    try:
+        threads = [threading.Thread(target=write, args=(w,))
+                   for w in range(writers)]
+        reader = threading.Thread(target=read, args=(stop,))
+        reader.start()
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        stop.set()
+        reader.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads + [reader])
+    total = writers * apps
+    progress = agg.progress()
+    assert progress["apps"]["done"] == progress["apps"]["analyzed"] == total
+    assert progress["apps"]["total"] == total
+    assert progress["retries"] == total
+    assert progress["active"] == []
+    assert progress["latency"]["apps"] == total
+    assert agg.snapshot().counters["x.y"] == total

@@ -90,8 +90,11 @@ def test_never_more_than_jobs_workers_alive(tmp_path, monkeypatch):
 def test_killed_worker_is_respawned_and_its_app_retried(tmp_path,
                                                         monkeypatch):
     plant(monkeypatch, tmp_path, "app2", "kill", times=1)
-    outcome = run(tmp_path)
-    assert outcome.retries == 1
+    events = []
+    outcome = run(tmp_path, observer=lambda event, name, payload:
+                  events.append((event, name)))
+    assert [entry for entry in events if entry[0] == "retry"] \
+        == [("retry", "app2")]
     assert outcome.faults == {}
     assert sorted(outcome.envelopes) == APPS
     tries = attempts(tmp_path)

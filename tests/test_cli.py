@@ -536,7 +536,8 @@ def test_report_artifact_pointers(tmp_path, capsys):
 
 def test_corpus_serve_telemetry_live_endpoint(monkeypatch, capsys):
     """Probe /metrics, /healthz and /progress while the run is still
-    inside main() (hooked at run_finished, before the server closes)."""
+    inside main() (hooked at the run-end record, before the server
+    closes)."""
     import json
     import urllib.request
 
@@ -550,17 +551,19 @@ def test_corpus_serve_telemetry_live_endpoint(monkeypatch, capsys):
         return orig_start(self)
 
     probes = {}
-    orig_finished = tel.LiveAggregator.run_finished
+    orig_observe = tel.LiveAggregator.observe
 
-    def run_finished(self, run_snapshot=None):
-        server = started[0]
-        for path in ("metrics", "healthz", "progress"):
-            with urllib.request.urlopen(f"{server.url}/{path}") as resp:
-                probes[path] = (resp.status, resp.read().decode("utf-8"))
-        return orig_finished(self, run_snapshot)
+    def observe(self, record, snapshot=None):
+        if record["event"] == "run-end":
+            server = started[0]
+            for path in ("metrics", "healthz", "progress"):
+                with urllib.request.urlopen(f"{server.url}/{path}") as resp:
+                    probes[path] = (resp.status,
+                                    resp.read().decode("utf-8"))
+        return orig_observe(self, record, snapshot)
 
     monkeypatch.setattr(tel.TelemetryServer, "start", start)
-    monkeypatch.setattr(tel.LiveAggregator, "run_finished", run_finished)
+    monkeypatch.setattr(tel.LiveAggregator, "observe", observe)
     code = main(["corpus", "--apps", "todolist", "--no-cache",
                  "--serve-telemetry", "0"])
     captured = capsys.readouterr()
