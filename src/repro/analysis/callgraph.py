@@ -20,12 +20,29 @@ from ..ir import Invoke, Method, Module, New
 
 
 def instantiated_classes(module: Module) -> Set[str]:
-    """RTA set: every class allocated by a ``new`` anywhere in the module."""
-    return {
+    """RTA set: every class allocated by a ``new`` anywhere in the module.
+    The prelude's share is computed once per sealed prelude."""
+    own = {
         instr.class_name
-        for instr in module.instructions()
+        for method in module.own_methods()
+        for instr in method.instructions()
         if isinstance(instr, New)
     }
+    prelude = module.prelude
+    return own if prelude is None else own | prelude.memo(instantiated_classes)
+
+
+def _call_sites(module: Module) -> List[Tuple[Method, Invoke]]:
+    """Every ``(method, invoke)`` in class-table order.  The prelude's
+    list is computed once per sealed prelude."""
+    own = [
+        (method, instr)
+        for method in module.own_methods()
+        for instr in method.instructions()
+        if isinstance(instr, Invoke)
+    ]
+    prelude = module.prelude
+    return own if prelude is None else prelude.memo(_call_sites) + own
 
 
 def dispatch_targets(
@@ -80,13 +97,6 @@ class CallGraph:
     def callees(self, caller_qname: str) -> Set[str]:
         return {callee for _, callee in self.edges.get(caller_qname, set())}
 
-    def callees_at(self, caller_qname: str, site_uid: int) -> Set[str]:
-        return {
-            callee
-            for uid, callee in self.edges.get(caller_qname, set())
-            if uid == site_uid
-        }
-
     def callers(self, callee_qname: str) -> Set[str]:
         return {
             caller
@@ -127,10 +137,7 @@ def build_cha_callgraph(module: Module, rta: Optional[Set[str]] = None) -> CallG
     if rta is None:
         rta = instantiated_classes(module)
     graph = CallGraph(module)
-    for method in module.methods():
-        for instr in method.instructions():
-            if not isinstance(instr, Invoke):
-                continue
-            for target in dispatch_targets(module, instr, rta):
-                graph.add_edge(method, instr.uid, target)
+    for method, instr in _call_sites(module):
+        for target in dispatch_targets(module, instr, rta):
+            graph.add_edge(method, instr.uid, target)
     return graph

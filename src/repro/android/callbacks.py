@@ -29,13 +29,6 @@ class CallbackCategory(Enum):
     FRAGMENT = auto()        #: Fragment lifecycle via a committed transaction (PC)
     RECEIVER_RESULT = auto() #: result receiver of sendOrderedBroadcast (PC)
 
-    def is_entry(self) -> bool:
-        return self in (
-            CallbackCategory.LIFECYCLE,
-            CallbackCategory.UI,
-            CallbackCategory.SYSTEM,
-        )
-
 
 ACTIVITY_LIFECYCLE: FrozenSet[str] = frozenset({
     "onCreate", "onStart", "onRestart", "onResume",

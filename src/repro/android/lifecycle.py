@@ -80,10 +80,6 @@ def _reachable(transitions: Dict[str, Tuple[str, ...]], start: str) -> Set[str]:
     return seen
 
 
-def _in_cycle(transitions: Dict[str, Tuple[str, ...]], state: str) -> bool:
-    return state in _reachable(transitions, state)
-
-
 def sound_mhb_pairs(transitions: Dict[str, Tuple[str, ...]]) -> Set[Tuple[str, str]]:
     """Statically sound must-happens-before pairs ``(a, b)`` (a before b).
 

@@ -1266,6 +1266,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: List[str] = None) -> int:
+    from .lang import SourceError
     from .resilience import FaultError
 
     args = build_parser().parse_args(argv)
@@ -1278,11 +1279,9 @@ def main(argv: List[str] = None) -> int:
         # live servers; all that is left is the conventional exit code.
         print("nadroid: interrupted", file=sys.stderr)
         return EXIT_INTERRUPTED
-    except FaultError as exc:
-        # fail-fast (the default): one app's fault aborted the run
-        print(f"nadroid: error: {exc}", file=sys.stderr)
-        return 2
-    except CliError as exc:
+    except (CliError, FaultError, SourceError) as exc:
+        # a fail-fast fault aborted the run, or a source file is malformed
+        # (its diagnostic names <file>:<line>:<col>)
         print(f"nadroid: error: {exc}", file=sys.stderr)
         return 2
     except BrokenPipeError:

@@ -13,7 +13,6 @@ from .cfg import BasicBlock
 from .instructions import (
     Assign,
     BinaryOp,
-    Const,
     FieldRef,
     GetField,
     GetStatic,
@@ -61,9 +60,6 @@ class IRBuilder:
         self._current = block
         return block
 
-    def position_at(self, block: BasicBlock) -> None:
-        self._current = block
-
     @property
     def current_block(self) -> BasicBlock:
         assert self._current is not None
@@ -87,11 +83,6 @@ class IRBuilder:
 
     def assign(self, target: str, source: Operand, line: int = 0) -> Instruction:
         return self.emit(Assign(target, source), line)
-
-    def const_into_temp(self, value, line: int = 0) -> Local:
-        temp = self.fresh_temp()
-        self.assign(temp, Const(value), line)
-        return Local(temp)
 
     def binary(self, op: str, lhs: Operand, rhs: Operand, line: int = 0) -> Local:
         temp = self.fresh_temp()
@@ -137,18 +128,6 @@ class IRBuilder:
     ) -> Optional[Local]:
         self.emit(Invoke(target, kind, base, methodref, list(args or [])), line)
         return Local(target) if target else None
-
-    def call_virtual(
-        self,
-        base: Local,
-        class_name: str,
-        method_name: str,
-        args: Optional[List[Operand]] = None,
-        target: Optional[str] = None,
-        line: int = 0,
-    ) -> Optional[Local]:
-        ref = MethodRef(class_name, method_name, len(args or []))
-        return self.invoke("virtual", base, ref, args, target, line)
 
     def monitor_enter(self, lock: Local, line: int = 0) -> None:
         self.emit(MonitorEnter(lock), line)

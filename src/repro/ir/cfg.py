@@ -107,14 +107,6 @@ class ControlFlowGraph:
     def reachable_labels(self) -> Set[str]:
         return {b.label for b in self.reverse_postorder()}
 
-    def instruction_index(self) -> Dict[int, Tuple[str, int]]:
-        """Map instruction uid -> (block label, index within block)."""
-        index: Dict[int, Tuple[str, int]] = {}
-        for block in self.block_order():
-            for i, instr in enumerate(block.instructions):
-                index[instr.uid] = (block.label, i)
-        return index
-
     # -- validation helpers --------------------------------------------------
 
     def check(self) -> List[str]:

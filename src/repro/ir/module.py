@@ -9,13 +9,17 @@ the analyses.
 A module may start with a *prelude*: the classes of another, already
 sealed module, shared rather than copied (the Android framework stubs,
 built once per process).  Sealing numbers the prelude exactly as the
-prelude's own ``seal()`` did and never writes into its objects.
+prelude's own ``seal()`` did and never writes into its objects.  A
+prelude's hierarchy is closed, so the prelude answers hierarchy questions
+about its classes from its own caches, and facts about its code
+(:meth:`Module.memo`) are computed once per prelude, not once per app.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Set
+from dataclasses import dataclass
+from itertools import islice
+from typing import Any, Callable, Dict, Iterator, List, Optional, Set
 
 from .cfg import ControlFlowGraph
 from .instructions import FieldRef, Instruction, MethodRef, New
@@ -137,7 +141,10 @@ class Module:
         self._by_uid: Dict[int, Instruction] = {}
         self._method_by_uid: Dict[int, Method] = {}
         self._supertypes_cache: Dict[str, Set[str]] = {}
+        self._superclasses_cache: Dict[str, List[str]] = {}
         self._subclasses_cache: Dict[str, Set[str]] = {}
+        self._memo: Dict[Callable, Any] = {}
+        self._own_from = 0  # index of the first class after the prelude
 
     # -- construction --------------------------------------------------------
 
@@ -147,8 +154,7 @@ class Module:
         if cls.name in self.classes:
             raise ValueError(f"duplicate class {cls.name}")
         self.classes[cls.name] = cls
-        self._supertypes_cache.clear()
-        self._subclasses_cache.clear()
+        self._clear_hierarchy_caches()
         return cls
 
     def set_prelude(self, prelude: "Module") -> None:
@@ -168,14 +174,28 @@ class Module:
         elif list(prelude.classes) != list(self._prelude.classes):
             raise ValueError("a prelude can only be swapped for one with "
                              "the same classes")
+        if not prelude.memo(_closed_hierarchy):
+            raise ValueError("a prelude's supertypes must be its own classes")
         self.classes.update(prelude.classes)
         self._prelude = prelude
+        self._own_from = len(prelude.classes)
+        self._clear_hierarchy_caches()
+
+    def _clear_hierarchy_caches(self) -> None:
         self._supertypes_cache.clear()
+        self._superclasses_cache.clear()
         self._subclasses_cache.clear()
 
     @property
     def prelude(self) -> Optional["Module"]:
         return self._prelude
+
+    def _shared(self, class_name: str) -> Optional["Module"]:
+        """The prelude, if ``class_name`` is one of its classes."""
+        prelude = self._prelude
+        if prelude is not None and class_name in prelude.classes:
+            return prelude
+        return None
 
     def seal(self) -> "Module":
         """Assign uids and allocation-site names; freeze the class table."""
@@ -217,6 +237,20 @@ class Module:
         for cls in self.classes.values():
             yield from cls.methods.values()
 
+    def own_methods(self) -> Iterator[Method]:
+        """Methods of the classes this module adds after its prelude."""
+        for cls in islice(self.classes.values(), self._own_from, None):
+            yield from cls.methods.values()
+
+    def memo(self, compute: Callable[["Module"], Any]) -> Any:
+        """``compute(self)``, computed once per sealed module: facts about a
+        prelude's code that every module sharing it reuses."""
+        if not self._sealed:
+            raise RuntimeError("only a sealed module memoizes facts")
+        if compute not in self._memo:
+            self._memo[compute] = compute(self)
+        return self._memo[compute]
+
     def lookup_method(self, class_name: str, method_name: str) -> Optional[Method]:
         cls = self.classes.get(class_name)
         if cls is None:
@@ -236,18 +270,29 @@ class Module:
     # -- class hierarchy -------------------------------------------------------
 
     def superclasses(self, class_name: str) -> List[str]:
-        """Proper superclass chain, nearest first.  Tolerates unknown roots."""
-        chain: List[str] = []
-        cls = self.classes.get(class_name)
-        seen = {class_name}
-        while cls is not None and cls.super_name and cls.super_name not in seen:
-            chain.append(cls.super_name)
-            seen.add(cls.super_name)
-            cls = self.classes.get(cls.super_name)
-        return chain
+        """Proper superclass chain, nearest first (a fresh list of a cached
+        chain).  Tolerates unknown roots."""
+        prelude = self._shared(class_name)
+        if prelude is not None:
+            return prelude.superclasses(class_name)
+        chain = self._superclasses_cache.get(class_name)
+        if chain is None:
+            chain = []
+            cls = self.classes.get(class_name)
+            seen = {class_name}
+            while cls is not None and cls.super_name \
+                    and cls.super_name not in seen:
+                chain.append(cls.super_name)
+                seen.add(cls.super_name)
+                cls = self.classes.get(cls.super_name)
+            self._superclasses_cache[class_name] = chain
+        return list(chain)
 
     def supertypes(self, class_name: str) -> Set[str]:
         """All transitive supertypes: superclasses plus interfaces (cached)."""
+        prelude = self._shared(class_name)
+        if prelude is not None:
+            return prelude.supertypes(class_name)
         cached = self._supertypes_cache.get(class_name)
         if cached is not None:
             return cached
@@ -273,15 +318,19 @@ class Module:
 
     def subclasses(self, class_name: str) -> Set[str]:
         """All classes (transitively) deriving from or implementing a type
-        (cached)."""
+        (cached).  Only the classes after the prelude are checked here: the
+        prelude answers for its own classes, and none of them derives from
+        a class outside it."""
         cached = self._subclasses_cache.get(class_name)
         if cached is not None:
             return cached
-        result = {
+        prelude = self._shared(class_name)
+        result = set(prelude.subclasses(class_name)) if prelude else set()
+        result.update(
             name
-            for name in self.classes
+            for name in islice(self.classes, self._own_from, None)
             if name != class_name and class_name in self.supertypes(name)
-        }
+        )
         self._subclasses_cache[class_name] = result
         return result
 
@@ -300,3 +349,10 @@ class Module:
             if method is not None:
                 return method
         return None
+
+
+def _closed_hierarchy(module: Module) -> bool:
+    """Whether every supertype a class names is a class of ``module``."""
+    return all(parent in module.classes
+               for cls in module.classes.values()
+               for parent in [*cls.interfaces, cls.super_name] if parent)

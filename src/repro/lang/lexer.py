@@ -1,18 +1,119 @@
-"""Hand-written lexer for the MiniDroid dialect.
+"""Master-regex lexer for the MiniDroid dialect.
 
 Supports line (``//``) and block (``/* */``) comments, decimal integers,
 double-quoted strings with the common escapes, identifiers and the keyword
 and punctuation tables in :mod:`repro.lang.tokens`.
+
+One compiled alternation matches the next lexeme; its group name says
+what it is.  Newlines can only occur in trivia (whitespace and comments),
+so those are the only matches that advance the line counter; a token's
+column is its offset from the start of its line.
 """
 
 from __future__ import annotations
 
+import re
 from typing import Iterator, List
 
 from .errors import LexError
 from .tokens import KEYWORDS, PUNCTUATION, Token, TokenType
 
 _ESCAPES = {"n": "\n", "t": "\t", '"': '"', "\\": "\\", "r": "\r", "0": "\0"}
+_ESCAPE = re.compile(r"\\(.)")
+_PUNCT = dict(PUNCTUATION)
+
+# Identifiers start with a letter, ``_`` or ``$`` and continue with
+# letters, digits (anything ``str.isalnum`` accepts), ``_`` or ``$``.
+# ``[^\W\d]`` is a superset of the first character's class: numeric
+# characters that are not letters (``½``, ``²``) are rejected after the
+# match.  ``\d`` is exactly what ``int()`` accepts.  A string literal
+# that does not match ends at an unknown escape or is unterminated.
+_STRING_BODY = r'[^"\\\n]*(?:\\[nt"\\r0][^"\\\n]*)*'
+_TOKEN = re.compile("|".join([
+    r"(?P<trivia>[ \t\r\n]+|//[^\n]*|/\*(?s:.*?)\*/)",
+    r"(?P<word>[^\W\d][\w$]*|\$[\w$]*)",
+    r"(?P<open_comment>/\*)",
+    "(?P<punct>" + "|".join(re.escape(text) for text, _ in PUNCTUATION) + ")",
+    r"(?P<number>\d+[lL]?)",
+    f'(?P<string>"{_STRING_BODY}")',
+    f'(?P<bad_escape>"{_STRING_BODY}' + r'\\(?![nt"\\r0]))',
+    r'(?P<open_string>")',
+    r"(?P<other>(?s:.))",
+]))
+
+
+def _number_error(source: str, start: int, line: int, column: int,
+                  filename: str) -> LexError:
+    """Diagnose the digit run at ``start`` that the master regex could not
+    take as a number: a letter follows it, or it holds a digit ``int()``
+    rejects (``²``)."""
+    end = start
+    while end < len(source) and source[end].isdigit():
+        end += 1
+    after = source[end:end + 1]
+    if after.isalpha() and after not in "lL":
+        return LexError(f"malformed number near {source[start:end]!r}", line,
+                        column + end - start, filename)
+    bad = next(pos for pos in range(start, end)
+               if not source[pos].isdecimal())
+    return LexError(f"unexpected character {source[bad]!r}", line,
+                    column + bad - start, filename)
+
+
+def tokenize(source: str, filename: str = "<source>") -> List[Token]:
+    """Tokenize a source string into a list ending with an EOF token."""
+    tokens: List[Token] = []
+    append = tokens.append
+    line, line_start = 1, 0
+    for match in _TOKEN.finditer(source):
+        kind = match.lastgroup
+        start = match.start()
+        text = match.group()
+        if kind == "trivia":
+            newlines = text.count("\n")
+            if newlines:
+                line += newlines
+                line_start = start + text.rindex("\n") + 1
+            continue
+        column = start - line_start + 1
+        if kind == "word":
+            first = text[0]
+            if first.isalpha() or first in "_$":
+                append(Token(KEYWORDS.get(text, TokenType.IDENT), text,
+                             line, column))
+                continue
+            if first.isdigit():
+                raise _number_error(source, start, line, column, filename)
+        elif kind == "punct":
+            append(Token(_PUNCT[text], text, line, column))
+            continue
+        elif kind == "number":
+            after = source[match.end():match.end() + 1]
+            if text[-1] in "lL" or not (after.isalpha() or after.isdigit()):
+                append(Token(TokenType.INT_LITERAL, int(text.rstrip("lL")),
+                             line, column))
+                continue
+            raise _number_error(source, start, line, column, filename)
+        elif kind == "string":
+            value = text[1:-1]
+            if "\\" in value:
+                value = _ESCAPE.sub(lambda m: _ESCAPES[m.group(1)], value)
+            append(Token(TokenType.STRING_LITERAL, value, line, column))
+            continue
+        elif kind == "open_comment":
+            raise LexError("unterminated block comment", line, column,
+                           filename)
+        elif kind == "bad_escape":
+            esc = source[match.end():match.end() + 1]
+            raise LexError(f"unknown escape sequence \\{esc}", line,
+                           column + len(text) - 1, filename)
+        elif kind == "open_string":
+            raise LexError("unterminated string literal", line, column,
+                           filename)
+        raise LexError(f"unexpected character {text[0]!r}", line, column,
+                       filename)
+    append(Token(TokenType.EOF, "", line, len(source) - line_start + 1))
+    return tokens
 
 
 class Lexer:
@@ -21,125 +122,6 @@ class Lexer:
     def __init__(self, source: str, filename: str = "<source>") -> None:
         self.source = source
         self.filename = filename
-        self.pos = 0
-        self.line = 1
-        self.column = 1
-
-    # -- character helpers ----------------------------------------------------
-
-    def _peek(self, offset: int = 0) -> str:
-        index = self.pos + offset
-        return self.source[index] if index < len(self.source) else ""
-
-    def _advance(self, count: int = 1) -> None:
-        for _ in range(count):
-            if self.pos < len(self.source):
-                if self.source[self.pos] == "\n":
-                    self.line += 1
-                    self.column = 1
-                else:
-                    self.column += 1
-                self.pos += 1
-
-    def _error(self, message: str) -> LexError:
-        return LexError(message, self.line, self.column, self.filename)
-
-    # -- skipping ----------------------------------------------------------------
-
-    def _skip_trivia(self) -> None:
-        while True:
-            ch = self._peek()
-            if ch and ch in " \t\r\n":
-                self._advance()
-            elif ch == "/" and self._peek(1) == "/":
-                while self._peek() and self._peek() != "\n":
-                    self._advance()
-            elif ch == "/" and self._peek(1) == "*":
-                start_line, start_col = self.line, self.column
-                self._advance(2)
-                while not (self._peek() == "*" and self._peek(1) == "/"):
-                    if not self._peek():
-                        raise LexError(
-                            "unterminated block comment",
-                            start_line, start_col, self.filename,
-                        )
-                    self._advance()
-                self._advance(2)
-            else:
-                return
-
-    # -- token producers -----------------------------------------------------------
-
-    def _lex_string(self) -> Token:
-        line, column = self.line, self.column
-        self._advance()  # opening quote
-        chars: List[str] = []
-        while True:
-            ch = self._peek()
-            if not ch or ch == "\n":
-                raise LexError("unterminated string literal", line, column, self.filename)
-            if ch == '"':
-                self._advance()
-                return Token(TokenType.STRING_LITERAL, "".join(chars), line, column)
-            if ch == "\\":
-                esc = self._peek(1)
-                if esc not in _ESCAPES:
-                    raise self._error(f"unknown escape sequence \\{esc}")
-                chars.append(_ESCAPES[esc])
-                self._advance(2)
-            else:
-                chars.append(ch)
-                self._advance()
-
-    def _lex_number(self) -> Token:
-        line, column = self.line, self.column
-        digits: List[str] = []
-        while self._peek().isdigit():
-            digits.append(self._peek())
-            self._advance()
-        if self._peek().isalpha() and self._peek() not in "lL":
-            raise self._error(f"malformed number near {''.join(digits)!r}")
-        if self._peek() and self._peek() in "lL":  # long suffix, value kept as int
-            self._advance()
-        return Token(TokenType.INT_LITERAL, int("".join(digits)), line, column)
-
-    def _lex_word(self) -> Token:
-        line, column = self.line, self.column
-        chars: List[str] = []
-        while self._peek() and (self._peek().isalnum() or self._peek() in "_$"):
-            chars.append(self._peek())
-            self._advance()
-        word = "".join(chars)
-        ttype = KEYWORDS.get(word, TokenType.IDENT)
-        return Token(ttype, word, line, column)
-
-    def _lex_punct(self) -> Token:
-        line, column = self.line, self.column
-        for text, ttype in PUNCTUATION:
-            if self.source.startswith(text, self.pos):
-                self._advance(len(text))
-                return Token(ttype, text, line, column)
-        raise self._error(f"unexpected character {self._peek()!r}")
-
-    # -- public API ----------------------------------------------------------------
 
     def tokens(self) -> Iterator[Token]:
-        while True:
-            self._skip_trivia()
-            ch = self._peek()
-            if not ch:
-                yield Token(TokenType.EOF, "", self.line, self.column)
-                return
-            if ch == '"':
-                yield self._lex_string()
-            elif ch.isdigit():
-                yield self._lex_number()
-            elif ch.isalpha() or ch in "_$":
-                yield self._lex_word()
-            else:
-                yield self._lex_punct()
-
-
-def tokenize(source: str, filename: str = "<source>") -> List[Token]:
-    """Tokenize a source string into a list ending with an EOF token."""
-    return list(Lexer(source, filename).tokens())
+        return iter(tokenize(self.source, self.filename))

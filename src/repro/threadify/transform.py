@@ -105,14 +105,6 @@ class ThreadifiedProgram:
     api_sites: Dict[int, ApiSite] = field(default_factory=dict)
     synthetic_classes: Set[str] = field(default_factory=set)
 
-    def node_of_method(self, qname: str) -> List[ThreadNode]:
-        """All forest nodes whose region contains a method."""
-        return [
-            self.forest.node(node_id)
-            for node_id, region in self.regions.items()
-            if qname in region
-        ]
-
     def is_app_class(self, name: str) -> bool:
         return (
             not is_framework_class(name)
@@ -305,7 +297,7 @@ class Threadifier:
     def _scan_api_kinds(self) -> Set[ApiKind]:
         """ApiKinds referenced by any application call site."""
         kinds: Set[ApiKind] = set()
-        for method in self.module.methods():
+        for method in self.module.own_methods():
             if is_framework_class(method.class_name):
                 continue
             if method.class_name in self.synthetic:
@@ -327,7 +319,7 @@ class Threadifier:
         as the result receiver -- are posted callbacks, not components."""
         dynamic: Set[str] = set()
         rta = instantiated_classes(self.module)
-        for method in self.module.methods():
+        for method in self.module.own_methods():
             if is_framework_class(method.class_name):
                 continue
             for instr in method.instructions():
@@ -533,7 +525,7 @@ class Threadifier:
     # ------------------------------------------------------------------
 
     def _collect_api_sites(self, program: ThreadifiedProgram) -> None:
-        for method in self.module.methods():
+        for method in self.module.own_methods():
             if is_framework_class(method.class_name):
                 continue
             if method.class_name in self.synthetic:

@@ -184,3 +184,55 @@ def test_caches_invalidate_on_add_class():
     assert module.subclasses("Base") == set()
     module.add_class(ClassDef("Child", super_name="Base"))
     assert module.subclasses("Base") == {"Child"}
+
+
+def test_superclasses_memo_invalidates_on_add_class():
+    module = Module("t")
+    module.add_class(ClassDef("Leaf", super_name="Mid"))
+    assert module.superclasses("Leaf") == ["Mid"]
+    module.add_class(ClassDef("Mid", super_name="Base"))
+    assert module.superclasses("Leaf") == ["Mid", "Base"]
+    chain = module.superclasses("Leaf")
+    chain.append("mutated")  # callers get a fresh list
+    assert module.superclasses("Leaf") == ["Mid", "Base"]
+
+
+def _prelude(super_of_p):
+    prelude = Module("prelude")
+    prelude.add_class(ClassDef("P", super_name=super_of_p))
+    prelude.add_class(ClassDef("Q"))
+    return prelude.seal()
+
+
+def test_superclasses_memo_invalidates_on_prelude_swap():
+    module = Module("app")
+    module.set_prelude(_prelude(None))
+    module.add_class(ClassDef("A", super_name="P"))
+    assert module.superclasses("A") == ["P"]
+    assert module.subclasses("Q") == set()
+    module.set_prelude(_prelude("Q"))
+    assert module.superclasses("A") == ["P", "Q"]
+    assert module.superclasses("P") == ["Q"]
+    assert module.subclasses("Q") == {"P", "A"}
+
+
+def test_prelude_hierarchy_must_be_closed():
+    prelude = Module("open")
+    prelude.add_class(ClassDef("P", interfaces=["Elsewhere"]))
+    with pytest.raises(ValueError, match="supertypes"):
+        Module("app").set_prelude(prelude.seal())
+
+
+def test_memo_computes_once_and_only_when_sealed():
+    module = Module("t")
+    calls = []
+
+    def fact(m):
+        calls.append(m)
+        return len(m.classes)
+
+    with pytest.raises(RuntimeError, match="sealed"):
+        module.memo(fact)
+    module.seal()
+    assert module.memo(fact) == module.memo(fact) == 0
+    assert calls == [module]

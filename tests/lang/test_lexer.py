@@ -86,3 +86,29 @@ def test_unknown_character_raises():
 
 def test_annotation_token():
     assert types("@Override")[:1] == [TokenType.AT]
+
+
+@pytest.mark.parametrize("source, column", [
+    ("a ²", 3), ("1²", 2), ("12²3", 3), ("x = ²;", 5),
+])
+def test_non_decimal_digit_is_a_lex_error(source, column):
+    # ``str.isdigit`` accepts ``²`` but ``int()`` does not: the character
+    # is reported where it stands instead of crashing with ValueError
+    with pytest.raises(LexError) as excinfo:
+        tokenize("\n" + source, "f.mjava")
+    assert (excinfo.value.line, excinfo.value.column) == (2, column)
+    assert excinfo.value.message == "unexpected character '²'"
+
+
+def test_decimal_digits_of_any_script_are_numbers():
+    toks = tokenize("٣٤ 7L")
+    assert [(t.type, t.value) for t in toks[:-1]] == [
+        (TokenType.INT_LITERAL, 34), (TokenType.INT_LITERAL, 7),
+    ]
+
+
+def test_error_positions_follow_newlines_in_comments_and_whitespace():
+    with pytest.raises(LexError) as excinfo:
+        tokenize("a /* 1\n 2 */ b\n\t  12x")
+    assert (excinfo.value.line, excinfo.value.column) == (3, 6)
+    assert excinfo.value.message == "malformed number near '12'"

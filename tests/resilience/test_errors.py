@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.lang import LexError, tokenize
 from repro.lang.errors import ParseError
 from repro.resilience import (
     AnalysisFault,
@@ -40,6 +41,16 @@ def test_parse_error_classifies_as_parse_fault():
     assert fault.stage == "lowering"
     assert "unexpected token" in fault.message
     assert not fault.transient
+
+
+def test_non_decimal_digit_classifies_as_parse_fault():
+    # ``1²`` used to escape the lexer as a bare ValueError (an
+    # AnalysisFault); it is a LexError, so a ParseFault
+    with pytest.raises(LexError) as excinfo:
+        tokenize("int x = 1²;", "bad.mjava")
+    fault = fault_from_exception(excinfo.value, "badapp", stage="lowering")
+    assert isinstance(fault, ParseFault)
+    assert fault.message == "bad.mjava:1:10: unexpected character '²'"
 
 
 def test_cooperative_timeout_classifies_canonically():

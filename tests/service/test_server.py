@@ -337,6 +337,19 @@ def test_queue_bound_surfaces_as_429_with_retry_after(tmp_path,
         srv.close()
 
 
+def test_malformed_source_is_a_parse_fault(server):
+    status, _, body = _request(server.url + "/v1/analyze", {
+        "files": [{"path": "bad.mjava", "text": "class A { int x = 1²; }"}],
+        "wait": True,
+    })
+    assert status == 200
+    job = json.loads(body)
+    assert job["stats"]["faulted"] == 1
+    [fault] = job["faults"]
+    assert fault["kind"] == "parse"
+    assert fault["message"] == "bad.mjava:1:20: unexpected character '²'"
+
+
 def test_http_errors(server):
     status, _, _ = _request(server.url + "/v1/jobs/nope")
     assert status == 404

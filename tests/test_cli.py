@@ -79,6 +79,28 @@ def test_simulate_missing_file_exits_2(capsys):
     assert "cannot read" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["analyze", "explain", "simulate",
+                                     "nosleep"])
+@pytest.mark.parametrize("source, diagnostic", [
+    ("class A {\n  int f() { return 5x; }\n}\n",
+     ":2:21: malformed number near '5'"),                       # LexError
+    ("class A {\n  int f() { return ; ; }\n",
+     ":2:22: unexpected token ';' in expression"),              # ParseError
+    ("class A {\n  int f() { return y; }\n}\n",
+     ":2:0: in A.f: unresolved identifier 'y'"),                # LoweringError
+], ids=["lex", "parse", "lowering"])
+def test_malformed_source_exits_2_with_one_line_error(
+        tmp_path, capsys, command, source, diagnostic):
+    path = tmp_path / "bad.mjava"
+    path.write_text(source)
+    code = main([command, str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"nadroid: error: {path}{diagnostic}"]
+
+
 def test_corpus_subset_serial_and_parallel_stdout_identical(capsys):
     args = ["corpus", "--apps", "todolist", "swiftnotes", "clipstack",
             "--no-cache"]

@@ -6,8 +6,9 @@ variant with the posting/registration stubs rewritten.  The oracle is
 the way every app used to be built: its own fresh
 ``build_framework_classes()``, rewritten in place by the threadifier
 and numbered by the app's own ``seal()``.  Both must produce the same
-sealed module, instruction by instruction, and analysing apps must never
-write into the shared classes.
+sealed module, instruction by instruction, with the same hierarchy and
+call-graph answers (which the shared module takes from the prelude's
+memos), and analysing apps must never write into the shared classes.
 """
 
 from dataclasses import dataclass
@@ -16,6 +17,7 @@ from typing import Callable, List
 import pytest
 
 from repro import lowering
+from repro.analysis import build_cha_callgraph, instantiated_classes
 from repro.android.framework import build_framework_classes, shared_framework
 from repro.core import analyze_module
 from repro.corpus import all_apps
@@ -111,12 +113,30 @@ def analyzed():
     return before, after, modules
 
 
+@pytest.fixture(scope="module")
+def oracles():
+    return {case.name: private_module(case) for case in cases()}
+
+
 @pytest.mark.parametrize("case", cases(), ids=lambda case: case.name)
-def test_shared_framework_matches_a_private_one(analyzed, case):
+def test_shared_framework_matches_a_private_one(analyzed, oracles, case):
     shared = analyzed[2][case.name]
-    oracle = private_module(case)
+    oracle = oracles[case.name]
     assert list(shared.classes) == list(oracle.classes)
     assert sealed_sequence(shared) == sealed_sequence(oracle)
+
+
+@pytest.mark.parametrize("case", cases(), ids=lambda case: case.name)
+def test_shared_hierarchy_matches_a_private_one(analyzed, oracles, case):
+    shared = analyzed[2][case.name]
+    oracle = oracles[case.name]
+    for name in [*oracle.classes, "NoSuchClass"]:
+        assert shared.supertypes(name) == oracle.supertypes(name), name
+        assert shared.superclasses(name) == oracle.superclasses(name), name
+        assert shared.subclasses(name) == oracle.subclasses(name), name
+    assert instantiated_classes(shared) == instantiated_classes(oracle)
+    assert build_cha_callgraph(shared).edges \
+        == build_cha_callgraph(oracle).edges
 
 
 def test_every_rewrite_variant_is_covered(analyzed):
