@@ -143,9 +143,7 @@ def test_leave_one_sound_filter_out(dropped):
     warnings = detect_uaf_warnings(result.program, result.pointsto,
                                    lockset=result.lockset)
     ctx = FilterContext(result.program, result.pointsto, result.lockset)
-    report = FilterPipeline(ctx, kept, UNSOUND_FILTERS).apply(
-        warnings, with_individual_stats=False
-    )
+    report = FilterPipeline(ctx, kept, UNSOUND_FILTERS).apply(warnings)
     assert report.after_sound > result.report.after_sound, (
         f"dropping {dropped} must leave more sound survivors"
     )

@@ -44,7 +44,6 @@ class AnalysisConfig:
     k: int = 2
     detector: DetectorOptions = field(default_factory=DetectorOptions)
     filters: FilterOptions = field(default_factory=FilterOptions)
-    collect_individual_filter_stats: bool = True
 
 
 @dataclass
@@ -59,6 +58,9 @@ class AnalysisResult:
     #: top-level stage spans in execution order (lowering is present when
     #: the caller compiled from source; nested detail hangs off each span)
     spans: List[Span] = field(default_factory=list)
+    #: the pipeline that filtered ``warnings``: its verdicts answer
+    #: further Figure 5 questions without re-running a filter
+    pipeline: Optional[FilterPipeline] = None
 
     @property
     def timings(self) -> Dict[str, float]:
@@ -143,9 +145,7 @@ def analyze_module(
         ctx = FilterContext(program, pointsto, lockset, config.filters)
         unsound = () if config.filters.sound_only else UNSOUND_FILTERS
         pipeline = FilterPipeline(ctx, SOUND_FILTERS, unsound)
-        report = pipeline.apply(
-            warnings, with_individual_stats=config.collect_individual_filter_stats
-        )
+        report = pipeline.apply(warnings)
     spans.append(sp)
 
     obs.add("funnel.potential", report.potential)
@@ -159,6 +159,7 @@ def analyze_module(
         warnings=warnings,
         report=report,
         spans=spans,
+        pipeline=pipeline,
     )
 
 

@@ -128,8 +128,8 @@ class Filter:
 
     Subclasses implement :meth:`witness`, which must be side-effect free:
     return the :class:`Witness` justifying the prune, or ``None`` when the
-    occurrence stays.  ``prunes`` is the boolean view the Figure 5
-    individual-application counters use.
+    occurrence stays.  ``prunes`` is its boolean view; the pipeline
+    reads only ``witness``, once per occurrence.
     """
 
     name: str = "base"

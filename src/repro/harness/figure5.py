@@ -20,8 +20,6 @@ from ..corpus import AppSpec, test_apps
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..runner import CorpusRunner
-from ..filters.base import FilterContext
-from ..filters.pipeline import FilterPipeline
 from ..filters.sound import SOUND_FILTERS
 from ..filters.unsound import MAYHB_FILTER_NAMES, UNSOUND_FILTERS
 from .render import percent, render_table
@@ -66,9 +64,8 @@ def figure5_app_data(spec: AppSpec,
     """One app's filter-effectiveness contribution (serializable)."""
     result = analyze_corpus_app(spec, config)
     report = result.report
-    # combined mayHB bar (RHB + CHB + PHB together)
-    ctx = FilterContext(result.program, result.pointsto, result.lockset)
-    pipeline = FilterPipeline(ctx)
+    # combined mayHB bar (RHB + CHB + PHB together), read from the
+    # verdicts the analysis already decided
     mayhb = [f for f in UNSOUND_FILTERS if f.name in MAYHB_FILTER_NAMES]
     survivors = [w for w in result.warnings if w.survives_sound]
     return {
@@ -77,7 +74,7 @@ def figure5_app_data(spec: AppSpec,
         "after_unsound": report.after_unsound,
         "sound_individual": dict(report.sound_individual),
         "unsound_individual": dict(report.unsound_individual),
-        "mayhb_combined": pipeline.count_pruned_group(
+        "mayhb_combined": result.pipeline.count_pruned_group(
             survivors, mayhb, require_sound_survivor=True
         ),
     }

@@ -78,24 +78,20 @@ def _format_value(value) -> str:
 
 def _map_hotspot(name: str, is_counter: bool) -> Optional[Tuple[str, Dict[str, str]]]:
     """``hotspot.<domain>.<unit>.<metric>`` -> labeled family."""
-    from .hotspots import DOMAINS
+    from .hotspots import _parse
 
-    rest = name[len(HOTSPOT_PREFIX):]
-    for domain in DOMAINS:
-        if rest.startswith(domain + "."):
-            body = rest[len(domain) + 1:]
-            unit, _, metric = body.rpartition(".")
-            if not unit or not metric:
-                return None
-            labels = {"domain": domain, "unit": unit}
-            if is_counter:
-                labels["metric"] = metric
-                return f"{PROM_NAMESPACE}_hotspot_count_total", labels
-            if metric == "seconds":
-                return f"{PROM_NAMESPACE}_hotspot_seconds", labels
-            return (f"{PROM_NAMESPACE}_hotspot_"
-                    f"{sanitize_metric_name(metric)}", labels)
-    return None
+    try:
+        domain, unit, metric = _parse(name)
+    except ValueError:
+        return None
+    labels = {"domain": domain, "unit": unit}
+    if is_counter:
+        labels["metric"] = metric
+        return f"{PROM_NAMESPACE}_hotspot_count_total", labels
+    if metric == "seconds":
+        return f"{PROM_NAMESPACE}_hotspot_seconds", labels
+    return (f"{PROM_NAMESPACE}_hotspot_"
+            f"{sanitize_metric_name(metric)}", labels)
 
 
 def _map_mem(name: str) -> Optional[Tuple[str, Dict[str, str]]]:

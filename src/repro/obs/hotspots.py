@@ -5,8 +5,7 @@ inside it.  The points-to worklist solver attributes its inner loop to
 named units of work under the ``hotspot.`` metric namespace: per
 ``(method, context)`` pair, how often the pair was popped and the
 cumulative ``_process`` time (``hotspot.pointsto.pair.<key>.pops`` /
-``.seconds``).  The ``<domain>`` segment keeps the namespace open for
-further attribution domains.
+``.seconds``).  ``pointsto.pair`` is the one attribution domain.
 
 Counts land in **counters** (deterministic: identical across ``--jobs``
 settings and gated by ``bench --compare``, see
@@ -30,8 +29,9 @@ from typing import Any, Dict, Iterable, List, Tuple
 #: metric namespace prefix shared by every attribution counter/gauge
 HOTSPOT_PREFIX = "hotspot."
 
-#: attribution domains, longest-prefix-first for parsing
-DOMAINS = ("pointsto.pair",)
+#: the one attribution domain: points-to ``(method, context)`` pairs
+DOMAIN = "pointsto.pair"
+_DOMAIN_PREFIX = f"{HOTSPOT_PREFIX}{DOMAIN}."
 
 #: counter suffixes that carry the deterministic count of a unit
 _COUNT_METRICS = ("pops",)
@@ -55,14 +55,11 @@ class HotspotEntry:
 
 
 def _parse(metric: str) -> Tuple[str, str, str]:
-    """Split ``hotspot.<domain>.<name>.<metric>``; raises ValueError."""
-    rest = metric[len(HOTSPOT_PREFIX):]
-    for domain in DOMAINS:
-        if rest.startswith(domain + "."):
-            body = rest[len(domain) + 1:]
-            name, _, suffix = body.rpartition(".")
-            if name and suffix:
-                return domain, name, suffix
+    """Split ``hotspot.pointsto.pair.<name>.<metric>``; raises ValueError."""
+    if metric.startswith(_DOMAIN_PREFIX):
+        name, _, suffix = metric[len(_DOMAIN_PREFIX):].rpartition(".")
+        if name and suffix:
+            return DOMAIN, name, suffix
     raise ValueError(f"unrecognized hotspot metric {metric!r}")
 
 
@@ -127,11 +124,8 @@ def fold_hotspot_units(metrics: Dict[str, Any]) -> Dict[str, Any]:
     return folded
 
 
-def top_hotspots(entries: List[HotspotEntry], top: int,
-                 domain: str = "") -> List[HotspotEntry]:
-    """The first ``top`` entries, optionally restricted to one domain."""
-    if domain:
-        entries = [e for e in entries if e.domain == domain]
+def top_hotspots(entries: List[HotspotEntry], top: int) -> List[HotspotEntry]:
+    """The first ``top`` entries."""
     return entries[:max(0, top)]
 
 

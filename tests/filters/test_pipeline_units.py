@@ -1,10 +1,10 @@
 """Direct unit tests for :class:`FilterPipeline` combinators.
 
-``overlap`` and ``count_pruned_group`` back the Figure 5 overlap
-discussion; here they run against hand-built warnings and stub filters so
-every branch (multi-occurrence warnings, the require_sound_survivor
-restriction, partially-pruned warnings) is pinned without a full
-analysis.  The legacy ``prunes``-only Filter subclass path is covered
+``count_pruned_group`` backs the Figure 5 individual counts and the
+combined mayHB bar; here it runs against hand-built warnings and stub
+filters so every branch (multi-occurrence warnings, the
+require_sound_survivor restriction, partially-pruned warnings) is pinned
+without a full analysis.  The legacy ``prunes``-only Filter subclass path is covered
 too, since user extensions (examples/custom_filter.py) rely on it.
 """
 
@@ -60,34 +60,6 @@ def pipeline():
                           unsound_filters=[fb])
 
 
-# -- overlap -----------------------------------------------------------------
-
-
-def test_overlap_counts_warnings_pruned_by_both(pipeline):
-    # node 2 is in both filters' kill sets
-    warnings = [warning(2), warning(2, 2)]
-    assert pipeline.overlap(warnings, "FA", "FB") == 2
-
-
-def test_overlap_excludes_warnings_only_one_filter_kills(pipeline):
-    warnings = [warning(1), warning(3)]    # FA-only, FB-only
-    assert pipeline.overlap(warnings, "FA", "FB") == 0
-
-
-def test_overlap_requires_every_occurrence(pipeline):
-    # FA kills occurrence(2) but not occurrence(3): partial is no overlap
-    assert pipeline.overlap([warning(2, 3)], "FA", "FB") == 0
-
-
-def test_overlap_ignores_occurrence_free_warnings(pipeline):
-    assert pipeline.overlap([warning()], "FA", "FB") == 0
-
-
-def test_overlap_unknown_filter_name_raises(pipeline):
-    with pytest.raises(KeyError):
-        pipeline.overlap([warning(2)], "FA", "NOPE")
-
-
 # -- count_pruned_group ------------------------------------------------------
 
 
@@ -98,7 +70,6 @@ def test_group_kills_warning_no_single_filter_can(pipeline):
     assert pipeline.count_pruned_group([w], [fa]) == 0
     assert pipeline.count_pruned_group([w], [fb]) == 0
     assert pipeline.count_pruned_group([w], [fa, fb]) == 1
-    assert pipeline.overlap([w], "FA", "FB") == 0
 
 
 def test_group_leaves_uncovered_occurrences(pipeline):
@@ -148,7 +119,7 @@ def test_legacy_filter_works_through_the_pipeline():
     pipe = FilterPipeline(ctx=None, sound_filters=[LegacyFilter()],
                           unsound_filters=[])
     w = warning(7)
-    report = pipe.apply([w], with_individual_stats=False)
+    report = pipe.apply([w])
     assert report.after_sound == 0
     assert w.occurrences[0].pruned_by == "LEGACY"
     assert w.occurrences[0].witness.kind == "filter"

@@ -69,7 +69,7 @@ def test_crashed_sound_filter_is_skipped_and_warnings_survive():
     pipeline = FilterPipeline(ctx=None, sound_filters=(BoomFilter(),),
                               unsound_filters=())
     warnings = fake_warnings()
-    report = pipeline.apply(warnings, with_individual_stats=False)
+    report = pipeline.apply(warnings)
     # Nothing pruned: the conservative outcome.
     assert report.after_sound == report.potential == len(warnings)
     assert all(w.survives_sound for w in warnings)
@@ -84,7 +84,7 @@ def test_crashed_filter_leaves_a_filter_fault_witness():
     pipeline = FilterPipeline(ctx=None, sound_filters=(BoomFilter(),),
                               unsound_filters=())
     warnings = fake_warnings(1)
-    pipeline.apply(warnings, with_individual_stats=False)
+    pipeline.apply(warnings)
     witness = warnings[0].occurrences[0].witness
     assert witness is not None
     assert witness.kind == "filter-fault"
@@ -97,7 +97,7 @@ def test_other_filters_keep_running_after_one_crashes():
         unsound_filters=(),
     )
     warnings = fake_warnings()
-    report = pipeline.apply(warnings, with_individual_stats=False)
+    report = pipeline.apply(warnings)
     assert report.after_sound == 0  # ALL still pruned everything
     assert [entry["filter"] for entry in report.degraded] == ["BOOM"]
 
@@ -107,7 +107,7 @@ def test_unsound_filter_crash_degrades_without_tripping_is_degraded():
     boom.sound = False
     pipeline = FilterPipeline(ctx=None, sound_filters=(QuietFilter(),),
                               unsound_filters=(boom,))
-    report = pipeline.apply(fake_warnings(), with_individual_stats=False)
+    report = pipeline.apply(fake_warnings())
     assert report.degraded[0]["sound"] is False
     assert not report.is_degraded  # precision bar concerns sound filters
 
@@ -117,7 +117,7 @@ def test_degradation_increments_the_obs_counter():
     pipeline = FilterPipeline(ctx=None, sound_filters=(BoomFilter(),),
                               unsound_filters=())
     with obs.use(recorder):
-        pipeline.apply(fake_warnings(), with_individual_stats=False)
+        pipeline.apply(fake_warnings())
     assert recorder.snapshot().counters["filters.degraded"] == 1
 
 
@@ -127,7 +127,7 @@ def test_timeouts_outrank_degradation():
     pipeline = FilterPipeline(ctx=None, sound_filters=(TimeoutFilter(),),
                               unsound_filters=())
     with pytest.raises(CooperativeTimeout):
-        pipeline.apply(fake_warnings(1), with_individual_stats=False)
+        pipeline.apply(fake_warnings(1))
 
 
 def test_degraded_entries_round_trip_through_serialization():
