@@ -9,12 +9,11 @@ Android code (if/else, while, early returns, throw).
 
 from . import ast
 from .errors import LexError, LoweringError, ParseError, SourceError
-from .lexer import Lexer, tokenize
+from .lexer import tokenize
 from .parser import Parser, parse_program
 
 __all__ = [
     "ast",
-    "Lexer",
     "LexError",
     "LoweringError",
     "ParseError",

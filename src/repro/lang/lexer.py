@@ -13,7 +13,7 @@ column is its offset from the start of its line.
 from __future__ import annotations
 
 import re
-from typing import Iterator, List
+from typing import List
 
 from .errors import LexError
 from .tokens import KEYWORDS, PUNCTUATION, Token, TokenType
@@ -115,13 +115,3 @@ def tokenize(source: str, filename: str = "<source>") -> List[Token]:
     append(Token(TokenType.EOF, "", line, len(source) - line_start + 1))
     return tokens
 
-
-class Lexer:
-    """Tokenize one MiniDroid source string."""
-
-    def __init__(self, source: str, filename: str = "<source>") -> None:
-        self.source = source
-        self.filename = filename
-
-    def tokens(self) -> Iterator[Token]:
-        return iter(tokenize(self.source, self.filename))

@@ -12,9 +12,11 @@ Grammar (EBNF, simplified):
     constructor ::= IDENT "(" params? ")" block          -- IDENT = class name
     stmt        ::= var_decl | if | while | return | throw
                   | synchronized | block | expr ";"
-    expr        ::= assignment (right-associative) over the usual
-                    ||, &&, ==/!=, relational, additive, multiplicative,
-                    unary and postfix (field access / call) levels
+    expr        ::= binary ("=" expr)?       -- lhs a variable or field
+    binary      ::= unary (binop unary)*     -- precedence climbing over
+                                                _BINARY_POWER, all left-assoc
+    unary       ::= ("!" | "-") unary | postfix
+    postfix     ::= primary ("." IDENT ("(" args? ")")?)*
     primary     ::= "new" IDENT "(" args? ")" anon_body?
                   | "(" expr ")" | "this" | "super" "." IDENT "(" args? ")"
                   | literal | IDENT ("(" args? ")")?
@@ -25,9 +27,7 @@ accepted and ignored (``final`` on locals is recorded for capture checking).
 
 from __future__ import annotations
 
-import sys
-from contextlib import contextmanager
-from typing import Iterator, List, Optional
+from typing import List, Optional
 
 from . import ast
 from .errors import ParseError
@@ -43,9 +43,19 @@ _MODIFIERS = {
     TokenType.FINAL,
 }
 
-#: Hard bound on statement/expression nesting.  The parser is recursive
-#: descent, so without a limit a pathological input (thousands of nested
-#: parentheses, unary chains, or blocks) escalates into Python's
+#: Binding power of each binary operator; a higher power binds tighter.
+_BINARY_POWER = {
+    TokenType.OR: 1,
+    TokenType.AND: 2,
+    TokenType.EQ: 3, TokenType.NE: 3,
+    TokenType.LT: 4, TokenType.LE: 4, TokenType.GT: 4, TokenType.GE: 4,
+    TokenType.PLUS: 5, TokenType.MINUS: 5,
+    TokenType.STAR: 6, TokenType.SLASH: 6, TokenType.PERCENT: 6,
+}
+
+#: Hard bound on the depth of the AST.  Parsing and lowering both recurse
+#: over it, so without a limit a pathological input (thousands of nested
+#: parentheses, blocks, or chained operators) escalates into Python's
 #: ``RecursionError`` -- an analyzer crash instead of a diagnostic.  Real
 #: MiniDroid sources nest a handful of levels; 64 is far above anything
 #: legitimate while staying well inside the interpreter's stack.
@@ -96,17 +106,18 @@ class Parser:
         return ParseError(message, token.line, token.column, self.filename)
 
     def _enter_nesting(self) -> None:
-        """Count one level of recursive nesting; callers pair this with a
-        ``finally: self._depth -= 1``.  Guards both the statement
-        recursion (blocks/if/while) and the expression recursion
-        (parentheses, unary chains, assignment right-hand sides), which
-        are the two ways source text drives the parser's stack."""
-        self._depth += 1
-        if self._depth > MAX_NESTING_DEPTH:
+        """Count one level of AST nesting: a statement, a unary operand
+        (so each parenthesis and prefix operator), an assignment
+        right-hand side, or one binary or postfix fold.  Callers restore
+        ``_depth`` in a ``finally``; a refused level is never counted.
+        Every path by which parsing or lowering recurses passes through
+        one of these, so the count bounds both."""
+        if self._depth >= MAX_NESTING_DEPTH:
             raise self._error(
                 f"nesting depth exceeds the MiniDroid limit of "
                 f"{MAX_NESTING_DEPTH}"
             )
+        self._depth += 1
 
     # -- types and modifiers -----------------------------------------------------
 
@@ -353,60 +364,39 @@ class Parser:
     # -- expressions ------------------------------------------------------------------------
 
     def _parse_expr(self) -> ast.Expr:
-        return self._parse_assignment()
+        """An assignment (right-recursive) or a binary expression."""
+        lhs = self._parse_binary(1)
+        if not self._at(TokenType.ASSIGN):
+            return lhs
+        token = self._advance()
+        if not isinstance(lhs, (ast.Name, ast.FieldAccess)):
+            raise ParseError(
+                "left-hand side of '=' must be a variable or field",
+                token.line, token.column, self.filename,
+            )
+        self._enter_nesting()
+        try:
+            rhs = self._parse_expr()
+        finally:
+            self._depth -= 1
+        return ast.Assignment(lhs, rhs, line=token.line)
 
-    def _parse_assignment(self) -> ast.Expr:
-        lhs = self._parse_or()
-        if self._at(TokenType.ASSIGN):
-            token = self._advance()
-            if not isinstance(lhs, (ast.Name, ast.FieldAccess)):
-                raise ParseError(
-                    "left-hand side of '=' must be a variable or field",
-                    token.line, token.column, self.filename,
-                )
-            rhs = self._parse_assignment()
-            return ast.Assignment(lhs, rhs, line=token.line)
+    def _parse_binary(self, min_power: int) -> ast.Expr:
+        """Fold operators of at least ``min_power``; a right operand binds
+        one power tighter, which makes every operator left-associative."""
+        lhs = self._parse_unary()
+        depth = self._depth
+        try:
+            while _BINARY_POWER.get(self._peek().type, 0) >= min_power:
+                token = self._advance()
+                self._enter_nesting()
+                rhs = self._parse_binary(_BINARY_POWER[token.type] + 1)
+                lhs = ast.Binary(str(token.value), lhs, rhs, line=token.line)
+        finally:
+            self._depth = depth
         return lhs
-
-    def _parse_binary_level(self, sub, ops) -> ast.Expr:
-        lhs = sub()
-        while self._peek().type in ops:
-            token = self._advance()
-            rhs = sub()
-            lhs = ast.Binary(str(token.value), lhs, rhs, line=token.line)
-        return lhs
-
-    def _parse_or(self) -> ast.Expr:
-        return self._parse_binary_level(self._parse_and, {TokenType.OR})
-
-    def _parse_and(self) -> ast.Expr:
-        return self._parse_binary_level(self._parse_equality, {TokenType.AND})
-
-    def _parse_equality(self) -> ast.Expr:
-        return self._parse_binary_level(
-            self._parse_relational, {TokenType.EQ, TokenType.NE}
-        )
-
-    def _parse_relational(self) -> ast.Expr:
-        return self._parse_binary_level(
-            self._parse_additive,
-            {TokenType.LT, TokenType.LE, TokenType.GT, TokenType.GE},
-        )
-
-    def _parse_additive(self) -> ast.Expr:
-        return self._parse_binary_level(
-            self._parse_multiplicative, {TokenType.PLUS, TokenType.MINUS}
-        )
-
-    def _parse_multiplicative(self) -> ast.Expr:
-        return self._parse_binary_level(
-            self._parse_unary, {TokenType.STAR, TokenType.SLASH, TokenType.PERCENT}
-        )
 
     def _parse_unary(self) -> ast.Expr:
-        # Every expression-level recursion cycle (parenthesized primary,
-        # assignment rhs, unary chain) passes through here exactly once,
-        # so this is the single choke point for the expression depth guard.
         self._enter_nesting()
         try:
             token = self._peek()
@@ -420,14 +410,19 @@ class Parser:
 
     def _parse_postfix(self) -> ast.Expr:
         expr = self._parse_primary()
-        while self._at(TokenType.DOT):
-            dot = self._advance()
-            name = str(self._expect(TokenType.IDENT, "a member name").value)
-            if self._at(TokenType.LPAREN):
-                args = self._parse_args()
-                expr = ast.Call(expr, name, args, line=dot.line)
-            else:
-                expr = ast.FieldAccess(expr, name, line=dot.line)
+        depth = self._depth
+        try:
+            while self._at(TokenType.DOT):
+                dot = self._advance()
+                self._enter_nesting()
+                name = str(self._expect(TokenType.IDENT, "a member name").value)
+                if self._at(TokenType.LPAREN):
+                    args = self._parse_args()
+                    expr = ast.Call(expr, name, args, line=dot.line)
+                else:
+                    expr = ast.FieldAccess(expr, name, line=dot.line)
+        finally:
+            self._depth = depth
         return expr
 
     def _parse_args(self) -> List[ast.Expr]:
@@ -491,28 +486,6 @@ class Parser:
         raise self._error(f"unexpected token {token.value!r} in expression")
 
 
-@contextmanager
-def _nesting_headroom() -> Iterator[None]:
-    """Guarantee the parser's own depth guard fires before the
-    interpreter's.
-
-    One level of MiniDroid nesting costs ~15 interpreter frames (the
-    expression-grammar cascade), so ``MAX_NESTING_DEPTH`` levels plus a
-    deep caller stack (pytest, the worker pool) can reach the default
-    recursion limit before ``_enter_nesting`` trips -- surfacing as a
-    ``RecursionError`` instead of the clean :class:`ParseError`.  Raise
-    the interpreter limit for the duration of the parse so the depth
-    guard is always the binding constraint.
-    """
-    old = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(old, 20_000))
-    try:
-        yield
-    finally:
-        sys.setrecursionlimit(old)
-
-
 def parse_program(source: str, filename: str = "<source>") -> ast.Program:
     """Parse MiniDroid source text into an AST program."""
-    with _nesting_headroom():
-        return Parser(source, filename).parse_program()
+    return Parser(source, filename).parse_program()

@@ -207,9 +207,6 @@ def fault_from_exception(exc: BaseException, app: str,
     if isinstance(exc, SourceError):
         cls: Type[Fault] = ParseFault
         message = str(exc)
-    elif isinstance(exc, RecursionError):
-        cls = AnalysisFault
-        message = f"RecursionError: {exc}"
     else:
         cls = AnalysisFault
         message = f"{type(exc).__name__}: {exc}"

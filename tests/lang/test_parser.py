@@ -1,8 +1,13 @@
 """Parser unit tests."""
 
+import itertools
+import sys
+
 import pytest
 
+from repro.corpus import all_apps
 from repro.lang import ParseError, ast, parse_program
+from repro.lowering import lower_sources
 
 
 def parse_one(source):
@@ -199,3 +204,103 @@ def test_reasonable_nesting_still_parses():
         + ")" * depth + "; } }"
     cls = parse_one(source)
     assert cls.method_decls()[0].name == "m"
+
+
+MEMBERS = ("boolean c; int x; A a; int f(int v) { return v; } "
+           "A g() { return this; }")
+
+
+def in_method(body):
+    return "class A { " + MEMBERS + " void m() { " + body + " } }"
+
+
+EVERY_PRECEDENCE = "1 || 1 && 1 == 1 < 1 + 1 * ("
+
+#: Each shape at ``n`` links or levels; every one is legal MiniDroid that
+#: lowers, however deep.
+SHAPES = {
+    "plus": lambda n: in_method("x = 1" + " + 1" * n + ";"),
+    "and": lambda n: in_method("c = c" + " && c" * n + ";"),
+    "field": lambda n: in_method("this" + ".a" * n + ".x = 1;"),
+    "call-chain": lambda n: in_method("g()" + ".g()" * n + ";"),
+    "assignment": lambda n: in_method("x = " * n + "1;"),
+    "parens": lambda n: in_method("x = " + "(" * n + "1" + ")" * n + ";"),
+    "unary": lambda n: in_method("c = " + "!" * n + "c;"),
+    "if-blocks": lambda n: in_method("if (c) { " * n + "x = 1;" + " }" * n),
+    "calls": lambda n: in_method("x = " + "f(" * n + "1" + ")" * n + ";"),
+    "anonymous": lambda n: in_method(
+        "new Runnable() { public void run() { " * n + "x = 1;"
+        + " } };" * n),
+    "anonymous-field": lambda n: (
+        "class A { Runnable r = " + "new Runnable() { Runnable r = " * n
+        + "null" + "; }" * n + "; }"),
+    "paren-sums": lambda n: in_method(
+        "x = " + "(1 + " * n + "1" + ")" * n + ";"),
+    "every-precedence": lambda n: in_method(
+        "x = " + EVERY_PRECEDENCE * n + "1" + ")" * n + ";"),
+}
+CHAINS = ["plus", "and", "field", "call-chain", "assignment"]
+
+
+def test_parenthesized_sums_count_both_levels():
+    # Each "(1 + " level counts the parenthesis and the fold: 40 levels
+    # fit a budget of 64 parentheses but not one of 80 levels.
+    with pytest.raises(ParseError, match="nesting depth"):
+        parse_program(SHAPES["paren-sums"](40))
+
+
+@pytest.mark.parametrize("shape", CHAINS)
+def test_flat_chains_are_a_parse_error_not_a_recursion_error(shape):
+    # 3,000-link chains parsed without touching the depth budget and then
+    # overflowed the interpreter's stack while being lowered.
+    with pytest.raises(ParseError, match="nesting depth"):
+        lower_sources(SHAPES[shape](3000))
+
+
+def deepest_accepted(shape):
+    """The largest ``n`` at which ``shape(n)`` still parses."""
+    for n in itertools.count(1):
+        try:
+            parse_program(shape(n))
+        except ParseError as exc:
+            assert "nesting depth" in exc.message
+            return n - 1
+        assert n < 200, "no nesting limit"
+
+
+def call_under(frames, fn):
+    """Call ``fn`` with ``frames`` more interpreter frames on the stack."""
+    return fn() if frames == 0 else call_under(frames - 1, fn)
+
+
+@pytest.fixture
+def default_recursion_limit():
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    yield
+    sys.setrecursionlimit(old)
+
+
+@pytest.mark.parametrize("shape", sorted(SHAPES))
+def test_deepest_accepted_input_lowers_under_a_deep_caller(
+        shape, default_recursion_limit):
+    source = SHAPES[shape](deepest_accepted(SHAPES[shape]))
+    call_under(200, lambda: lower_sources(source))
+
+
+@pytest.mark.parametrize("shape", sorted(SHAPES))
+def test_each_level_is_released_when_its_construct_ends(shape):
+    # The budget bounds nesting, not length: three deepest inputs in a
+    # row parse as well as one.
+    parse_program(SHAPES[shape](deepest_accepted(SHAPES[shape])) * 3)
+
+
+def test_parsing_leaves_the_recursion_limit_alone(monkeypatch):
+    def refuse(limit):
+        raise AssertionError("the parser changed the recursion limit")
+
+    monkeypatch.setattr(sys, "setrecursionlimit", refuse)
+    for spec in all_apps():
+        parse_program(spec.source(), spec.name)
+    with pytest.raises(ParseError, match="nesting depth"):
+        parse_program(SHAPES["parens"](500))

@@ -88,7 +88,9 @@ def test_simulate_missing_file_exits_2(capsys):
      ":2:22: unexpected token ';' in expression"),              # ParseError
     ("class A {\n  int f() { return y; }\n}\n",
      ":2:0: in A.f: unresolved identifier 'y'"),                # LoweringError
-], ids=["lex", "parse", "lowering"])
+    ("class A {\n  int x;\n  void f() { " + "x = " * 3000 + "1; }\n}\n",
+     ":3:266: nesting depth exceeds the MiniDroid limit of 64"),  # too deep
+], ids=["lex", "parse", "lowering", "too-deep"])
 def test_malformed_source_exits_2_with_one_line_error(
         tmp_path, capsys, command, source, diagnostic):
     path = tmp_path / "bad.mjava"
