@@ -79,6 +79,17 @@ def _read_sources(paths: List[str]):
     return sources
 
 
+def _write_artifact(tag: str, what: str, path: str, write) -> None:
+    """Write one output artifact with ``write(path)``, then say so on
+    stderr; an unwritable path is a one-line :class:`CliError`."""
+    try:
+        write(path)
+    except OSError as exc:
+        reason = exc.strerror or str(exc)
+        raise CliError(f"cannot write {what} to {path}: {reason}") from exc
+    print(f"[{tag}] wrote {path}", file=sys.stderr)
+
+
 def _make_runner(args: argparse.Namespace):
     """Build the corpus runner from the shared --jobs/--cache/fault flags."""
     from .resilience import FaultPolicy
@@ -240,12 +251,8 @@ def _emit_observability(args, runner) -> None:
             },
             "totals": metrics.totals().to_dict(),
         }
-        try:
-            write_json(out, payload)
-        except OSError as exc:
-            reason = exc.strerror or str(exc)
-            raise CliError(f"cannot write metrics to {out}: {reason}") from exc
-        print(f"[obs] wrote {out}", file=sys.stderr)
+        _write_artifact("obs", "metrics", out,
+                        lambda path: write_json(path, payload))
     out = getattr(args, "trace_out", None)
     if out:
         from .obs import chrome_trace, write_trace
@@ -255,12 +262,8 @@ def _emit_observability(args, runner) -> None:
             metrics.apps,
             events=sink.records if sink is not None else None,
         )
-        try:
-            write_trace(out, trace)
-        except OSError as exc:
-            reason = exc.strerror or str(exc)
-            raise CliError(f"cannot write trace to {out}: {reason}") from exc
-        print(f"[trace] wrote {out}", file=sys.stderr)
+        _write_artifact("trace", "trace", out,
+                        lambda path: write_trace(path, trace))
 
 
 def _emit_report_outputs(args, report) -> None:
@@ -276,22 +279,14 @@ def _emit_report_outputs(args, report) -> None:
     if out:
         from .report import write_report
 
-        try:
-            write_report(report, out)
-        except OSError as exc:
-            reason = exc.strerror or str(exc)
-            raise CliError(f"cannot write report to {out}: {reason}") from exc
-        print(f"[report] wrote {out}", file=sys.stderr)
+        _write_artifact("report", "report", out,
+                        lambda path: write_report(report, path))
     out = getattr(args, "sarif_out", None)
     if out:
         from .report import write_sarif
 
-        try:
-            write_sarif(report, out)
-        except OSError as exc:
-            reason = exc.strerror or str(exc)
-            raise CliError(f"cannot write SARIF to {out}: {reason}") from exc
-        print(f"[sarif] wrote {out}", file=sys.stderr)
+        _write_artifact("sarif", "SARIF", out,
+                        lambda path: write_sarif(report, path))
 
 
 def _single_app_report(args, result, recorder):
@@ -337,25 +332,15 @@ def cmd_analyze(args: argparse.Namespace) -> int:
                     print(f"[profile] {node.name}\n{profile}",
                           file=sys.stderr)
     if args.metrics_out:
-        try:
-            obs.write_json(args.metrics_out, snapshot.to_dict())
-        except OSError as exc:
-            reason = exc.strerror or str(exc)
-            raise CliError(
-                f"cannot write metrics to {args.metrics_out}: {reason}"
-            ) from exc
-        print(f"[obs] wrote {args.metrics_out}", file=sys.stderr)
+        _write_artifact("obs", "metrics", args.metrics_out,
+                        lambda path: obs.write_json(path, snapshot.to_dict()))
     if args.trace_out:
         from .obs import chrome_trace, write_trace
 
-        try:
-            write_trace(args.trace_out, chrome_trace({"app": snapshot}))
-        except OSError as exc:
-            reason = exc.strerror or str(exc)
-            raise CliError(
-                f"cannot write trace to {args.trace_out}: {reason}"
-            ) from exc
-        print(f"[trace] wrote {args.trace_out}", file=sys.stderr)
+        _write_artifact(
+            "trace", "trace", args.trace_out,
+            lambda path: write_trace(path, chrome_trace({"app": snapshot})),
+        )
     if args.report_out or args.sarif_out:
         _emit_report_outputs(args, _single_app_report(args, result, recorder))
     counts = result.counts()
@@ -570,14 +555,8 @@ def cmd_corpus_score(args: argparse.Namespace) -> int:
     if args.score_out:
         from .obs import write_json
 
-        try:
-            write_json(args.score_out, report.to_dict())
-        except OSError as exc:
-            reason = exc.strerror or str(exc)
-            raise CliError(
-                f"cannot write score report to {args.score_out}: {reason}"
-            ) from exc
-        print(f"[score] wrote {args.score_out}", file=sys.stderr)
+        _write_artifact("score", "score report", args.score_out,
+                        lambda path: write_json(path, report.to_dict()))
     code = _report_faults(runner)
     if args.fail_under_recall is not None \
             and report.recall < args.fail_under_recall:
@@ -637,10 +616,10 @@ def cmd_table3(args: argparse.Namespace) -> int:
     from .harness import render_table3, run_table3
 
     runner = _make_runner(args)
-    rows = run_table3(runner=runner)
+    data = run_table3(runner=runner)
     _report_stats(runner)
     _emit_observability(args, runner)
-    print(render_table3(rows, runner=runner))
+    print(render_table3(data))
     return _report_faults(runner)
 
 
@@ -656,16 +635,14 @@ def cmd_timing(args: argparse.Namespace) -> int:
 
 
 def cmd_hotspots(args: argparse.Namespace) -> int:
-    from .corpus import all_apps
+    from .harness import run_table1
     from .obs import collect_hotspots, render_hotspots
 
     if args.top <= 0:
         raise CliError("--top must be a positive number of rows")
     runner = _make_runner(args)
-    specs = _corpus_apps(args)
-    names = [spec.name for spec in
-             (specs if specs is not None else all_apps())]
-    runner.run("timing", names, {})
+    # the same per-app work (and cache entries) as ``repro corpus``
+    run_table1(validate=False, apps=_corpus_apps(args), runner=runner)
     _report_stats(runner)
     _emit_observability(args, runner)
     metrics = runner.last_metrics
@@ -676,15 +653,10 @@ def cmd_hotspots(args: argparse.Namespace) -> int:
         stacks = collapsed_stacks(
             metrics.apps.values() if metrics else []
         )
-        try:
-            with open(args.flame, "w", encoding="utf-8") as handle:
-                handle.write(stacks)
-        except OSError as exc:
-            reason = exc.strerror or str(exc)
-            raise CliError(
-                f"cannot write flamegraph stacks to {args.flame}: {reason}"
-            ) from exc
-        print(f"[flame] wrote {args.flame}", file=sys.stderr)
+        _write_artifact(
+            "flame", "flamegraph stacks", args.flame,
+            lambda path: Path(path).write_text(stacks, encoding="utf-8"),
+        )
     print(render_hotspots(entries, top=args.top))
     return _report_faults(runner)
 
@@ -720,12 +692,8 @@ def cmd_events_to_trace(args: argparse.Namespace) -> int:
 
     records = _read_event_stream(args.path)
     trace = trace_from_events(records)
-    try:
-        write_trace(args.out, trace)
-    except OSError as exc:
-        reason = exc.strerror or str(exc)
-        raise CliError(f"cannot write trace to {args.out}: {reason}") from exc
-    print(f"[trace] wrote {args.out}", file=sys.stderr)
+    _write_artifact("trace", "trace", args.out,
+                    lambda path: write_trace(path, trace))
     return 0
 
 
@@ -781,13 +749,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
         payload = run_bench(runner, apps=_corpus_apps(args))
     _report_stats(runner)
     _emit_observability(args, runner)
-    out = args.out or default_bench_path()
-    try:
-        write_bench(payload, out)
-    except OSError as exc:
-        reason = exc.strerror or str(exc)
-        raise CliError(f"cannot write benchmark to {out}: {reason}") from exc
-    print(f"[bench] wrote {out}", file=sys.stderr)
+    _write_artifact("bench", "benchmark", args.out or default_bench_path(),
+                    lambda path: write_bench(payload, path))
     if args.history:
         from .harness import append_history
 

@@ -46,8 +46,42 @@ class AnalysisConfig:
     filters: FilterOptions = field(default_factory=FilterOptions)
 
 
+class WarningFunnel:
+    """The Table 1 funnel over ``warnings`` and ``report``.
+
+    Shared by :class:`AnalysisResult` and its serializable view
+    :class:`repro.runner.ResultData`; each supplies the EC/PC/T model
+    sizes through :meth:`model_sizes`.
+    """
+
+    @property
+    def potential(self) -> List[UafWarning]:
+        return self.warnings
+
+    def after_sound(self) -> List[UafWarning]:
+        return [w for w in self.warnings if w.survives_sound]
+
+    def remaining(self) -> List[UafWarning]:
+        return [w for w in self.warnings if w.survives_all]
+
+    def by_pair_type(self) -> Dict[str, int]:
+        """Distribution of *remaining* warnings over origin categories."""
+        counts = {t: 0 for t in PAIR_TYPES}
+        for warning in self.remaining():
+            counts[warning.pair_type()] += 1
+        return counts
+
+    def counts(self) -> Dict[str, int]:
+        return {
+            **self.model_sizes(),
+            "potential": self.report.potential,
+            "after_sound": self.report.after_sound,
+            "after_unsound": self.report.after_unsound,
+        }
+
+
 @dataclass
-class AnalysisResult:
+class AnalysisResult(WarningFunnel):
     """Everything the pipeline produced, plus its stage trace."""
 
     program: ThreadifiedProgram
@@ -73,33 +107,8 @@ class AnalysisResult:
         out["total"] = sum(span.duration for span in self.spans)
         return out
 
-    # -- Table 1 style accessors ----------------------------------------------
-
-    @property
-    def potential(self) -> List[UafWarning]:
-        return self.warnings
-
-    def after_sound(self) -> List[UafWarning]:
-        return [w for w in self.warnings if w.survives_sound]
-
-    def remaining(self) -> List[UafWarning]:
-        return [w for w in self.warnings if w.survives_all]
-
-    def by_pair_type(self) -> Dict[str, int]:
-        """Distribution of *remaining* warnings over origin categories."""
-        counts = {t: 0 for t in PAIR_TYPES}
-        for warning in self.remaining():
-            counts[warning.pair_type()] += 1
-        return counts
-
-    def counts(self) -> Dict[str, int]:
-        forest_counts = self.program.forest.counts()
-        return {
-            **forest_counts,
-            "potential": self.report.potential,
-            "after_sound": self.report.after_sound,
-            "after_unsound": self.report.after_unsound,
-        }
+    def model_sizes(self) -> Dict[str, int]:
+        return self.program.forest.counts()
 
     def describe_remaining(self, limit: Optional[int] = None) -> str:
         lines: List[str] = []

@@ -56,11 +56,11 @@ from .table2 import (
     table2_app_data,
 )
 from .table3 import (
-    nadroid_only_true_uafs,
     render_table3,
     run_table3,
     summarize_table3,
     table3_app_data,
+    Table3Data,
     Table3Row,
 )
 from .timing import render_timing, run_timing, TimingData
@@ -76,10 +76,10 @@ __all__ = [
     "default_bench_path", "run_bench", "write_bench", "figure5_app_data",
     "Figure5Data", "fp_totals", "result_analysis_csv",
     "save_result_analysis", "write_result_analysis",
-    "InjectionOutcome", "nadroid_only_true_uafs", "percent",
+    "InjectionOutcome", "percent",
     "render_figure5", "render_table", "render_table1", "render_table2",
     "render_table3", "render_timing", "run_figure5", "run_table1",
     "run_table2", "run_table3", "run_timing", "summarize_table2",
     "summarize_table3", "table2_app_data", "table3_app_data", "Table1Row",
-    "Table3Row", "TimingData", "total_true_harmful",
+    "Table3Data", "Table3Row", "TimingData", "total_true_harmful",
 ]

@@ -35,6 +35,7 @@ from typing import Any, Dict, List, Optional
 from ..corpus import all_apps, AppSpec
 from ..obs import merge_snapshots, write_json
 from ..runner import CorpusRunner
+from .table1 import run_table1
 
 #: stays 1 across additive fields (``corpus`` shape metadata is
 #: additive: old baselines without it remain valid compare targets)
@@ -103,12 +104,17 @@ def _announce_phase(runner: CorpusRunner, phase: str) -> None:
 def run_bench(runner: CorpusRunner,
               apps: Optional[List[AppSpec]] = None,
               config=None) -> Dict[str, Any]:
-    """Analyze every app and assemble the benchmark payload."""
+    """Analyze every app and assemble the benchmark payload.
+
+    The per-app work is the Table 1 run without validation, so bench
+    shares its cache entries with ``repro corpus``."""
     specs = apps if apps is not None else all_apps()
     names = [spec.name for spec in specs]
     _announce_phase(runner, f"bench:registry:{len(names)}")
-    payloads, stats = runner.run("timing", names, {"config": config})
-    return _bench_payload(runner, names, payloads, stats,
+    rows = run_table1(validate=False, apps=specs, config=config,
+                      runner=runner)
+    return _bench_payload(runner, names,
+                          {row.name: row.result.timings for row in rows},
                           corpus=corpus_shape("registry", names))
 
 
@@ -122,29 +128,32 @@ def run_generated_bench(runner: CorpusRunner, gconfig,
     names = [generated_app_name(gconfig.seed, index)
              for index in range(gconfig.count)]
     _announce_phase(runner, f"bench:generated:{len(names)}")
-    payloads, stats = runner.run(
-        "gen-timing", names,
+    payloads, _ = runner.run(
+        "generated", names,
         {"config": config, "generator": gconfig.to_dict()},
     )
     return _bench_payload(
-        runner, names, payloads, stats,
+        runner, names,
+        {name: payload["timings"] for name, payload in zip(names, payloads)
+         if "error" not in payload},  # faulted app under --keep-going
         corpus=corpus_shape("generated", names,
                             generator=gconfig.to_dict(), seed=gconfig.seed),
     )
 
 
 def _bench_payload(runner: CorpusRunner, names: List[str],
-                   payloads: List[Dict[str, Any]],
-                   stats,
+                   timings: Dict[str, Dict[str, float]],
                    corpus: Optional[Dict[str, Any]] = None) -> Dict[str, Any]:
+    """``timings`` holds the stage seconds of every app that did not
+    fault; the rest of each entry is the app's metrics snapshot."""
     metrics = runner.last_metrics
     per_app: Dict[str, Any] = {}
-    for name, payload in zip(names, payloads):
-        if "error" in payload:  # faulted app under --keep-going
+    for name in names:
+        if name not in timings:
             continue
         snapshot = metrics.apps.get(name) if metrics else None
         per_app[name] = {
-            "timings": dict(payload["timings"]),
+            "timings": dict(timings[name]),
             "counters": dict(snapshot.counters) if snapshot else {},
             "gauges": dict(snapshot.gauges) if snapshot else {},
             "spans": list(snapshot.spans) if snapshot else [],
@@ -161,7 +170,7 @@ def _bench_payload(runner: CorpusRunner, names: List[str],
         "schema": BENCH_SCHEMA,
         "date": datetime.date.today().isoformat(),
         "jobs": runner.jobs,
-        "run": stats.to_snapshot().to_dict(),
+        "run": runner.last_stats.to_snapshot().to_dict(),
         "apps": per_app,
         "totals": {
             "timings": total_timings,

@@ -13,15 +13,13 @@ applied individually over the 20 test applications):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, TYPE_CHECKING
+from typing import Dict, List, Optional
 
 from ..core import AnalysisConfig
 from ..corpus import AppSpec, test_apps
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..runner import CorpusRunner
 from ..filters.sound import SOUND_FILTERS
 from ..filters.unsound import MAYHB_FILTER_NAMES, UNSOUND_FILTERS
+from ..runner import CorpusRunner
 from .render import percent, render_table
 from .table1 import analyze_corpus_app
 
@@ -82,15 +80,12 @@ def figure5_app_data(spec: AppSpec,
 
 def run_figure5(apps: Optional[List[AppSpec]] = None,
                 config: Optional[AnalysisConfig] = None,
-                runner: Optional["CorpusRunner"] = None) -> Figure5Data:
+                runner: Optional[CorpusRunner] = None) -> Figure5Data:
     """Aggregate individual filter effectiveness over the test group."""
     specs = apps if apps is not None else test_apps()
-    if runner is None:
-        payloads = [figure5_app_data(spec, config) for spec in specs]
-    else:
-        payloads, _ = runner.run(
-            "figure5", [spec.name for spec in specs], {"config": config}
-        )
+    payloads, _ = (runner or CorpusRunner()).run(
+        "figure5", [spec.name for spec in specs], {"config": config}
+    )
     data = Figure5Data(
         sound_individual={f.name: 0 for f in SOUND_FILTERS},
         unsound_individual={f.name: 0 for f in UNSOUND_FILTERS},

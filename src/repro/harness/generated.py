@@ -16,7 +16,7 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional, Tuple, TYPE_CHECKING
 
 from .. import obs
-from ..core import AnalysisConfig, analyze_module, AnalysisResult
+from ..core import AnalysisConfig, analyze_app, AnalysisResult
 from ..corpus.generator import (
     generate_app,
     generate_corpus,
@@ -24,8 +24,6 @@ from ..corpus.generator import (
     GeneratedApp,
     GeneratorConfig,
 )
-from ..lowering import lower_sources
-from ..resilience import checkpoint
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..runner import CorpusRunner
@@ -43,10 +41,7 @@ def analyze_generated_app(
     gconfig = GeneratorConfig.from_dict(generator)
     gen = generate_app(gconfig, generated_app_index(app_name))
     obs.add("generator.labels", len(gen.labels))
-    checkpoint("lowering")
-    with obs.span("lowering") as sp:
-        module = lower_sources(gen.source, module_name=gen.name, seal=False)
-    return analyze_module(module, None, config, extra_spans=[sp])
+    return analyze_app(gen.source, None, config, module_name=gen.name)
 
 
 def generated_app_data(app_name: str,

@@ -10,29 +10,23 @@ category breakdown.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, TYPE_CHECKING, Union
+from typing import Dict, List, Optional
 
 from .. import obs
 from ..core import AnalysisConfig, analyze_module, AnalysisResult
 from ..corpus import all_apps, AppSpec, FP_CATEGORIES
 from ..race.warnings import PAIR_TYPES
 from ..resilience import checkpoint
+from ..runner import CorpusRunner
+from ..runner.serialize import result_to_data, ResultData, row_from_dict
 from ..runtime import Simulator, validate_warning
 from .render import render_table
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..runner import CorpusRunner
-    from ..runner.serialize import ResultData
 
 
 @dataclass
 class Table1Row:
     app: AppSpec
-    #: the full in-process result on the serial path, or its serializable
-    #: :class:`repro.runner.ResultData` view when produced by the runner
-    result: Union[AnalysisResult, "ResultData"]
-    counts: Dict[str, int]
-    pair_types: Dict[str, int]
+    result: ResultData
     true_harmful: int = 0
     confirmed_fields: List[str] = field(default_factory=list)
     fp_breakdown: Dict[str, int] = field(default_factory=dict)
@@ -40,6 +34,14 @@ class Table1Row:
     @property
     def name(self) -> str:
         return self.app.name
+
+    @property
+    def counts(self) -> Dict[str, int]:
+        return self.result.counts()
+
+    @property
+    def pair_types(self) -> Dict[str, int]:
+        return self.result.by_pair_type()
 
 
 def analyze_corpus_app(spec: AppSpec,
@@ -56,12 +58,7 @@ def build_row(spec: AppSpec, validate: bool = True,
               random_attempts: int = 40,
               config: Optional[AnalysisConfig] = None) -> Table1Row:
     result = analyze_corpus_app(spec, config)
-    row = Table1Row(
-        app=spec,
-        result=result,
-        counts=result.counts(),
-        pair_types=result.by_pair_type(),
-    )
+    row = Table1Row(app=spec, result=result_to_data(result))
 
     if validate:
         program = result.program
@@ -95,26 +92,15 @@ def build_row(spec: AppSpec, validate: bool = True,
 def run_table1(validate: bool = True, apps: Optional[List[AppSpec]] = None,
                random_attempts: int = 40,
                config: Optional[AnalysisConfig] = None,
-               runner: Optional["CorpusRunner"] = None) -> List[Table1Row]:
+               runner: Optional[CorpusRunner] = None) -> List[Table1Row]:
     """Build every row (slow with validation; ~1 minute serially).
 
-    Without a ``runner`` rows are built serially in-process and carry full
-    :class:`AnalysisResult` objects.  With a :class:`repro.runner
-    .CorpusRunner` the per-app analyses fan out over worker processes
-    (and/or come from the result cache) and rows carry serializable
-    :class:`repro.runner.ResultData` views; rendered output is identical
-    either way.
+    The per-app analyses go through ``runner`` -- fanned out over worker
+    processes and/or served from its result cache -- or, without one,
+    through a serial, uncached :class:`repro.runner.CorpusRunner`.
     """
     specs = apps if apps is not None else all_apps()
-    if runner is None:
-        return [
-            build_row(spec, validate=validate,
-                      random_attempts=random_attempts, config=config)
-            for spec in specs
-        ]
-    from ..runner.serialize import row_from_dict
-
-    payloads, _ = runner.run(
+    payloads, _ = (runner or CorpusRunner()).run(
         "table1",
         [spec.name for spec in specs],
         {"validate": validate, "random_attempts": random_attempts,

@@ -11,23 +11,21 @@ unsound filter (the may-``finish`` CHB cases).  Paper outcome: 28 total,
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, TYPE_CHECKING
+from typing import Dict, List, Optional
 
-from ..core import analyze_module, AnalysisConfig, AnalysisResult
+from ..core import analyze_app, AnalysisConfig, AnalysisResult
 from ..corpus.injector import (
     all_injections,
     DETECTED,
     INJECTED_APPS,
-    injected_module,
+    injected_source,
     Injection,
     injections_for,
     MISSED,
     PRUNED_UNSOUND,
 )
+from ..runner import CorpusRunner
 from .render import render_table
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..runner import CorpusRunner
 
 
 @dataclass
@@ -70,13 +68,8 @@ def _injection_by_id(injection_id: str) -> Injection:
 def table2_app_data(app_name: str,
                     config: Optional[AnalysisConfig] = None) -> Dict:
     """Classify one app's injections (serializable outcome records)."""
-    from .. import obs
-    from ..resilience import checkpoint
-
-    checkpoint("lowering")
-    with obs.span("lowering") as sp:
-        module = injected_module(app_name)
-    result = analyze_module(module, config=config, extra_spans=[sp])
+    result = analyze_app(injected_source(app_name), config=config,
+                         module_name=f"{app_name}-injected")
     outcomes = []
     for injection in injections_for(app_name):
         candidates = _locate(result, injection)
@@ -104,14 +97,11 @@ def _outcome_from_dict(record: Dict) -> InjectionOutcome:
 
 
 def run_table2(config: Optional[AnalysisConfig] = None,
-               runner: Optional["CorpusRunner"] = None
+               runner: Optional[CorpusRunner] = None
                ) -> List[InjectionOutcome]:
-    if runner is None:
-        payloads = [table2_app_data(name, config) for name in INJECTED_APPS]
-    else:
-        payloads, _ = runner.run(
-            "table2", list(INJECTED_APPS), {"config": config}
-        )
+    payloads, _ = (runner or CorpusRunner()).run(
+        "table2", list(INJECTED_APPS), {"config": config}
+    )
     return [
         _outcome_from_dict(record)
         for payload in payloads

@@ -14,17 +14,15 @@ misses every cross-class and cross-thread true UAF nAdroid reports.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, TYPE_CHECKING
+from dataclasses import dataclass, field
+from typing import Dict, List, Optional
 
 from ..core import AnalysisConfig
 from ..corpus import AppSpec, train_apps
 from ..deva import DevaWarning, run_deva
+from ..runner import CorpusRunner
 from .render import render_table
 from .table1 import analyze_corpus_app
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..runner import CorpusRunner
 
 
 @dataclass
@@ -42,6 +40,17 @@ class Table3Row:
         if self.nadroid_filtered:
             return "Detected & Filtered"
         return "Detected & Reported"
+
+
+@dataclass
+class Table3Data:
+    """Both directions of the comparison, from one fan-out."""
+
+    #: every harmful DEvA warning with nAdroid's verdict
+    rows: List[Table3Row] = field(default_factory=list)
+    #: true UAFs nAdroid reports that DEvA's harmful set misses, per app
+    #: (only apps where there are any)
+    deva_missed: Dict[str, int] = field(default_factory=dict)
 
 
 def table3_app_data(spec: AppSpec,
@@ -88,10 +97,10 @@ def table3_app_data(spec: AppSpec,
     return {"rows": rows, "deva_missed": deva_missed}
 
 
-def _rows_from_data(spec: AppSpec, payload: Dict) -> List[Table3Row]:
+def _rows_from_data(app_name: str, payload: Dict) -> List[Table3Row]:
     return [
         Table3Row(
-            app=spec.name,
+            app=app_name,
             deva_warning=DevaWarning(**record["deva"]),
             nadroid_detected=record["detected"],
             nadroid_filtered=record["filtered"],
@@ -101,30 +110,24 @@ def _rows_from_data(spec: AppSpec, payload: Dict) -> List[Table3Row]:
     ]
 
 
-def _train_data(config: Optional[AnalysisConfig] = None,
-                runner: Optional["CorpusRunner"] = None):
-    specs = train_apps()
-    if runner is None:
-        payloads = [table3_app_data(spec, config) for spec in specs]
-    else:
-        payloads, _ = runner.run(
-            "table3", [spec.name for spec in specs], {"config": config}
-        )
-    # Drop faulted apps ({"error": ...} under --keep-going) so training
-    # proceeds on the apps that did analyze.
-    return [(spec, payload) for spec, payload in zip(specs, payloads)
-            if "error" not in payload]
-
-
 def run_table3(config: Optional[AnalysisConfig] = None,
-               runner: Optional["CorpusRunner"] = None) -> List[Table3Row]:
-    rows: List[Table3Row] = []
-    for spec, payload in _train_data(config, runner):
-        rows.extend(_rows_from_data(spec, payload))
-    return rows
+               runner: Optional[CorpusRunner] = None) -> Table3Data:
+    names = [spec.name for spec in train_apps()]
+    payloads, _ = (runner or CorpusRunner()).run(
+        "table3", names, {"config": config}
+    )
+    data = Table3Data()
+    for name, payload in zip(names, payloads):
+        if "error" in payload:  # faulted app under --keep-going: no data
+            continue
+        data.rows.extend(_rows_from_data(name, payload))
+        if payload["deva_missed"]:
+            data.deva_missed[name] = payload["deva_missed"]
+    return data
 
 
-def summarize_table3(rows: List[Table3Row]) -> Dict[str, int]:
+def summarize_table3(data: Table3Data) -> Dict[str, int]:
+    rows = data.rows
     return {
         "deva_harmful": len(rows),
         "nadroid_detected": sum(1 for r in rows if r.nadroid_detected),
@@ -136,21 +139,7 @@ def summarize_table3(rows: List[Table3Row]) -> Dict[str, int]:
     }
 
 
-def nadroid_only_true_uafs(
-        config: Optional[AnalysisConfig] = None,
-        runner: Optional["CorpusRunner"] = None) -> Dict[str, int]:
-    """True UAFs nAdroid reports that DEvA's harmful set misses entirely
-    (the false-negative direction of the comparison)."""
-    missed_by_deva: Dict[str, int] = {}
-    for spec, payload in _train_data(config, runner):
-        if spec.true_uaf_fields and payload["deva_missed"]:
-            missed_by_deva[spec.name] = payload["deva_missed"]
-    return missed_by_deva
-
-
-def render_table3(rows: List[Table3Row],
-                  config: Optional[AnalysisConfig] = None,
-                  runner: Optional["CorpusRunner"] = None) -> str:
+def render_table3(data: Table3Data) -> str:
     body = [
         (
             r.app,
@@ -159,13 +148,12 @@ def render_table3(rows: List[Table3Row],
             r.deva_warning.free_method,
             r.verdict + (f" ({r.filtered_by})" if r.filtered_by else ""),
         )
-        for r in rows
+        for r in data.rows
     ]
     table = render_table(
         ["APP", "Field", "Use Callback", "Free Callback", "nAdroid"], body
     )
-    s = summarize_table3(rows)
-    deva_misses = nadroid_only_true_uafs(config, runner)
+    s = summarize_table3(data)
     return (
         f"{table}\n\n"
         f"DEvA harmful: {s['deva_harmful']}; nAdroid detects "
@@ -173,5 +161,5 @@ def render_table3(rows: List[Table3Row],
         f"{s['agreed_harmful']}, cannot model {s['not_detected']} "
         f"(paper: 13 / 12 / 11 / 1 / 1)\n"
         f"True UAFs nAdroid reports that DEvA misses: "
-        f"{sum(deva_misses.values())} across {sorted(deva_misses)}"
+        f"{sum(data.deva_missed.values())} across {sorted(data.deva_missed)}"
     )

@@ -14,15 +14,13 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, TYPE_CHECKING
+from typing import Dict, List, Optional
 
 from ..core import AnalysisConfig
-from ..corpus import all_apps, AppSpec
+from ..corpus import AppSpec
+from ..runner import CorpusRunner
 from .render import render_table
-from .table1 import analyze_corpus_app
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..runner import CorpusRunner
+from .table1 import run_table1
 
 #: every timed pipeline stage, in execution order
 STAGES = ("lowering", "modeling", "detection", "filtering")
@@ -74,29 +72,22 @@ class TimingData:
 
 def run_timing(apps: Optional[List[AppSpec]] = None,
                config: Optional[AnalysisConfig] = None,
-               runner: Optional["CorpusRunner"] = None) -> TimingData:
-    specs = apps if apps is not None else all_apps()
-    data = TimingData()
+               runner: Optional[CorpusRunner] = None) -> TimingData:
+    """Time every app's analysis.  The per-app work is the Table 1 run
+    without validation, so ``repro corpus`` and ``repro timing`` share
+    one cache entry per app."""
+    runner = runner or CorpusRunner()
     start = time.perf_counter()
-    if runner is None:
-        for spec in specs:
-            result = analyze_corpus_app(spec, config)
-            data.per_app[spec.name] = dict(result.timings)
-    else:
-        payloads, stats = runner.run(
-            "timing", [spec.name for spec in specs], {"config": config}
-        )
-        for spec, payload in zip(specs, payloads):
-            if "error" in payload:  # faulted app under --keep-going
-                continue
-            data.per_app[spec.name] = dict(payload["timings"])
-        data.analyzed = stats.analyzed
-        data.cached = stats.cached
-        data.jobs = stats.jobs
-    data.wall_seconds = time.perf_counter() - start
-    if runner is None:
-        data.analyzed = len(data.per_app)
-    return data
+    rows = run_table1(validate=False, apps=apps, config=config,
+                      runner=runner)
+    stats = runner.last_stats
+    return TimingData(
+        per_app={row.name: dict(row.result.timings) for row in rows},
+        wall_seconds=time.perf_counter() - start,
+        analyzed=stats.analyzed,
+        cached=stats.cached,
+        jobs=stats.jobs,
+    )
 
 
 def render_timing(data: TimingData) -> str:

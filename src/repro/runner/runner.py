@@ -2,7 +2,8 @@
 
 The corpus drivers (Table 1, Figure 5, Tables 2/3, the timing study) all
 reduce to *one independent analysis per app* followed by aggregation, so
-they share this runner: a fan-out over apps to long-lived worker
+they all run through this runner (serial and uncached when the caller
+passes none): a fan-out over apps to long-lived worker
 processes (the fault-isolating pool of :mod:`repro.resilience.pool`) with a
 content-addressed on-disk result cache in front (see
 :mod:`repro.runner.cache`).
@@ -78,27 +79,10 @@ def _task_table3(app_name: str, params: Dict[str, Any]) -> Dict[str, Any]:
     return table3_app_data(app(app_name), params.get("config"))
 
 
-def _task_timing(app_name: str, params: Dict[str, Any]) -> Dict[str, Any]:
-    from ..corpus import app
-    from ..harness.table1 import analyze_corpus_app
-
-    result = analyze_corpus_app(app(app_name), params.get("config"))
-    return {"timings": dict(result.timings)}
-
-
 def _task_generated(app_name: str, params: Dict[str, Any]) -> Dict[str, Any]:
     from ..harness.generated import generated_app_data
 
     return generated_app_data(app_name, params)
-
-
-def _task_gen_timing(app_name: str, params: Dict[str, Any]) -> Dict[str, Any]:
-    from ..harness.generated import analyze_generated_app
-
-    result = analyze_generated_app(
-        app_name, params["generator"], params.get("config")
-    )
-    return {"timings": dict(result.timings)}
 
 
 def _task_analyze(app_name: str, params: Dict[str, Any]) -> Dict[str, Any]:
@@ -119,9 +103,7 @@ _TASKS = {
     "figure5": _task_figure5,
     "table2": _task_table2,
     "table3": _task_table3,
-    "timing": _task_timing,
     "generated": _task_generated,
-    "gen-timing": _task_gen_timing,
     "analyze": _task_analyze,
 }
 
@@ -193,7 +175,7 @@ def _source_for(kind: str, app_name: str, params: Dict[str, Any]) -> str:
         from ..corpus.injector import injected_source
 
         return injected_source(app_name)
-    if kind in ("generated", "gen-timing"):
+    if kind == "generated":
         # Generated apps have no registry entry: regenerate the source
         # from the (config, index) coordinates carried in the params.
         from ..corpus.generator import (

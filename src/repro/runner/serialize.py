@@ -9,8 +9,9 @@ that layer:
 * ``warning_to_dict`` / ``warning_from_dict`` -- a :class:`UafWarning`
   with all occurrences and their filter verdicts,
 * :class:`ResultData` -- the serializable stand-in for
-  :class:`repro.core.AnalysisResult` (same Table-1-style accessors, minus
-  the program/points-to objects which never cross process boundaries),
+  :class:`repro.core.AnalysisResult` (the same
+  :class:`~repro.core.WarningFunnel` accessors, minus the
+  program/points-to objects which never cross process boundaries),
 * ``row_to_dict`` / ``row_from_dict`` -- a full Table 1 row,
 * ``config_fingerprint`` -- the canonical dict of an
   :class:`repro.core.AnalysisConfig` used in cache keys.
@@ -25,11 +26,11 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, field
 from typing import Any, Dict, List, Optional
 
-from ..core import AnalysisConfig, AnalysisResult
+from ..core import AnalysisConfig, AnalysisResult, WarningFunnel
 from ..filters.pipeline import FilterReport
 from ..ir import FieldRef
 from ..race.events import AccessEvent
-from ..race.warnings import Occurrence, PAIR_TYPES, UafWarning, Witness
+from ..race.warnings import Occurrence, UafWarning, Witness
 
 
 def warning_sort_key(warning: UafWarning):
@@ -147,7 +148,7 @@ def _report_from_dict(data: Dict[str, Any]) -> FilterReport:
 
 
 @dataclass
-class ResultData:
+class ResultData(WarningFunnel):
     """Serializable stand-in for :class:`repro.core.AnalysisResult`.
 
     Carries the warnings (with filter verdicts), the filter report, stage
@@ -163,31 +164,8 @@ class ResultData:
     timings: Dict[str, float] = field(default_factory=dict)
     model_counts: Dict[str, int] = field(default_factory=dict)
 
-    # -- AnalysisResult-compatible accessors ---------------------------------
-
-    @property
-    def potential(self) -> List[UafWarning]:
-        return self.warnings
-
-    def after_sound(self) -> List[UafWarning]:
-        return [w for w in self.warnings if w.survives_sound]
-
-    def remaining(self) -> List[UafWarning]:
-        return [w for w in self.warnings if w.survives_all]
-
-    def by_pair_type(self) -> Dict[str, int]:
-        counts = {t: 0 for t in PAIR_TYPES}
-        for warning in self.remaining():
-            counts[warning.pair_type()] += 1
-        return counts
-
-    def counts(self) -> Dict[str, int]:
-        return {
-            **self.model_counts,
-            "potential": self.report.potential,
-            "after_sound": self.report.after_sound,
-            "after_unsound": self.report.after_unsound,
-        }
+    def model_sizes(self) -> Dict[str, int]:
+        return self.model_counts
 
 
 def result_to_data(result: AnalysisResult) -> ResultData:
@@ -196,7 +174,7 @@ def result_to_data(result: AnalysisResult) -> ResultData:
         warnings=sorted(result.warnings, key=warning_sort_key),
         report=result.report,
         timings=dict(result.timings),
-        model_counts=result.program.forest.counts(),
+        model_counts=result.model_sizes(),
     )
 
 
@@ -220,17 +198,12 @@ def result_data_from_dict(payload: Dict[str, Any]) -> ResultData:
 
 def row_to_dict(row) -> Dict[str, Any]:
     """Serialize a :class:`repro.harness.table1.Table1Row`."""
-    result = row.result
-    if isinstance(result, AnalysisResult):
-        result = result_to_data(result)
     return {
         "app": row.app.name,
-        "counts": dict(row.counts),
-        "pair_types": dict(row.pair_types),
         "true_harmful": row.true_harmful,
         "confirmed_fields": list(row.confirmed_fields),
         "fp_breakdown": dict(row.fp_breakdown),
-        "result": result_data_to_dict(result),
+        "result": result_data_to_dict(row.result),
     }
 
 
@@ -241,8 +214,6 @@ def row_from_dict(payload: Dict[str, Any]):
     return Table1Row(
         app=app(payload["app"]),
         result=result_data_from_dict(payload["result"]),
-        counts=dict(payload["counts"]),
-        pair_types=dict(payload["pair_types"]),
         true_harmful=payload["true_harmful"],
         confirmed_fields=list(payload["confirmed_fields"]),
         fp_breakdown=dict(payload["fp_breakdown"]),

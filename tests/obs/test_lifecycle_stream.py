@@ -64,7 +64,7 @@ def _observe(jobs, cache_dir, state_dir):
     )
     with pytest.MonkeyPatch.context() as patch:
         patch.setenv(ENV_VAR, json.dumps(_plan(state_dir).to_dict()))
-        _, stats = runner.run("timing", APPS, {})
+        _, stats = runner.run("table1", APPS, {"validate": False})
     return {
         "events": _strip(stream.records),
         "stats": stats,
@@ -104,7 +104,7 @@ CACHE_HIT = ({"event": "cache-hit"},)
 
 EXPECTED_EVENTS = {
     "cold": (
-        [{"schema": 1, "event": "run-start", "kind": "timing", "apps": 4}]
+        [{"schema": 1, "event": "run-start", "kind": "table1", "apps": 4}]
         + _app_block("todolist", *RAISED, status="faulted")
         + _app_block("swiftnotes", status="analyzed")
         + _app_block("clipstack", *TIMED_OUT, status="faulted")
@@ -114,7 +114,7 @@ EXPECTED_EVENTS = {
             "faulted": 2}]
     ),
     "warm": (
-        [{"schema": 1, "event": "run-start", "kind": "timing", "apps": 4}]
+        [{"schema": 1, "event": "run-start", "kind": "table1", "apps": 4}]
         + _app_block("todolist", *RAISED, status="faulted")
         + _app_block("swiftnotes", *CACHE_HIT, status="cached")
         + _app_block("clipstack", *TIMED_OUT, status="faulted")

@@ -284,7 +284,7 @@ def test_runner_counters_identical_across_jobs():
     snapshots = {}
     for jobs in (1, 4):
         runner = CorpusRunner(jobs=jobs)
-        runner.run("timing", SUBSET, {})
+        runner.run("table1", SUBSET, {"validate": False})
         snapshots[jobs] = runner.last_metrics
     for name in SUBSET:
         assert snapshots[1].apps[name].counters \
@@ -296,9 +296,9 @@ def test_cache_replays_recorded_metric_snapshots(tmp_path):
     from repro.runner import CorpusRunner, ResultCache
 
     cold = CorpusRunner(cache=ResultCache(tmp_path))
-    cold.run("timing", SUBSET, {})
+    cold.run("table1", SUBSET, {"validate": False})
     warm = CorpusRunner(cache=ResultCache(tmp_path))
-    warm.run("timing", SUBSET, {})
+    warm.run("table1", SUBSET, {"validate": False})
     assert warm.last_stats.analyzed == 0
     assert warm.last_stats.cache_hits == len(SUBSET)
     for name in SUBSET:
@@ -310,7 +310,7 @@ def test_worker_spans_root_at_app_name():
     from repro.runner import CorpusRunner
 
     runner = CorpusRunner(jobs=2)
-    runner.run("timing", SUBSET, {})
+    runner.run("table1", SUBSET, {"validate": False})
     for name in SUBSET:
         spans = runner.last_metrics.apps[name].spans
         assert len(spans) == 1
@@ -324,7 +324,7 @@ def test_run_stats_describe_includes_cache_counts(tmp_path):
     from repro.runner import CorpusRunner, ResultCache
 
     runner = CorpusRunner(cache=ResultCache(tmp_path))
-    runner.run("timing", SUBSET[:1], {})
+    runner.run("table1", SUBSET[:1], {"validate": False})
     line = runner.last_stats.describe()
     assert "1 analyzed, 0 from cache" in line
     assert "cache: 0 hits, 1 misses, 1 stores" in line

@@ -34,7 +34,7 @@ def _run(jobs, policy=None, plan=None, telemetry=None):
         if plan is not None:
             patch.setenv(ENV_VAR, json.dumps(plan.to_dict()))
         try:
-            runner.run("timing", APPS, {})
+            runner.run("table1", APPS, {"validate": False})
         except FaultError:
             pass
     return runner, stream.records

@@ -232,7 +232,7 @@ def test_aggregator_key_count_is_bounded_by_hotspot_domains():
 def test_runner_feeds_the_aggregator():
     agg = LiveAggregator()
     runner = CorpusRunner(jobs=1, telemetry=agg)
-    runner.run("timing", SUBSET, {})
+    runner.run("table1", SUBSET, {"validate": False})
     progress = agg.progress()
     assert progress["apps"]["total"] == len(SUBSET)
     assert progress["apps"]["done"] == len(SUBSET)
@@ -250,10 +250,12 @@ def test_runner_feeds_the_aggregator():
 def test_runner_reports_cache_hits_to_the_aggregator(tmp_path):
     from repro.runner import ResultCache
 
-    CorpusRunner(cache=ResultCache(tmp_path)).run("timing", SUBSET, {})
+    CorpusRunner(cache=ResultCache(tmp_path)).run(
+        "table1", SUBSET, {"validate": False}
+    )
     agg = LiveAggregator()
     warm = CorpusRunner(cache=ResultCache(tmp_path), telemetry=agg)
-    warm.run("timing", SUBSET, {})
+    warm.run("table1", SUBSET, {"validate": False})
     progress = agg.progress()
     assert progress["apps"]["cached"] == len(SUBSET)
     # replayed envelopes still carry their recorded metrics

@@ -270,13 +270,73 @@ def test_analyze_report_and_sarif_out(app_file, tmp_path, capsys):
     assert all(r["locations"] for r in sarif["runs"][0]["results"])
 
 
-def test_report_out_unwritable_path_exits_2(app_file, capsys):
-    code = main(["analyze", app_file,
-                 "--report-out", "/no/such/dir/report.json"])
+UNWRITABLE = "/no/such/dir/x"
+
+TRIO = ["--apps", "todolist", "swiftnotes", "clipstack"]
+
+
+@pytest.mark.parametrize("argv, what", [
+    (["analyze", "{app}", "--metrics-out", UNWRITABLE], "metrics"),
+    (["corpus", "--apps", "todolist", "--no-cache",
+      "--metrics-out", UNWRITABLE], "metrics"),
+    (["analyze", "{app}", "--trace-out", UNWRITABLE], "trace"),
+    (["corpus", "--apps", "todolist", "--no-cache",
+      "--trace-out", UNWRITABLE], "trace"),
+    (["events", "to-trace", "{events}", UNWRITABLE], "trace"),
+    (["analyze", "{app}", "--report-out", UNWRITABLE], "report"),
+    (["analyze", "{app}", "--sarif-out", UNWRITABLE], "SARIF"),
+    (["corpus", "score", "--seed", "7", "--count", "2", "--no-cache",
+      "--score-out", UNWRITABLE], "score report"),
+    (["hotspots", "--apps", "todolist", "--no-cache",
+      "--flame", UNWRITABLE], "flamegraph stacks"),
+    (["bench", "--apps", "todolist", "--out", UNWRITABLE], "benchmark"),
+], ids=["analyze-metrics", "corpus-metrics", "analyze-trace",
+        "corpus-trace", "events-to-trace", "report", "sarif", "score",
+        "flame", "bench"])
+def test_every_artifact_flag_reports_an_unwritable_path(
+        app_file, tmp_path, capsys, argv, what):
+    events = tmp_path / "events.jsonl"
+    events.write_text("")
+    code = main([arg.format(app=app_file, events=events) for arg in argv])
     captured = capsys.readouterr()
     assert code == 2
-    assert "cannot write report" in captured.err
+    errors = [line for line in captured.err.splitlines()
+              if line.startswith("nadroid: error:")]
+    assert len(errors) == 1
+    assert errors[0].startswith(
+        f"nadroid: error: cannot write {what} to {UNWRITABLE}: "
+    )
     assert "Traceback" not in captured.err
+
+
+def test_table3_fans_the_train_apps_out_once(tmp_path, capsys):
+    import json
+
+    events = tmp_path / "events.jsonl"
+    code = main(["table3", "--no-cache", "--events-out", str(events)])
+    assert code == 0
+    assert "[runner] 7 apps (7 analyzed, 0 from cache)" \
+        in capsys.readouterr().err
+    kinds = [json.loads(line)["event"]
+             for line in events.read_text().splitlines()]
+    assert kinds.count("run-start") == 1
+    assert kinds.count("app-start") == 7
+    assert kinds.count("run-end") == 1
+
+
+@pytest.mark.parametrize("command, expected", [
+    (["timing"], "27 apps (24 analyzed, 3 from cache)"),
+    (["hotspots", *TRIO], "3 apps (0 analyzed, 3 from cache)"),
+    (["bench", *TRIO, "--out", "{out}"], "3 apps (0 analyzed, 3 from cache)"),
+], ids=["timing", "hotspots", "bench"])
+def test_registry_consumers_reuse_the_corpus_cache(
+        tmp_path, capsys, command, expected):
+    cache = ["--cache-dir", str(tmp_path / "cache")]
+    assert main(["corpus", *TRIO, *cache]) == 0
+    capsys.readouterr()
+    out = str(tmp_path / "bench.json")
+    assert main([arg.format(out=out) for arg in command] + cache) == 0
+    assert f"[runner] {expected}" in capsys.readouterr().err
 
 
 def test_corpus_report_out_covers_every_app(tmp_path, capsys):

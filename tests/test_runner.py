@@ -16,16 +16,21 @@ from repro.harness import (
     render_figure5,
     render_table1,
     render_table2,
+    render_table3,
     run_figure5,
     run_table1,
     run_table2,
+    run_table3,
+    run_timing,
 )
 from repro.runner import (
     cache_key,
     CACHE_SCHEMA,
     CorpusRunner,
     ResultCache,
+    ResultData,
     row_to_dict,
+    TASK_KINDS,
 )
 
 SUBSET = ["todolist", "clipstack", "photoaffix", "dashclock",
@@ -70,6 +75,41 @@ def test_parallel_table2_matches_serial():
     serial = run_table2()
     parallel = run_table2(runner=CorpusRunner(jobs=4))
     assert render_table2(serial) == render_table2(parallel)
+
+
+def test_parallel_table3_matches_serial():
+    serial = run_table3()
+    parallel = run_table3(runner=CorpusRunner(jobs=4))
+    assert serial.rows == parallel.rows
+    assert serial.deva_missed == parallel.deva_missed
+    assert render_table3(serial) == render_table3(parallel)
+
+
+def test_parallel_timing_matches_serial(specs):
+    serial = run_timing(apps=specs)
+    parallel = run_timing(apps=specs, runner=CorpusRunner(jobs=4))
+    assert list(serial.per_app) == list(parallel.per_app) == SUBSET
+    for name in SUBSET:
+        assert sorted(serial.per_app[name]) \
+            == sorted(parallel.per_app[name])
+    assert serial.analyzed == parallel.analyzed == len(SUBSET)
+
+
+# -- one execution path -------------------------------------------------------
+
+
+def test_rows_without_a_runner_carry_result_data(specs):
+    rows = run_table1(validate=False, apps=specs[:2])
+    assert [row.name for row in rows] == SUBSET[:2]
+    for row in rows:
+        assert type(row.result) is ResultData
+        assert row.counts == row.result.counts()
+        assert row.pair_types == row.result.by_pair_type()
+
+
+def test_task_kinds_are_the_distinct_worker_computations():
+    assert TASK_KINDS == ("analyze", "figure5", "generated", "table1",
+                          "table2", "table3")
 
 
 # -- cache --------------------------------------------------------------------
