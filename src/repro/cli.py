@@ -90,32 +90,44 @@ def _write_artifact(tag: str, what: str, path: str, write) -> None:
     print(f"[{tag}] wrote {path}", file=sys.stderr)
 
 
+def _open_cache(args: argparse.Namespace):
+    """The result cache the --cache-dir/--no-cache flags ask for."""
+    from .runner import default_cache_dir, ResultCache
+
+    if args.no_cache:
+        return None
+    cache_dir = Path(args.cache_dir) if args.cache_dir \
+        else default_cache_dir()
+    try:
+        cache_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        reason = exc.strerror or str(exc)
+        raise CliError(
+            f"cannot use cache directory {cache_dir}: {reason}"
+        ) from exc
+    return ResultCache(cache_dir)
+
+
+def _fault_policy(args: argparse.Namespace, keep_going: bool):
+    """The fault policy of the --timeout/--max-retries flags."""
+    from .resilience import FaultPolicy
+
+    timeout = getattr(args, "timeout", None)
+    max_retries = getattr(args, "max_retries", 1)
+    if timeout is not None and timeout <= 0:
+        raise CliError("--timeout must be a positive number of seconds")
+    if max_retries < 0:
+        raise CliError("--max-retries must be >= 0")
+    return FaultPolicy(timeout=timeout, max_retries=max_retries,
+                       keep_going=keep_going)
+
+
 def _make_runner(args: argparse.Namespace):
     """Build the corpus runner from the shared --jobs/--cache/fault flags."""
-    from .resilience import FaultPolicy
-    from .runner import CorpusRunner, default_cache_dir, ResultCache
+    from .runner import CorpusRunner
 
-    cache = None
-    if not args.no_cache:
-        cache_dir = Path(args.cache_dir) if args.cache_dir \
-            else default_cache_dir()
-        try:
-            cache_dir.mkdir(parents=True, exist_ok=True)
-        except OSError as exc:
-            reason = exc.strerror or str(exc)
-            raise CliError(
-                f"cannot use cache directory {cache_dir}: {reason}"
-            ) from exc
-        cache = ResultCache(cache_dir)
-    if getattr(args, "timeout", None) is not None and args.timeout <= 0:
-        raise CliError("--timeout must be a positive number of seconds")
-    if getattr(args, "max_retries", 1) < 0:
-        raise CliError("--max-retries must be >= 0")
-    policy = FaultPolicy(
-        timeout=getattr(args, "timeout", None),
-        max_retries=getattr(args, "max_retries", 1),
-        keep_going=getattr(args, "keep_going", False),
-    )
+    cache = _open_cache(args)
+    policy = _fault_policy(args, getattr(args, "keep_going", False))
     sinks = []
     events_out = getattr(args, "events_out", None)
     if events_out:
@@ -803,8 +815,6 @@ def cmd_bench_trend(args: argparse.Namespace) -> int:
 def cmd_serve(args: argparse.Namespace) -> int:
     """Run the analysis daemon (docs/service.md) until interrupted."""
     from .obs import LiveAggregator
-    from .resilience import FaultPolicy
-    from .runner import default_cache_dir, ResultCache
     from .service import AnalysisService, DEFAULT_QUEUE_LIMIT, ServiceServer
 
     if not 0 <= args.port <= 65535:
@@ -812,33 +822,17 @@ def cmd_serve(args: argparse.Namespace) -> int:
                        "a free port)")
     if args.jobs < 1:
         raise CliError("--jobs must be >= 1")
-    if args.timeout is not None and args.timeout <= 0:
-        raise CliError("--timeout must be a positive number of seconds")
-    if args.max_retries < 0:
-        raise CliError("--max-retries must be >= 0")
+    policy = _fault_policy(args, keep_going=True)
     queue_limit = args.queue_limit if args.queue_limit is not None \
         else DEFAULT_QUEUE_LIMIT
     if queue_limit < 1:
         raise CliError("--queue-limit must be >= 1")
-    cache = None
-    if not args.no_cache:
-        cache_dir = Path(args.cache_dir) if args.cache_dir \
-            else default_cache_dir()
-        try:
-            cache_dir.mkdir(parents=True, exist_ok=True)
-        except OSError as exc:
-            reason = exc.strerror or str(exc)
-            raise CliError(
-                f"cannot use cache directory {cache_dir}: {reason}"
-            ) from exc
-        cache = ResultCache(cache_dir)
+    cache = _open_cache(args)
     aggregator = LiveAggregator()
     service = AnalysisService(
         jobs=args.jobs,
         cache=cache,
-        policy=FaultPolicy(timeout=args.timeout,
-                           max_retries=args.max_retries,
-                           keep_going=True),
+        policy=policy,
         telemetry=aggregator,
         queue_limit=queue_limit,
     )

@@ -14,24 +14,21 @@ __all__ = ["Lowerer", "lower_sources", "compile_app"]
 def lower_sources(
     sources: Union[str, Iterable[Tuple[str, str]]],
     module_name: str = "app",
-    framework: bool = True,
-    verify: bool = True,
     seal: bool = True,
 ) -> Module:
-    """Parse and lower MiniDroid source text into a (by default sealed,
-    verified) IR module.
+    """Parse and lower MiniDroid source text into a verified (by default
+    sealed) IR module.
 
     ``sources`` is either one source string or an iterable of
-    ``(filename, source)`` pairs.  With ``framework=True`` (the default) the
-    Android stub classes are installed first so applications can extend and
-    call into them.  Pass ``seal=False`` when the module will be further
-    transformed (the threadifier adds synthetic classes and seals itself).
+    ``(filename, source)`` pairs.  The Android stub classes are installed
+    first so applications can extend and call into them.  Pass
+    ``seal=False`` when the module will be further transformed (the
+    threadifier adds synthetic classes and seals itself).
     """
     if isinstance(sources, str):
         sources = [("<source>", sources)]
     module = Module(module_name)
-    if framework:
-        install_framework(module)
+    install_framework(module)
 
     parsed = [(fname, parse_program(text, fname)) for fname, text in sources]
     lowerer = Lowerer(module)
@@ -44,12 +41,11 @@ def lower_sources(
     if seal:
         module.seal()
 
-    if verify:
-        problems = verify_module(module, known_external=FRAMEWORK_CLASS_NAMES)
-        if problems:
-            raise SourceError(
-                "IR verification failed:\n  " + "\n  ".join(problems)
-            )
+    problems = verify_module(module, known_external=FRAMEWORK_CLASS_NAMES)
+    if problems:
+        raise SourceError(
+            "IR verification failed:\n  " + "\n  ".join(problems)
+        )
     return module
 
 

@@ -29,22 +29,17 @@ _SENTINEL = -1.0
 class Span:
     """One timed region of the pipeline: a node in the trace tree."""
 
-    __slots__ = ("name", "attrs", "children", "wall_start", "duration",
-                 "_t0")
+    __slots__ = ("name", "attrs", "children", "duration", "_t0")
 
     def __init__(self, name: str, attrs: Optional[Dict[str, Any]] = None):
         self.name = name
         self.attrs: Dict[str, Any] = dict(attrs or {})
         self.children: List[Span] = []
-        #: absolute wall-clock start (``time.time``); never serialized,
-        #: so exported snapshots stay comparable across runs
-        self.wall_start = 0.0
         #: monotonic duration in seconds (``time.perf_counter`` delta)
         self.duration = _SENTINEL
         self._t0 = 0.0
 
     def begin(self) -> None:
-        self.wall_start = time.time()
         self._t0 = time.perf_counter()
 
     def end(self) -> None:

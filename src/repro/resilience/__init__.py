@@ -1,20 +1,19 @@
-"""Fault tolerance for corpus runs: isolation, deadlines, retries.
+"""Fault tolerance for corpus runs: isolation, timeouts, retries.
 
 One pathological app must never cost the other N-1 their results.  This
 package provides the pieces the runner threads through the pipeline:
 
 * :mod:`~repro.resilience.errors` -- the typed fault taxonomy and the
   classification of raw exceptions into JSON-safe fault records;
-* :mod:`~repro.resilience.deadline` -- cooperative per-app deadlines for
-  the in-process path;
 * :mod:`~repro.resilience.pool` -- the pool of long-lived, killable
-  workers with watchdog timeouts and transient-fault retries;
+  workers whose watchdog enforces every per-app timeout, plus
+  transient-fault retries;
 * :mod:`~repro.resilience.faultinject` -- the deterministic fault
   injection harness that tests all of the above.
 
 :func:`checkpoint` is the one call analysis code makes: at each stage
-boundary it gives planted faults a chance to fire and the cooperative
-deadline a chance to expire.  See docs/robustness.md.
+boundary it names the stage and gives planted faults a chance to fire.
+See docs/robustness.md.
 """
 
 from __future__ import annotations
@@ -23,15 +22,8 @@ from contextlib import contextmanager
 from contextvars import ContextVar
 from typing import Iterator, Optional
 
-from .deadline import (
-    Deadline,
-    check_deadline,
-    current_deadline,
-    deadline_scope,
-)
 from .errors import (
     AnalysisFault,
-    CooperativeTimeout,
     Fault,
     FAULT_KINDS,
     FaultError,
@@ -97,20 +89,18 @@ def task_scope(app: str) -> Iterator[None]:
 
 
 def checkpoint(stage: str) -> None:
-    """A pipeline stage boundary: fire planted faults, check the deadline.
+    """A pipeline stage boundary: record it, fire planted faults.
 
-    Costs one contextvar read each when no plan/deadline is active.
+    Costs two contextvar reads and one environment lookup when no plan
+    is active.
     """
     global _LAST_STAGE
     _LAST_STAGE = stage
     maybe_fault(_CURRENT_APP.get(), stage)
-    check_deadline()
 
 
 __all__ = [
     "AnalysisFault",
-    "CooperativeTimeout",
-    "Deadline",
     "FAULT_KINDS",
     "FAULT_PLAN_ENV_VAR",
     "Fault",
@@ -126,12 +116,9 @@ __all__ = [
     "TimeoutFault",
     "WorkerLostFault",
     "active_plan",
-    "check_deadline",
     "checkpoint",
     "current_app",
-    "current_deadline",
     "current_stage",
-    "deadline_scope",
     "fault_digest",
     "fault_from_dict",
     "fault_from_exception",

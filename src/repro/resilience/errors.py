@@ -8,8 +8,8 @@ report JSON (per-app ``fault`` entries) and SARIF tool-execution
 notifications.
 
 Determinism contract: the same failure produces a byte-identical fault
-record on the in-process path (``--jobs 1``) and the worker-process path
-(``--jobs N``).  Canonical constructors (:func:`timeout_fault`,
+record on the in-process path (an untimed ``--jobs 1`` run) and the
+worker-process path.  Canonical constructors (:func:`timeout_fault`,
 :func:`worker_lost_fault`) therefore never embed anything
 schedule-dependent (pids, exit codes, wall-clock), and
 ``traceback_digest`` hashes only the exception's type and message --
@@ -29,29 +29,15 @@ from typing import Any, Dict, Optional, Type
 
 from ..lang.errors import SourceError
 
-try:  # pragma: no cover - the pool never raises this itself
-    from concurrent.futures.process import BrokenProcessPool
-except ImportError:  # pragma: no cover - ancient pythons
-    class BrokenProcessPool(Exception):
-        """Placeholder when concurrent.futures.process is unavailable."""
-
 
 # -- exceptions the resilience layer itself raises ---------------------------
-
-
-class CooperativeTimeout(Exception):
-    """Raised at a stage boundary when the cooperative deadline passed."""
-
-    def __init__(self, seconds: float) -> None:
-        self.seconds = seconds
-        super().__init__(f"per-app deadline of {seconds:g}s exceeded")
 
 
 class SimulatedWorkerLoss(Exception):
     """The in-process stand-in for a worker death (``kill`` injection).
 
     ``os._exit`` in the main process would take the whole run down, so on
-    the ``--jobs 1`` path an injected kill raises this instead; the
+    the in-process path an injected kill raises this instead; the
     runner classifies it exactly like a real worker loss (transient,
     retried).
     """
@@ -65,8 +51,7 @@ class FaultError(RuntimeError):
     """Fail-fast surface: one app's fault aborted the run.
 
     The message is the one-line actionable form the CLI prints -- it
-    names the app that was running (the satellite fix for the formerly
-    opaque ``BrokenProcessPool`` traceback).
+    names the app that was running.
     """
 
     def __init__(self, fault: "Fault") -> None:
@@ -132,7 +117,7 @@ class AnalysisFault(Fault):
 
 
 class TimeoutFault(Fault):
-    """The per-app deadline expired (watchdog kill or cooperative)."""
+    """The per-app deadline expired and the watchdog killed the worker."""
 
     kind = "timeout"
 
@@ -171,9 +156,9 @@ def fault_from_dict(payload: Dict[str, Any]) -> Fault:
 
 
 def timeout_fault(app: str, seconds: Optional[float]) -> TimeoutFault:
-    """The canonical deadline fault -- identical whether the watchdog
-    killed a worker or the cooperative check raised in-process, so fault
-    entries stay byte-identical across ``--jobs`` settings."""
+    """The canonical deadline fault the watchdog records: it embeds
+    nothing schedule-dependent, so fault entries stay byte-identical
+    across ``--jobs`` settings."""
     message = f"exceeded the per-app timeout of {seconds:g}s" \
         if seconds is not None else "exceeded the per-app timeout"
     return TimeoutFault(
@@ -183,8 +168,7 @@ def timeout_fault(app: str, seconds: Optional[float]) -> TimeoutFault:
 
 
 def worker_lost_fault(app: str) -> WorkerLostFault:
-    """The canonical worker-death fault, naming the app that was running
-    (instead of the opaque ``BrokenProcessPool`` crash it replaces)."""
+    """The canonical worker-death fault, naming the app that was running."""
     message = (f"worker process died while analyzing '{app}' "
                f"(possible OOM kill or hard crash)")
     return WorkerLostFault(
@@ -200,9 +184,7 @@ def fault_from_exception(exc: BaseException, app: str,
     The mapping is the retry policy: :class:`WorkerLostFault` (and only
     it) comes back ``transient``.
     """
-    if isinstance(exc, CooperativeTimeout):
-        return timeout_fault(app, exc.seconds)
-    if isinstance(exc, (SimulatedWorkerLoss, BrokenProcessPool)):
+    if isinstance(exc, SimulatedWorkerLoss):
         return worker_lost_fault(app)
     if isinstance(exc, SourceError):
         cls: Type[Fault] = ParseFault

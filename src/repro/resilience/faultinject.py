@@ -15,8 +15,8 @@ Actions:
   analysis fault; never retried),
 * ``parse-error`` -- raise a MiniDroid :class:`ParseError` (classifies
   as a :class:`ParseFault`; never retried),
-* ``hang``        -- block until the watchdog kills the worker, or --
-  in-process -- until the cooperative deadline raises,
+* ``hang``        -- block until the watchdog kills the worker or
+  ``hang_seconds`` elapse,
 * ``kill``        -- ``os._exit`` the worker mid-task (a real worker
   loss, retried as transient); in-process it raises
   :class:`SimulatedWorkerLoss` so the run itself survives.
@@ -47,7 +47,6 @@ from pathlib import Path
 from typing import Any, Dict, Iterator, Optional, Tuple
 
 from ..lang.errors import ParseError
-from .deadline import current_deadline
 from .errors import InjectedFaultError, SimulatedWorkerLoss
 
 ENV_VAR = "NADROID_FAULT_PLAN"
@@ -207,17 +206,6 @@ def _claim_attempt(plan: FaultPlan, spec: FaultSpec) -> bool:
 # -- firing ------------------------------------------------------------------
 
 
-def _hang(plan: FaultPlan) -> None:
-    """Block until killed by the watchdog, interrupted by the cooperative
-    deadline, or (as a backstop) ``hang_seconds`` elapse."""
-    end = time.monotonic() + plan.hang_seconds
-    deadline = current_deadline()
-    while time.monotonic() < end:
-        if deadline is not None:
-            deadline.check()
-        time.sleep(0.02)
-
-
 def maybe_fault(app: Optional[str], stage: str) -> None:
     """Fire any planted fault matching (``app``, ``stage``).  No-op --
     one dict lookup -- when no plan is active."""
@@ -243,7 +231,9 @@ def maybe_fault(app: Optional[str], stage: str) -> None:
                 1, 1, f"{name}.mjava",
             )
         if spec.action == "hang":
-            _hang(plan)
+            # until the watchdog kills the worker; an untimed run has no
+            # watchdog, so hang_seconds is the backstop
+            time.sleep(plan.hang_seconds)
             return
         if spec.action == "kill":
             if _IN_WORKER:

@@ -1,14 +1,11 @@
 """Fault-isolating task pool: long-lived killable workers, one app each
 at a time.
 
-The previous runner pushed every pending app through one
-``ProcessPoolExecutor`` and called ``future.result()`` bare -- a single
-parse error, ``RecursionError`` or OOM-killed worker
-(``BrokenProcessPool``) aborted the whole run and threw away every other
-app's result.  This pool keeps per-app blast radius without paying a
-fork per app:
+One parse error, ``RecursionError`` or OOM-killed worker must cost one
+app's result, never the whole run.  This pool keeps per-app blast radius
+without paying a fork per app:
 
-* each :func:`run_tasks` call forks ``min(jobs, pending)`` **workers**
+* each :func:`run_parallel` call forks ``min(jobs, pending)`` **workers**
   that serve tasks one at a time over their own ``Pipe`` until the call
   returns; the task kind and ``params`` reach them through the fork, so
   a task is just its app name on the wire;
@@ -17,7 +14,9 @@ fork per app:
   rest of the queue;
 * a **watchdog** enforces the per-app deadline by ``terminate()``-ing
   the overrunning worker and recording a canonical
-  :class:`~repro.resilience.errors.TimeoutFault`;
+  :class:`~repro.resilience.errors.TimeoutFault`.  It is the only
+  timeout mechanism: :func:`run_tasks` sends every timed run through
+  the workers, even at ``--jobs 1`` or with a single pending app;
 * **transient** faults (worker lost) are re-submitted up to
   ``max_retries`` times; deterministic faults (parse/analysis crashes,
   timeouts) never are;
@@ -30,10 +29,10 @@ Workers are forked after the shared Android framework is built, so
 they inherit it copy-on-write instead of each building its own.  A
 worker that dies before replying (kill injection, OOM, segfault)
 surfaces as EOF on its pipe and classifies as :class:`WorkerLostFault`.
-The serial path (:func:`run_serial`) implements the same contract
-in-process, with the cooperative deadline of
-:mod:`repro.resilience.deadline` standing in for the watchdog, so
-``--jobs 1`` and ``--jobs N`` produce byte-identical fault records.
+An untimed run with one worker's worth of work takes the in-process
+path (:func:`run_serial`), which applies the same retry and keep-going
+policy, so ``--jobs 1`` and ``--jobs N`` produce byte-identical fault
+records.
 """
 
 from __future__ import annotations
@@ -45,7 +44,6 @@ from dataclasses import dataclass
 from multiprocessing.connection import wait as connection_wait
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
-from .deadline import deadline_scope
 from .errors import (
     Fault,
     fault_from_dict,
@@ -130,7 +128,7 @@ def run_serial(
     policy: FaultPolicy,
     observer: Optional[Observer] = None,
 ) -> PoolOutcome:
-    """The in-process twin of :func:`run_parallel` (``--jobs 1``)."""
+    """The in-process twin of :func:`run_parallel` for untimed runs."""
     from ..runner.runner import execute_app_task_observed
 
     outcome = PoolOutcome(envelopes={}, faults={})
@@ -140,8 +138,7 @@ def run_serial(
             if attempt == 1 and observer is not None:
                 observer("start", name, None)
             try:
-                with deadline_scope(policy.timeout):
-                    envelope = execute_app_task_observed(kind, name, params)
+                envelope = execute_app_task_observed(kind, name, params)
             except Exception as exc:
                 from . import current_stage
 
@@ -334,10 +331,11 @@ def run_tasks(
     policy: Optional[FaultPolicy] = None,
     observer: Optional[Observer] = None,
 ) -> PoolOutcome:
-    """Execute tasks under ``policy``, parallel when ``jobs > 1`` and
-    more than one task is pending."""
+    """Execute tasks under ``policy``: in worker processes when the
+    policy sets a timeout (the watchdog needs a process to kill) or when
+    ``jobs > 1`` and more than one task is pending; in-process otherwise."""
     policy = policy or FaultPolicy()
-    if jobs > 1 and len(names) > 1:
-        return run_parallel(kind, names, params, min(jobs, len(names)),
-                            policy, observer)
+    if policy.timeout is not None or (jobs > 1 and len(names) > 1):
+        return run_parallel(kind, names, params,
+                            max(1, min(jobs, len(names))), policy, observer)
     return run_serial(kind, names, params, policy, observer)

@@ -270,12 +270,14 @@ class RunMetrics:
 class CorpusRunner:
     """Fan per-app analysis tasks out over processes, behind the cache.
 
-    ``jobs <= 1`` runs in-process (no executor), which is also the
-    fallback when only one app misses the cache.  ``cache=None`` disables
-    caching entirely.
+    An untimed run with ``jobs <= 1``, or with only one app missing the
+    cache, runs in-process (no worker).  ``cache=None`` disables caching
+    entirely.
 
     ``policy`` governs fault tolerance (per-app timeout, transient
-    retries, keep-going vs fail-fast); the default fails fast with a
+    retries, keep-going vs fail-fast).  A policy with a timeout always
+    runs its apps in worker processes, even at ``jobs=1``, so the pool's
+    watchdog can kill an overrunning app.  The default fails fast with a
     one-line :class:`~repro.resilience.FaultError`.  Apps that end in a
     fault under ``keep_going`` come back as ``{"error": {...}}``
     payloads -- drivers skip them -- and the normalized faults are

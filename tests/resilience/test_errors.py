@@ -6,7 +6,6 @@ from repro.lang import LexError, tokenize
 from repro.lang.errors import ParseError
 from repro.resilience import (
     AnalysisFault,
-    CooperativeTimeout,
     Fault,
     FAULT_KINDS,
     FaultError,
@@ -15,7 +14,6 @@ from repro.resilience import (
     fault_from_exception,
     ParseFault,
     SimulatedWorkerLoss,
-    TimeoutFault,
     timeout_fault,
     WorkerLostFault,
     worker_lost_fault,
@@ -51,12 +49,6 @@ def test_non_decimal_digit_classifies_as_parse_fault():
     fault = fault_from_exception(excinfo.value, "badapp", stage="lowering")
     assert isinstance(fault, ParseFault)
     assert fault.message == "bad.mjava:1:10: unexpected character '²'"
-
-
-def test_cooperative_timeout_classifies_canonically():
-    fault = fault_from_exception(CooperativeTimeout(5.0), "slowapp")
-    assert isinstance(fault, TimeoutFault)
-    assert fault == timeout_fault("slowapp", 5.0)
 
 
 def test_simulated_worker_loss_classifies_canonically():

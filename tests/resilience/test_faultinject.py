@@ -6,8 +6,6 @@ import pytest
 
 from repro.lang.errors import ParseError
 from repro.resilience import (
-    CooperativeTimeout,
-    deadline_scope,
     FaultPlan,
     FaultSpec,
     InjectedFaultError,
@@ -92,13 +90,6 @@ def test_kill_in_process_simulates_worker_loss():
     with install(plan_with("kill")):
         with pytest.raises(SimulatedWorkerLoss):
             maybe_fault("myapp", "detection")
-
-
-def test_hang_is_interrupted_by_the_cooperative_deadline():
-    with install(plan_with("hang", hang_seconds=30.0)):
-        with deadline_scope(0.1):
-            with pytest.raises(CooperativeTimeout):
-                maybe_fault("myapp", "detection")
 
 
 def test_hang_backstop_returns_without_a_deadline():

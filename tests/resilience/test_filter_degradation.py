@@ -5,19 +5,12 @@ warning it would have removed *survives* -- degradation can only add
 false positives, never hide a true violation.
 """
 
-import pytest
-
 from repro import obs
 from repro.corpus import app
 from repro.filters.base import Filter
 from repro.filters.pipeline import FilterPipeline, FilterReport
 from repro.race.warnings import Occurrence, UafWarning, Witness
-from repro.resilience import (
-    CooperativeTimeout,
-    FaultPlan,
-    FaultSpec,
-    install,
-)
+from repro.resilience import FaultPlan, FaultSpec, install
 from repro.runner.serialize import _report_from_dict, _report_to_dict
 
 
@@ -43,14 +36,6 @@ class PruneAllFilter(Filter):
 
     def witness(self, occ, warning, ctx):
         return Witness(kind="test", detail="pruned by ALL")
-
-
-class TimeoutFilter(Filter):
-    name = "SLOW"
-    sound = True
-
-    def witness(self, occ, warning, ctx):
-        raise CooperativeTimeout(1.0)
 
 
 def fake_warnings(n=3):
@@ -119,15 +104,6 @@ def test_degradation_increments_the_obs_counter():
     with obs.use(recorder):
         pipeline.apply(fake_warnings())
     assert recorder.snapshot().counters["filters.degraded"] == 1
-
-
-def test_timeouts_outrank_degradation():
-    # A deadline expiry inside a filter must propagate (the app times
-    # out) rather than silently disabling the filter.
-    pipeline = FilterPipeline(ctx=None, sound_filters=(TimeoutFilter(),),
-                              unsound_filters=())
-    with pytest.raises(CooperativeTimeout):
-        pipeline.apply(fake_warnings(1))
 
 
 def test_degraded_entries_round_trip_through_serialization():

@@ -8,10 +8,14 @@ between cold and warm cache.
 """
 
 import json
+import time
 
 import pytest
 
+from repro import core
+from repro.filters.base import Filter
 from repro.resilience import (
+    current_app,
     FaultError,
     FaultPlan,
     FaultPolicy,
@@ -84,31 +88,56 @@ def test_fault_counters_reach_the_metrics_snapshot():
 # -- timeouts -----------------------------------------------------------------
 
 
-def test_cooperative_timeout_produces_the_canonical_fault():
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_timeout_produces_the_canonical_fault(jobs, monkeypatch):
+    # Every timed run goes through the watchdog, at any --jobs, and
+    # records the same canonical fault entry.
     plan = FaultPlan(faults=(FaultSpec(app="clipstack", stage="modeling",
                                        action="hang"),))
+    monkeypatch.setenv(ENV_VAR, json.dumps(plan.to_dict()))
     runner = CorpusRunner(
-        jobs=1, policy=FaultPolicy(timeout=0.5, keep_going=True)
+        jobs=jobs, policy=FaultPolicy(timeout=0.5, keep_going=True)
     )
-    with install(plan):
-        rows, stats = runner.run("table1", APPS, PARAMS)
+    rows, stats = runner.run("table1", APPS, PARAMS)
     assert stats.timeouts == 1
     assert runner.last_faults == [timeout_fault("clipstack", 0.5)]
     assert "error" in rows[1]
 
 
-def test_watchdog_timeout_matches_the_cooperative_fault(monkeypatch):
-    # The parallel watchdog terminate() and the serial cooperative check
-    # must record byte-identical fault entries.
-    plan = FaultPlan(faults=(FaultSpec(app="clipstack", stage="modeling",
-                                       action="hang"),))
-    monkeypatch.setenv(ENV_VAR, json.dumps(plan.to_dict()))
+class StuckFilter(Filter):
+    """A sound filter that never answers for one app: it sleeps without
+    crossing a stage boundary, so only a kill can bound it."""
+
+    name = "STUCK"
+    sound = True
+
+    def witness(self, occ, warning, ctx):
+        if current_app() == "todolist":
+            time.sleep(5.0)
+        return None
+
+
+@pytest.mark.parametrize("jobs, names", [
+    (1, ["todolist", "clipstack"]),
+    (4, ["todolist"]),
+])
+def test_a_stuck_stage_is_bounded_by_the_timeout(jobs, names, monkeypatch):
+    monkeypatch.setattr(core, "SOUND_FILTERS",
+                        core.SOUND_FILTERS + (StuckFilter(),))
     runner = CorpusRunner(
-        jobs=2, policy=FaultPolicy(timeout=0.5, keep_going=True)
+        jobs=jobs, policy=FaultPolicy(timeout=0.5, keep_going=True)
     )
-    rows, stats = runner.run("table1", APPS, PARAMS)
-    assert stats.timeouts == 1
-    assert runner.last_faults == [timeout_fault("clipstack", 0.5)]
+    started = time.perf_counter()
+    rows, stats = runner.run("table1", names, PARAMS)
+    assert time.perf_counter() - started < 2.5
+    assert runner.last_faults == [timeout_fault("todolist", 0.5)]
+    assert rows[0]["error"] == timeout_fault("todolist", 0.5).to_dict()
+    # the other app's row is intact: what an untimed run of it gives
+    reference = CorpusRunner(jobs=1).run("table1", names[1:], PARAMS)[0]
+    assert canonical(rows[1:], []) == canonical(reference, [])
+    # the timeout outranks degradation: the filter was not skipped
+    assert "filters.degraded" not in runner.last_metrics.totals().counters
+    assert "filters.degraded" not in stats.to_snapshot().counters
 
 
 # -- retries ------------------------------------------------------------------

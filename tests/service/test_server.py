@@ -2,15 +2,19 @@
 
 import json
 import threading
+import time
 import urllib.error
 import urllib.request
 
 import pytest
 
+from repro import core
 from repro.corpus import all_apps, app, GeneratorConfig
 from repro.corpus.generator import generate_app
+from repro.filters.base import Filter
 from repro.obs import LiveAggregator
 from repro.report import build_report
+from repro.resilience import timeout_fault
 from repro.runner import CorpusRunner, ResultCache
 from repro.service import (
     AnalysisService,
@@ -348,6 +352,49 @@ def test_malformed_source_is_a_parse_fault(server):
     [fault] = job["faults"]
     assert fault["kind"] == "parse"
     assert fault["message"] == "bad.mjava:1:20: unexpected character '²'"
+
+
+class StuckFilter(Filter):
+    """A sound filter that, while armed, never answers: it sleeps without
+    crossing a stage boundary, so only the watchdog's kill bounds it."""
+
+    name = "STUCK"
+    sound = True
+    armed = False
+
+    def witness(self, occ, warning, ctx):
+        if self.armed:
+            time.sleep(5.0)
+        return None
+
+
+def test_a_stuck_single_app_job_is_bounded_by_its_timeout(tmp_path,
+                                                          monkeypatch):
+    stuck = StuckFilter()
+    monkeypatch.setattr(core, "SOUND_FILTERS", core.SOUND_FILTERS + (stuck,))
+    service = AnalysisService(jobs=1, cache=ResultCache(tmp_path / "cache"),
+                              queue_limit=4)
+    srv = ServiceServer(service, port=0).start()
+    try:
+        stuck.armed = True
+        status, _, body = _request(srv.url + "/v1/analyze",
+                                   _analyze_payload(timeout=0.5))
+        assert status == 200
+        job = json.loads(body)
+        assert job["status"] == "done"
+        assert job["faults"] == [timeout_fault("app", 0.5).to_dict()]
+        assert job["wall_seconds"] < 2.5
+        # the drain thread is free again: the next job completes
+        stuck.armed = False
+        status, _, body = _request(srv.url + "/v1/analyze",
+                                   _analyze_payload(timeout=0.5))
+        assert status == 200
+        job = json.loads(body)
+        assert job["status"] == "done"
+        assert "faults" not in job
+        assert job["stats"]["analyzed"] == 1
+    finally:
+        srv.close()
 
 
 def test_http_errors(server):

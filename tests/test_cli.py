@@ -692,14 +692,16 @@ def test_serve_prints_listening_line_and_interrupt_exits_130(
 
 
 @pytest.mark.parametrize("flags, needle", [
-    (["--port", "70000"], "--port"),
-    (["--queue-limit", "0"], "--queue-limit"),
-    (["--jobs", "0"], "--jobs"),
-    (["--timeout", "0"], "--timeout"),
-    (["--max-retries", "-1"], "--max-retries"),
+    (["--no-cache", "--port", "70000"], "--port"),
+    (["--no-cache", "--queue-limit", "0"], "--queue-limit"),
+    (["--no-cache", "--jobs", "0"], "--jobs"),
+    (["--no-cache", "--timeout", "0"], "--timeout"),
+    (["--no-cache", "--max-retries", "-1"], "--max-retries"),
+    # a file where the cache directory should be
+    (["--cache-dir", __file__], "cannot use cache directory"),
 ])
 def test_serve_rejects_bad_flags(flags, needle, capsys):
-    code = main(["serve", "--no-cache"] + flags)
+    code = main(["serve"] + flags)
     assert code == 2
     assert needle in capsys.readouterr().err
 
