@@ -16,12 +16,20 @@ def timing():
 
 
 def test_benchmark_pipeline_staging(benchmark):
+    from repro import obs
     from repro.corpus import app
     from repro.harness.table1 import analyze_corpus_app
 
     spec = app("firefox")
-    result = benchmark(analyze_corpus_app, spec)
-    assert result.timings["total"] > 0
+
+    def staged():
+        recorder = obs.Recorder()
+        with obs.use(recorder), obs.span("app:firefox"):
+            analyze_corpus_app(spec)
+        return recorder.snapshot()
+
+    snapshot = benchmark(staged)
+    assert snapshot.stage_seconds()["total"] > 0
 
 
 def test_detection_dominates(timing):

@@ -470,11 +470,10 @@ def cmd_corpus(args: argparse.Namespace) -> int:
     )
     _report_stats(runner)
     _emit_observability(args, runner)
+    per_app = runner.last_metrics.apps
     if args.report_out or args.sarif_out:
         from .report import build_app_report, build_report, fault_app_report
 
-        metrics = runner.last_metrics
-        per_app = metrics.apps if metrics is not None else {}
         # Faulted apps have no row but still get a report entry carrying
         # their structured fault record, so the run report always has
         # one entry per input app.
@@ -494,7 +493,12 @@ def cmd_corpus(args: argparse.Namespace) -> int:
         print(f"\ntrue harmful UAFs: {total_true_harmful(rows)}")
         print(f"false positives by category: {fp_totals(rows)}")
     if args.csv:
-        save_result_analysis(rows, args.csv)
+        save_result_analysis(
+            rows,
+            {name: snapshot.stage_seconds()
+             for name, snapshot in per_app.items()},
+            args.csv,
+        )
         print(f"\nwrote {args.csv}")
     return _report_faults(runner)
 
@@ -602,47 +606,16 @@ def cmd_nosleep(args: argparse.Namespace) -> int:
     return 1
 
 
-def cmd_figure5(args: argparse.Namespace) -> int:
-    from .harness import render_figure5, run_figure5
+def cmd_paper_driver(args: argparse.Namespace) -> int:
+    """figure5/table2/table3/timing: ``harness.run_<driver>`` through the
+    runner, then ``harness.render_<driver>`` of its data on stdout."""
+    from . import harness
 
     runner = _make_runner(args)
-    data = run_figure5(runner=runner)
+    data = getattr(harness, f"run_{args.driver}")(runner=runner)
     _report_stats(runner)
     _emit_observability(args, runner)
-    print(render_figure5(data))
-    return _report_faults(runner)
-
-
-def cmd_table2(args: argparse.Namespace) -> int:
-    from .harness import render_table2, run_table2
-
-    runner = _make_runner(args)
-    outcomes = run_table2(runner=runner)
-    _report_stats(runner)
-    _emit_observability(args, runner)
-    print(render_table2(outcomes))
-    return _report_faults(runner)
-
-
-def cmd_table3(args: argparse.Namespace) -> int:
-    from .harness import render_table3, run_table3
-
-    runner = _make_runner(args)
-    data = run_table3(runner=runner)
-    _report_stats(runner)
-    _emit_observability(args, runner)
-    print(render_table3(data))
-    return _report_faults(runner)
-
-
-def cmd_timing(args: argparse.Namespace) -> int:
-    from .harness import render_timing, run_timing
-
-    runner = _make_runner(args)
-    data = run_timing(runner=runner)
-    _report_stats(runner)
-    _emit_observability(args, runner)
-    print(render_timing(data))
+    print(getattr(harness, f"render_{args.driver}")(data))
     return _report_faults(runner)
 
 
@@ -1079,15 +1052,15 @@ def build_parser() -> argparse.ArgumentParser:
     _add_runner_flags(pp)
     pp.set_defaults(fn=cmd_corpus_score)
 
-    for name, fn, help_text in (
-        ("figure5", cmd_figure5, "filter effectiveness (Figure 5)"),
-        ("table2", cmd_table2, "injected false-negative study (Table 2)"),
-        ("table3", cmd_table3, "DEvA comparison (Table 3)"),
-        ("timing", cmd_timing, "stage time breakdown (section 8.8)"),
+    for name, help_text in (
+        ("figure5", "filter effectiveness (Figure 5)"),
+        ("table2", "injected false-negative study (Table 2)"),
+        ("table3", "DEvA comparison (Table 3)"),
+        ("timing", "stage time breakdown (section 8.8)"),
     ):
         p = sub.add_parser(name, help=help_text)
         _add_runner_flags(p)
-        p.set_defaults(fn=fn)
+        p.set_defaults(fn=cmd_paper_driver, driver=name)
 
     p = sub.add_parser(
         "hotspots",

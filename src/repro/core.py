@@ -9,16 +9,17 @@ module:
       -> filtering (section 6)
       -> programmer-facing report (section 7)
 
-Every stage runs inside a :mod:`repro.obs` span; ``AnalysisResult.timings``
-is the backward-compatible flat view of those spans for the section 8.8
-benchmark, and the funnel counters (candidate pairs -> potential ->
-after_sound -> remaining) land on whatever recorder the caller installed.
+Every stage runs inside a :mod:`repro.obs` span, and the funnel counters
+(candidate pairs -> potential -> after_sound -> remaining) land on
+whatever recorder the caller installed; the section 8.8 stage seconds are
+read off that recorder's span tree
+(:meth:`repro.obs.MetricsSnapshot.stage_seconds`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 from . import obs
 from .analysis.lockset import LocksetAnalysis
@@ -30,7 +31,6 @@ from .filters.sound import SOUND_FILTERS
 from .filters.unsound import UNSOUND_FILTERS
 from .ir import Module
 from .lowering import lower_sources
-from .obs import Span
 from .resilience import checkpoint
 from .race.detector import detect_uaf_warnings, DetectorOptions
 from .race.warnings import PAIR_TYPES, UafWarning
@@ -82,63 +82,35 @@ class WarningFunnel:
 
 @dataclass
 class AnalysisResult(WarningFunnel):
-    """Everything the pipeline produced, plus its stage trace."""
+    """Everything the pipeline produced."""
 
     program: ThreadifiedProgram
     pointsto: PointsToResult
     lockset: LocksetAnalysis
     warnings: List[UafWarning]
     report: FilterReport
-    #: top-level stage spans in execution order (lowering is present when
-    #: the caller compiled from source; nested detail hangs off each span)
-    spans: List[Span] = field(default_factory=list)
     #: the pipeline that filtered ``warnings``: its verdicts answer
     #: further Figure 5 questions without re-running a filter
     pipeline: Optional[FilterPipeline] = None
 
-    @property
-    def timings(self) -> Dict[str, float]:
-        """Per-stage seconds, derived from the spans.
-
-        The pre-observability interface: flat ``{stage: seconds}`` plus a
-        ``"total"`` summing every stage (including lowering when timed).
-        """
-        out = {span.name: span.duration for span in self.spans}
-        out["total"] = sum(span.duration for span in self.spans)
-        return out
-
     def model_sizes(self) -> Dict[str, int]:
         return self.program.forest.counts()
-
-    def describe_remaining(self, limit: Optional[int] = None) -> str:
-        lines: List[str] = []
-        for warning in self.remaining()[:limit]:
-            lines.append(warning.describe(self.program.forest))
-        return "\n\n".join(lines)
 
 
 def analyze_module(
     module: Module,
     manifest: Optional[Manifest] = None,
     config: Optional[AnalysisConfig] = None,
-    extra_spans: Optional[Sequence[Span]] = None,
 ) -> AnalysisResult:
-    """Run the pipeline on an *unsealed* lowered module.
-
-    ``extra_spans`` lets callers that did timed work *before* this point
-    (source lowering, mainly) prepend their spans, so ``timings["total"]``
-    covers the real end-to-end wall-clock.
-    """
+    """Run the pipeline on an *unsealed* lowered module."""
     config = config or AnalysisConfig()
-    spans: List[Span] = list(extra_spans or ())
 
     checkpoint("modeling")
-    with obs.span("modeling") as sp:
+    with obs.span("modeling"):
         program = threadify(module, manifest)
-    spans.append(sp)
 
     checkpoint("detection")
-    with obs.span("detection") as sp:
+    with obs.span("detection"):
         with obs.span("pointsto", k=config.k):
             pointsto = run_pointsto(program.module, k=config.k)
         with obs.span("lockset"):
@@ -147,15 +119,13 @@ def analyze_module(
             warnings = detect_uaf_warnings(
                 program, pointsto, config.detector, lockset
             )
-    spans.append(sp)
 
     checkpoint("filtering")
-    with obs.span("filtering") as sp:
+    with obs.span("filtering"):
         ctx = FilterContext(program, pointsto, lockset, config.filters)
         unsound = () if config.filters.sound_only else UNSOUND_FILTERS
         pipeline = FilterPipeline(ctx, SOUND_FILTERS, unsound)
         report = pipeline.apply(warnings)
-    spans.append(sp)
 
     obs.add("funnel.potential", report.potential)
     obs.add("funnel.after_sound", report.after_sound)
@@ -167,7 +137,6 @@ def analyze_module(
         lockset=lockset,
         warnings=warnings,
         report=report,
-        spans=spans,
         pipeline=pipeline,
     )
 
@@ -180,6 +149,6 @@ def analyze_app(
 ) -> AnalysisResult:
     """Compile MiniDroid sources and run the full nAdroid pipeline."""
     checkpoint("lowering")
-    with obs.span("lowering") as sp:
+    with obs.span("lowering"):
         module = lower_sources(sources, module_name=module_name, seal=False)
-    return analyze_module(module, manifest, config, extra_spans=[sp])
+    return analyze_module(module, manifest, config)

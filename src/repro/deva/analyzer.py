@@ -169,9 +169,6 @@ class DevaAnalyzer:
                     )
         return warnings
 
-    def harmful_warnings(self) -> List[DevaWarning]:
-        return [w for w in self.analyze() if w.harmful]
-
 
 def run_deva(module: Module) -> List[DevaWarning]:
     """One-call wrapper returning every DEvA warning."""

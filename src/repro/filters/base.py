@@ -88,15 +88,6 @@ class FilterContext:
         forest = self.program.forest
         return forest.node(occ.use.node_id), forest.node(occ.free.node_id)
 
-    def atomic_with_respect_to(self, occ: Occurrence) -> bool:
-        """Is the use's callback atomic w.r.t. the free (no interleaving)?
-
-        True for two callbacks on the same looper (section 2.1 atomicity,
-        under the single-looper assumption), or when both accesses hold a
-        common lock.
-        """
-        return self.atomicity_witness(occ) is not None
-
     def atomicity_witness(self, occ: Occurrence) -> Optional[Dict[str, Any]]:
         """The reason the use is atomic w.r.t. the free, when one exists.
 

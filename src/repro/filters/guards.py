@@ -125,12 +125,6 @@ class _SymbolicValues:
             return None
         return path
 
-    def field_of(self, local: str) -> Optional[GuardFact]:
-        value = self.values.get(local)
-        if value is not None and value[0] == "field":
-            return (value[1], value[2], value[3])
-        return None
-
     def check_of(self, local: str) -> Optional[Tuple[GuardFact, str]]:
         value = self.values.get(local)
         if value is not None and value[0] == "check":

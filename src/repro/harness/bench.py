@@ -6,7 +6,8 @@ Runs the corpus through the cached parallel runner and emits a
 
 * ``schema`` / ``date`` / ``jobs`` -- provenance,
 * ``apps.<name>.timings`` -- per-stage seconds (lowering, modeling,
-  detection, filtering, total),
+  detection, filtering, total), read off the app's span tree
+  (:meth:`repro.obs.MetricsSnapshot.stage_seconds`),
 * ``apps.<name>.counters`` -- the deterministic analysis metrics
   (points-to passes and fact counts, detector funnel,
   per-filter drop counts); identical across ``--jobs`` settings,
@@ -33,7 +34,7 @@ import json
 from typing import Any, Dict, List, Optional
 
 from ..corpus import all_apps, AppSpec
-from ..obs import merge_snapshots, write_json
+from ..obs import write_json
 from ..runner import CorpusRunner
 from .table1 import run_table1
 
@@ -111,11 +112,8 @@ def run_bench(runner: CorpusRunner,
     specs = apps if apps is not None else all_apps()
     names = [spec.name for spec in specs]
     _announce_phase(runner, f"bench:registry:{len(names)}")
-    rows = run_table1(validate=False, apps=specs, config=config,
-                      runner=runner)
-    return _bench_payload(runner, names,
-                          {row.name: row.result.timings for row in rows},
-                          corpus=corpus_shape("registry", names))
+    run_table1(validate=False, apps=specs, config=config, runner=runner)
+    return _bench_payload(runner, corpus_shape("registry", names))
 
 
 def run_generated_bench(runner: CorpusRunner, gconfig,
@@ -128,58 +126,41 @@ def run_generated_bench(runner: CorpusRunner, gconfig,
     names = [generated_app_name(gconfig.seed, index)
              for index in range(gconfig.count)]
     _announce_phase(runner, f"bench:generated:{len(names)}")
-    payloads, _ = runner.run(
-        "generated", names,
-        {"config": config, "generator": gconfig.to_dict()},
-    )
+    runner.run("generated", names,
+               {"config": config, "generator": gconfig.to_dict()})
     return _bench_payload(
-        runner, names,
-        {name: payload["timings"] for name, payload in zip(names, payloads)
-         if "error" not in payload},  # faulted app under --keep-going
-        corpus=corpus_shape("generated", names,
-                            generator=gconfig.to_dict(), seed=gconfig.seed),
+        runner, corpus_shape("generated", names,
+                             generator=gconfig.to_dict(), seed=gconfig.seed),
     )
 
 
-def _bench_payload(runner: CorpusRunner, names: List[str],
-                   timings: Dict[str, Dict[str, float]],
-                   corpus: Optional[Dict[str, Any]] = None) -> Dict[str, Any]:
-    """``timings`` holds the stage seconds of every app that did not
-    fault; the rest of each entry is the app's metrics snapshot."""
+def _bench_payload(runner: CorpusRunner,
+                   corpus: Dict[str, Any]) -> Dict[str, Any]:
+    """One entry per app with a metrics snapshot (a faulted app under
+    ``--keep-going`` has none), its stage seconds read off its spans."""
     metrics = runner.last_metrics
-    per_app: Dict[str, Any] = {}
-    for name in names:
-        if name not in timings:
-            continue
-        snapshot = metrics.apps.get(name) if metrics else None
-        per_app[name] = {
-            "timings": dict(timings[name]),
-            "counters": dict(snapshot.counters) if snapshot else {},
-            "gauges": dict(snapshot.gauges) if snapshot else {},
-            "spans": list(snapshot.spans) if snapshot else [],
+    per_app = {
+        name: {
+            "timings": snapshot.stage_seconds(),
+            "counters": dict(snapshot.counters),
+            "gauges": dict(snapshot.gauges),
+            "spans": list(snapshot.spans),
         }
-
-    total_timings: Dict[str, float] = {}
-    for entry in per_app.values():
-        for stage, seconds in entry["timings"].items():
-            total_timings[stage] = total_timings.get(stage, 0.0) + seconds
-    merged = merge_snapshots(metrics.apps.values()) if metrics \
-        else merge_snapshots(())
-
-    payload = {
+        for name, snapshot in metrics.apps.items()
+    }
+    merged = metrics.totals()
+    return {
         "schema": BENCH_SCHEMA,
         "date": datetime.date.today().isoformat(),
         "jobs": runner.jobs,
         "run": runner.last_stats.to_snapshot().to_dict(),
         "apps": per_app,
         "totals": {
-            "timings": total_timings,
+            "timings": merged.stage_seconds(),
             "counters": merged.counters,
         },
+        "corpus": corpus,
     }
-    if corpus is not None:
-        payload["corpus"] = corpus
-    return payload
 
 
 def write_bench(payload: Dict[str, Any], path: str) -> None:

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import csv
 import io
-from typing import List, TextIO
+from typing import Dict, List, TextIO
 
 from ..race.warnings import PAIR_TYPES
 from .table1 import Table1Row
@@ -24,12 +24,17 @@ CSV_COLUMNS = [
 ]
 
 
-def write_result_analysis(rows: List[Table1Row], out: TextIO) -> None:
-    """Write the ResultAnalysis.csv equivalent to a text stream."""
+def write_result_analysis(rows: List[Table1Row],
+                          stage_seconds: Dict[str, Dict[str, float]],
+                          out: TextIO) -> None:
+    """Write the ResultAnalysis.csv equivalent to a text stream.
+
+    ``stage_seconds`` maps each row's app to the run's
+    :meth:`repro.obs.MetricsSnapshot.stage_seconds` for it."""
     writer = csv.writer(out)
     writer.writerow(CSV_COLUMNS)
     for row in rows:
-        timings = row.result.timings
+        timings = stage_seconds[row.name]
         writer.writerow([
             row.app.group,
             row.name,
@@ -51,14 +56,17 @@ def write_result_analysis(rows: List[Table1Row], out: TextIO) -> None:
         ])
 
 
-def result_analysis_csv(rows: List[Table1Row]) -> str:
+def result_analysis_csv(rows: List[Table1Row],
+                        stage_seconds: Dict[str, Dict[str, float]]) -> str:
     """The CSV as a string."""
     buffer = io.StringIO()
-    write_result_analysis(rows, buffer)
+    write_result_analysis(rows, stage_seconds, buffer)
     return buffer.getvalue()
 
 
-def save_result_analysis(rows: List[Table1Row], path: str) -> str:
+def save_result_analysis(rows: List[Table1Row],
+                         stage_seconds: Dict[str, Dict[str, float]],
+                         path: str) -> str:
     with open(path, "w", newline="") as handle:
-        write_result_analysis(rows, handle)
+        write_result_analysis(rows, stage_seconds, handle)
     return path

@@ -47,11 +47,9 @@ class Table1Row:
 def analyze_corpus_app(spec: AppSpec,
                        config: Optional[AnalysisConfig] = None) -> AnalysisResult:
     checkpoint("lowering")
-    with obs.span("lowering") as sp:
+    with obs.span("lowering"):
         module = spec.compile()
-    return analyze_module(
-        module, spec.manifest_for(module), config, extra_spans=[sp]
-    )
+    return analyze_module(module, spec.manifest_for(module), config)
 
 
 def build_row(spec: AppSpec, validate: bool = True,

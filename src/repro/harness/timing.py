@@ -75,14 +75,15 @@ def run_timing(apps: Optional[List[AppSpec]] = None,
                runner: Optional[CorpusRunner] = None) -> TimingData:
     """Time every app's analysis.  The per-app work is the Table 1 run
     without validation, so ``repro corpus`` and ``repro timing`` share
-    one cache entry per app."""
+    one cache entry per app; each app's stage seconds are read off the
+    span tree of its metrics snapshot."""
     runner = runner or CorpusRunner()
     start = time.perf_counter()
-    rows = run_table1(validate=False, apps=apps, config=config,
-                      runner=runner)
+    run_table1(validate=False, apps=apps, config=config, runner=runner)
     stats = runner.last_stats
     return TimingData(
-        per_app={row.name: dict(row.result.timings) for row in rows},
+        per_app={name: snapshot.stage_seconds()
+                 for name, snapshot in runner.last_metrics.apps.items()},
         wall_seconds=time.perf_counter() - start,
         analyzed=stats.analyzed,
         cached=stats.cached,

@@ -3,9 +3,9 @@
 Three layers, all optional at every call site:
 
 * **Spans** (:func:`span`) -- nested wall-clock timing regions forming a
-  trace tree per analysis.  A span always times itself, recorder or not,
-  so :class:`repro.core.AnalysisResult` timings work outside any
-  instrumentation context.
+  trace tree per analysis: the one record of stage time
+  (:meth:`MetricsSnapshot.stage_seconds`).  Without a recorder a span
+  times nothing.
 * **Counters and gauges** (:func:`add`, :func:`set_gauge`) -- named
   deterministic quantities (fact counts, worklist passes, filter funnel
   sizes) and non-deterministic measurements (wall seconds).  No-ops when

@@ -66,10 +66,11 @@ def describe_run(snapshot: MetricsSnapshot) -> str:
     counters = snapshot.counters
     analyzed = counters.get("runner.apps.analyzed", 0)
     cached = counters.get("runner.apps.cached", 0)
+    faulted = counters.get("runner.apps.faulted", 0)
     jobs = int(snapshot.gauges.get("runner.jobs", 1))
     wall = snapshot.gauges.get("runner.wall_seconds", 0.0)
     line = (
-        f"{analyzed + cached} apps ({analyzed} analyzed, "
+        f"{analyzed + cached + faulted} apps ({analyzed} analyzed, "
         f"{cached} from cache) in {wall:.2f}s "
         f"with {jobs} job{'s' if jobs != 1 else ''}"
     )
@@ -78,11 +79,10 @@ def describe_run(snapshot: MetricsSnapshot) -> str:
     stores = counters.get("runner.cache.stores", 0)
     if hits or misses or stores:
         line += f"; cache: {hits} hits, {misses} misses, {stores} stores"
-    faulted = counters.get("runner.apps.faulted", 0)
     if faulted:
         line += f"; {faulted} faulted"
-        # break the faults down by taxonomy kind when the run recorded
-        # them, so a [fault]-bearing run summarizes honestly in one line
+        # break the faults down by taxonomy kind, so a [fault]-bearing
+        # run summarizes honestly in one line
         kinds = {
             name[len("runner.faults."):]: value
             for name, value in counters.items()
@@ -92,10 +92,6 @@ def describe_run(snapshot: MetricsSnapshot) -> str:
             line += " (" + ", ".join(
                 f"{kind}={kinds[kind]}" for kind in sorted(kinds)
             ) + ")"
-        else:
-            timeouts = counters.get("runner.timeouts", 0)
-            if timeouts:
-                line += f" ({timeouts} timed out)"
     retries = counters.get("runner.retries", 0)
     if retries:
         line += f"; {retries} retr{'ies' if retries != 1 else 'y'}"

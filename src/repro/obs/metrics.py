@@ -51,9 +51,20 @@ class MetricsSnapshot:
             spans=list(data.get("spans", ())),
         )
 
-    def total_span_seconds(self) -> float:
-        """Summed duration of the top-level spans."""
-        return sum(s.get("duration_s") or 0.0 for s in self.spans)
+    def stage_seconds(self) -> Dict[str, float]:
+        """Per-stage seconds: ``{stage: seconds, ..., "total": their sum}``.
+
+        The stages are the children of each root span -- for one app's
+        snapshot, the ``app:<name>`` root's lowering/modeling/detection/
+        filtering.  Over a merged snapshot, each stage sums its apps.
+        """
+        stages: Dict[str, float] = {}
+        for root in self.spans:
+            for child in root.get("children", ()):
+                stages[child["name"]] = stages.get(child["name"], 0.0) \
+                    + (child.get("duration_s") or 0.0)
+        stages["total"] = sum(stages.values())
+        return stages
 
 
 def merge_snapshots(snapshots: Iterable[MetricsSnapshot]) -> MetricsSnapshot:

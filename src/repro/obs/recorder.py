@@ -5,9 +5,9 @@ A :class:`Span` is one timed region; spans nest into a tree per
 :func:`set_gauge` helpers talk to the recorder installed by :func:`use`
 (a :class:`contextvars.ContextVar`, so worker threads and nested
 analyses cannot corrupt each other's trees).  With no recorder
-installed, :func:`span` still times itself -- the pipeline's stage
-timings do not depend on instrumentation being active -- while counter
-and gauge updates become no-ops.
+installed, :func:`span` yields ``None`` and times nothing, and counter
+and gauge updates become no-ops: the recorder's span tree is the only
+record of stage time.
 
 Profiling: a recorder built with ``profile_stages={"pointsto", ...}``
 attaches a cProfile capture to matching spans (outermost-wins, since
@@ -195,24 +195,18 @@ def use(recorder: Recorder) -> Iterator[Recorder]:
 
 
 @contextmanager
-def span(name: str, **attrs: Any) -> Iterator[Span]:
-    """Time a region; recorded into the current recorder when present.
+def span(name: str, **attrs: Any) -> Iterator[Optional[Span]]:
+    """Time a region into the current recorder's trace tree.
 
-    Without a recorder the span still measures its duration (callers
-    like ``analyze_module`` read it for ``AnalysisResult`` timings), it
-    just does not land in any trace tree.
+    Without a recorder nothing is timed or built, and the block gets
+    ``None``.
     """
     recorder = _current.get()
-    if recorder is not None:
-        with recorder.span(name, **attrs) as node:
-            yield node
+    if recorder is None:
+        yield None
         return
-    node = Span(name, attrs)
-    node.begin()
-    try:
+    with recorder.span(name, **attrs) as node:
         yield node
-    finally:
-        node.end()
 
 
 def add(name: str, value: int = 1) -> None:

@@ -14,7 +14,6 @@ from .cache import (
 )
 from .runner import (
     CorpusRunner,
-    execute_app_task,
     execute_app_task_observed,
     RunMetrics,
     RunStats,
@@ -35,7 +34,7 @@ from .serialize import (
 
 __all__ = [
     "cache_key", "CACHE_SCHEMA", "config_fingerprint", "CorpusRunner",
-    "default_cache_dir", "execute_app_task", "execute_app_task_observed",
+    "default_cache_dir", "execute_app_task_observed",
     "result_data_from_dict", "result_data_to_dict", "result_to_data",
     "ResultCache", "ResultData", "row_from_dict", "row_to_dict",
     "RunMetrics", "RunStats", "TASK_KINDS", "warning_from_dict",

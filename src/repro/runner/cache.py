@@ -36,8 +36,10 @@ from .. import __version__
 #: -- and every stored envelope is stamped with its schema so stale
 #: entries read back as misses instead of half-empty explanations;
 #: 4: snapshots gained hotspot attribution metrics and optional
-#: ``mem.*.peak_kb`` gauges, which must replay on hits)
-CACHE_SCHEMA = 4
+#: ``mem.*.peak_kb`` gauges, which must replay on hits; 5: task
+#: payloads no longer copy the stage seconds -- they are read off the
+#: snapshot's span tree only)
+CACHE_SCHEMA = 5
 
 
 def default_cache_dir() -> Path:

@@ -110,12 +110,6 @@ _TASKS = {
 TASK_KINDS = tuple(sorted(_TASKS))
 
 
-def execute_app_task(kind: str, app_name: str,
-                     params: Dict[str, Any]) -> Dict[str, Any]:
-    """Run one per-app analysis task, without instrumentation."""
-    return _TASKS[kind](app_name, params)
-
-
 def execute_app_task_observed(kind: str, app_name: str,
                               params: Dict[str, Any]) -> Dict[str, Any]:
     """Worker-process entry point: run one task under a fresh recorder.

@@ -151,17 +151,16 @@ def _report_from_dict(data: Dict[str, Any]) -> FilterReport:
 class ResultData(WarningFunnel):
     """Serializable stand-in for :class:`repro.core.AnalysisResult`.
 
-    Carries the warnings (with filter verdicts), the filter report, stage
-    timings and the EC/PC/T model sizes -- everything the harness renderers
-    and the CSV export consume.  The heavyweight program/points-to/lockset
-    objects stay in the worker that produced them.
+    Carries the warnings (with filter verdicts), the filter report and the
+    EC/PC/T model sizes -- everything the harness renderers consume.  The
+    heavyweight program/points-to/lockset objects stay in the worker that
+    produced them; stage seconds travel in the task's metrics snapshot.
     """
 
     warnings: List[UafWarning] = field(default_factory=list)
     report: FilterReport = field(
         default_factory=lambda: FilterReport(0, 0, 0)
     )
-    timings: Dict[str, float] = field(default_factory=dict)
     model_counts: Dict[str, int] = field(default_factory=dict)
 
     def model_sizes(self) -> Dict[str, int]:
@@ -173,7 +172,6 @@ def result_to_data(result: AnalysisResult) -> ResultData:
     return ResultData(
         warnings=sorted(result.warnings, key=warning_sort_key),
         report=result.report,
-        timings=dict(result.timings),
         model_counts=result.model_sizes(),
     )
 
@@ -182,7 +180,6 @@ def result_data_to_dict(data: ResultData) -> Dict[str, Any]:
     return {
         "warnings": [warning_to_dict(w) for w in data.warnings],
         "report": _report_to_dict(data.report),
-        "timings": dict(data.timings),
         "model_counts": dict(data.model_counts),
     }
 
@@ -191,7 +188,6 @@ def result_data_from_dict(payload: Dict[str, Any]) -> ResultData:
     return ResultData(
         warnings=[warning_from_dict(w) for w in payload["warnings"]],
         report=_report_from_dict(payload["report"]),
-        timings=dict(payload["timings"]),
         model_counts=dict(payload["model_counts"]),
     )
 

@@ -9,15 +9,11 @@ dynamic views of the framework must agree, and tests assert they do.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
-from ..android.framework import (
-    concrete_return_class,
-    FRAMEWORK_CLASS_NAMES,
-    is_framework_class,
-)
+from ..android.framework import is_framework_class
 from ..ir import FieldRef, Module
-from .values import default_value, ObjRef, Value
+from .values import ObjRef
 
 Intrinsic = Callable  # (sim, thread, receiver, args, instr) -> Value
 
@@ -324,14 +320,3 @@ def _register_all(table: Dict[Tuple[str, str], Intrinsic]) -> None:
     @reg("StringUtils", "valueOf")
     def _value_of(sim, thread, receiver, args, instr):
         return str(args[0])
-
-
-def default_framework_result(sim, resolved_method) -> Value:
-    """Fallback for framework methods without a dedicated intrinsic: fresh
-    environment objects for reference returns, Java defaults otherwise."""
-    ret = resolved_method.return_type
-    if ret.is_reference() and ret.name in FRAMEWORK_CLASS_NAMES:
-        concrete = concrete_return_class(ret.name)
-        if concrete is not None:
-            return sim.heap.alloc(concrete)
-    return default_value(ret)

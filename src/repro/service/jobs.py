@@ -35,7 +35,6 @@ from ..report import (
     build_app_report,
     build_report,
     fault_app_report,
-    report_to_dict,
     report_to_json,
     report_to_sarif,
 )
@@ -189,9 +188,6 @@ class JobResult:
         """Canonical report text -- the exact bytes ``--report-out``
         writes for the same sources."""
         return report_to_json(self.report)
-
-    def report_dict(self) -> Dict[str, Any]:
-        return report_to_dict(self.report)
 
     def sarif_dict(self) -> Optional[Dict[str, Any]]:
         return report_to_sarif(self.report) if self.sarif else None

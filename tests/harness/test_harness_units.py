@@ -57,7 +57,10 @@ def test_render_table1_contains_every_app(small_rows):
 
 
 def test_csv_export_schema(small_rows):
-    text = result_analysis_csv(small_rows)
+    seconds = {row.name: {"modeling": 0.25, "detection": 0.5,
+                          "filtering": 0.125, "total": 0.875}
+               for row in small_rows}
+    text = result_analysis_csv(small_rows, seconds)
     reader = csv.reader(io.StringIO(text))
     header = next(reader)
     assert header == CSV_COLUMNS
@@ -68,6 +71,7 @@ def test_csv_export_schema(small_rows):
     assert connectbot[0] == "train"
     potential_index = CSV_COLUMNS.index("potential_uafs")
     assert int(connectbot[potential_index]) > 0
+    assert connectbot[CSV_COLUMNS.index("detection_seconds")] == "0.500000"
 
 
 def test_build_row_with_validation_on_tiny_app():

@@ -58,12 +58,20 @@ def test_describe_run_breaks_faults_down_by_kind():
     assert "1 retry" in line
 
 
-def test_describe_run_falls_back_to_timeout_count():
-    # payloads from before per-kind fault counters existed
-    snapshot = MetricsSnapshot(
-        counters={"runner.apps.analyzed": 1, "runner.apps.faulted": 1,
-                  "runner.timeouts": 1},
-        gauges={"runner.jobs": 1.0, "runner.wall_seconds": 0.5},
-        spans=[],
-    )
-    assert "1 faulted (1 timed out)" in describe_run(snapshot)
+def test_describe_run_counts_faulted_apps(monkeypatch, capsys):
+    """A keep-going run's app count includes the apps that faulted."""
+    import json
+
+    from repro.cli import main
+    from repro.resilience import FaultPlan, FaultSpec
+    from repro.resilience.faultinject import ENV_VAR
+
+    plan = FaultPlan(faults=(FaultSpec(app="todolist", stage="detection",
+                                       action="raise"),))
+    monkeypatch.setenv(ENV_VAR, json.dumps(plan.to_dict()))
+    code = main(["corpus", "--apps", "todolist", "swiftnotes", "clipstack",
+                 "--no-cache", "--keep-going"])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert "[runner] 3 apps (2 analyzed, 0 from cache)" in err
+    assert "; 1 faulted (analysis=1)" in err

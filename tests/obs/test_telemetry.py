@@ -264,18 +264,8 @@ def test_runner_reports_cache_hits_to_the_aggregator(tmp_path):
 
 def _run_payloads(telemetry, jobs):
     runner = CorpusRunner(jobs=jobs, telemetry=telemetry)
+    # payloads are analysis output only and must come out byte-identical
     payloads, _ = runner.run("table1", SUBSET, {})
-    # drop the wall-clock fields (nested per-stage timings); everything
-    # else is analysis output and must come out byte-identical
-    def strip(value):
-        if isinstance(value, dict):
-            return {key: strip(inner) for key, inner in value.items()
-                    if key != "timings"}
-        if isinstance(value, list):
-            return [strip(inner) for inner in value]
-        return value
-
-    payloads = [strip(payload) for payload in payloads]
     counters = {
         name: dict(snapshot.counters)
         for name, snapshot in runner.last_metrics.apps.items()

@@ -7,6 +7,7 @@ category: (a) EC-PC, (b) PC-PC, (c) C-NT.
 
 import pytest
 
+from repro import obs
 from repro.core import analyze_app
 
 # Figure 1(a): ConnectBot, single-threaded UAF between onServiceDisconnected
@@ -190,6 +191,9 @@ def test_fig1c_guard_without_lock_on_free_side_survives():
 
 
 def test_stage_timings_recorded():
-    result = analyze_app(FIG1A)
-    assert set(result.timings) >= {"modeling", "detection", "filtering", "total"}
-    assert result.timings["total"] > 0
+    recorder = obs.Recorder()
+    with obs.use(recorder), obs.span("app:fig1a"):
+        analyze_app(FIG1A)
+    timings = recorder.snapshot().stage_seconds()
+    assert set(timings) >= {"modeling", "detection", "filtering", "total"}
+    assert timings["total"] > 0

@@ -14,14 +14,10 @@ CONFIG = GeneratorConfig(seed=42, count=10)
 
 
 def _canonical(apps, results):
-    """Results as canonical JSON with wall-clock timings stripped."""
-    payloads = []
-    for result in results:
-        payload = result_data_to_dict(result)
-        payload["timings"] = {}
-        payloads.append(payload)
+    """Results as canonical JSON."""
     return json.dumps(
-        {"apps": [a.source for a in apps], "results": payloads},
+        {"apps": [a.source for a in apps],
+         "results": [result_data_to_dict(result) for result in results]},
         sort_keys=True,
     )
 

@@ -36,15 +36,9 @@ def raise_plan(app="todolist", stage="detection"):
 
 
 def canonical(rows, faults):
-    """Rows + fault records as canonical JSON, timings stripped."""
-    payloads = []
-    for row in rows:
-        payload = json.loads(json.dumps(row))
-        if "error" not in payload:
-            payload["result"]["timings"] = {}
-        payloads.append(payload)
+    """Rows + fault records as canonical JSON."""
     return json.dumps(
-        {"rows": payloads, "faults": [f.to_dict() for f in faults]},
+        {"rows": rows, "faults": [f.to_dict() for f in faults]},
         sort_keys=True,
     )
 

@@ -151,6 +151,13 @@ def test_corpus_csv_export_with_runner(tmp_path, capsys):
     content = csv_path.read_text().splitlines()
     assert content[0].startswith("group,app,EC,PC,T")
     assert content[1].startswith("train,todolist,5,0,1")
+    # a fresh run's stage seconds come off its span trees
+    import csv
+
+    row = next(csv.DictReader(content))
+    for column in ("modeling_seconds", "detection_seconds",
+                   "filtering_seconds"):
+        assert float(row[column]) > 0, column
 
 
 # -- observability (ISSUE 2) --------------------------------------------------
