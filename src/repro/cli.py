@@ -60,6 +60,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import nullcontext
 from pathlib import Path
 from typing import List
 
@@ -215,11 +216,10 @@ def _report_stats(runner) -> None:
     """Fan-out/cache statistics go to stderr so stdout stays byte-stable
     across --jobs settings; the line is rendered from the run's metrics
     snapshot rather than hand-formatted."""
-    if runner.last_metrics is not None:
-        from .obs import describe_run
+    from .obs import describe_run
 
-        print(f"[runner] {describe_run(runner.last_metrics.run)}",
-              file=sys.stderr)
+    print(f"[runner] {describe_run(runner.last_metrics.run)}",
+          file=sys.stderr)
 
 
 #: exit code for "the run completed, but some apps faulted" (--keep-going)
@@ -242,8 +242,6 @@ def _report_faults(runner) -> int:
 def _emit_observability(args, runner) -> None:
     """Honor --trace / --metrics-out for a runner-driven subcommand."""
     metrics = runner.last_metrics
-    if metrics is None:
-        return
     if getattr(args, "trace", False):
         from .obs import render_spans
 
@@ -321,13 +319,9 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
     config = AnalysisConfig(k=args.k)
     recorder = obs.Recorder(profile_stages=args.profile_stage or ())
-    with obs.use(recorder):
-        if args.memory:
-            with obs.track_memory(recorder):
-                result = analyze_app(_read_sources(args.files),
-                                     config=config)
-        else:
-            result = analyze_app(_read_sources(args.files), config=config)
+    memory = obs.track_memory(recorder) if args.memory else nullcontext()
+    with obs.use(recorder), memory:
+        result = analyze_app(_read_sources(args.files), config=config)
     snapshot = recorder.snapshot()
     if args.trace:
         print(obs.render_spans(snapshot.spans), file=sys.stderr)
@@ -620,24 +614,21 @@ def cmd_paper_driver(args: argparse.Namespace) -> int:
 
 
 def cmd_hotspots(args: argparse.Namespace) -> int:
-    from .harness import run_table1
+    from .harness import run_table1_metrics
     from .obs import collect_hotspots, render_hotspots
 
     if args.top <= 0:
         raise CliError("--top must be a positive number of rows")
     runner = _make_runner(args)
     # the same per-app work (and cache entries) as ``repro corpus``
-    run_table1(validate=False, apps=_corpus_apps(args), runner=runner)
+    metrics = run_table1_metrics(apps=_corpus_apps(args), runner=runner)
     _report_stats(runner)
     _emit_observability(args, runner)
-    metrics = runner.last_metrics
-    entries = collect_hotspots(metrics.apps.values()) if metrics else []
+    entries = collect_hotspots(metrics.apps.values())
     if args.flame:
         from .obs import collapsed_stacks
 
-        stacks = collapsed_stacks(
-            metrics.apps.values() if metrics else []
-        )
+        stacks = collapsed_stacks(metrics.apps.values())
         _write_artifact(
             "flame", "flamegraph stacks", args.flame,
             lambda path: Path(path).write_text(stacks, encoding="utf-8"),

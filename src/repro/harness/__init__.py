@@ -45,6 +45,7 @@ from .table1 import (
     fp_totals,
     render_table1,
     run_table1,
+    run_table1_metrics,
     Table1Row,
     total_true_harmful,
 )
@@ -79,7 +80,8 @@ __all__ = [
     "InjectionOutcome", "percent",
     "render_figure5", "render_table", "render_table1", "render_table2",
     "render_table3", "render_timing", "run_figure5", "run_table1",
-    "run_table2", "run_table3", "run_timing", "summarize_table2",
+    "run_table1_metrics", "run_table2", "run_table3", "run_timing",
+    "summarize_table2",
     "summarize_table3", "table2_app_data", "table3_app_data", "Table1Row",
     "Table3Data", "Table3Row", "TimingData", "total_true_harmful",
 ]

@@ -35,8 +35,8 @@ from typing import Any, Dict, List, Optional
 
 from ..corpus import all_apps, AppSpec
 from ..obs import write_json
-from ..runner import CorpusRunner
-from .table1 import run_table1
+from ..runner import CorpusRunner, RunMetrics
+from .table1 import run_table1_metrics
 
 #: stays 1 across additive fields (``corpus`` shape metadata is
 #: additive: old baselines without it remain valid compare targets)
@@ -112,8 +112,8 @@ def run_bench(runner: CorpusRunner,
     specs = apps if apps is not None else all_apps()
     names = [spec.name for spec in specs]
     _announce_phase(runner, f"bench:registry:{len(names)}")
-    run_table1(validate=False, apps=specs, config=config, runner=runner)
-    return _bench_payload(runner, corpus_shape("registry", names))
+    metrics = run_table1_metrics(apps=specs, config=config, runner=runner)
+    return _bench_payload(runner, metrics, corpus_shape("registry", names))
 
 
 def run_generated_bench(runner: CorpusRunner, gconfig,
@@ -126,19 +126,21 @@ def run_generated_bench(runner: CorpusRunner, gconfig,
     names = [generated_app_name(gconfig.seed, index)
              for index in range(gconfig.count)]
     _announce_phase(runner, f"bench:generated:{len(names)}")
-    runner.run("generated", names,
-               {"config": config, "generator": gconfig.to_dict()})
+    _, metrics = runner.run(
+        "generated", names,
+        {"config": config, "generator": gconfig.to_dict()},
+    )
     return _bench_payload(
-        runner, corpus_shape("generated", names,
-                             generator=gconfig.to_dict(), seed=gconfig.seed),
+        runner, metrics,
+        corpus_shape("generated", names, generator=gconfig.to_dict(),
+                     seed=gconfig.seed),
     )
 
 
-def _bench_payload(runner: CorpusRunner,
+def _bench_payload(runner: CorpusRunner, metrics: RunMetrics,
                    corpus: Dict[str, Any]) -> Dict[str, Any]:
     """One entry per app with a metrics snapshot (a faulted app under
     ``--keep-going`` has none), its stage seconds read off its spans."""
-    metrics = runner.last_metrics
     per_app = {
         name: {
             "timings": snapshot.stage_seconds(),
@@ -153,7 +155,7 @@ def _bench_payload(runner: CorpusRunner,
         "schema": BENCH_SCHEMA,
         "date": datetime.date.today().isoformat(),
         "jobs": runner.jobs,
-        "run": runner.last_stats.to_snapshot().to_dict(),
+        "run": metrics.run.to_dict(),
         "apps": per_app,
         "totals": {
             "timings": merged.stage_seconds(),

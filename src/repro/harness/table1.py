@@ -17,7 +17,7 @@ from ..core import AnalysisConfig, analyze_module, AnalysisResult
 from ..corpus import all_apps, AppSpec, FP_CATEGORIES
 from ..race.warnings import PAIR_TYPES
 from ..resilience import checkpoint
-from ..runner import CorpusRunner
+from ..runner import CorpusRunner, RunMetrics
 from ..runner.serialize import result_to_data, ResultData, row_from_dict
 from ..runtime import Simulator, validate_warning
 from .render import render_table
@@ -87,6 +87,21 @@ def build_row(spec: AppSpec, validate: bool = True,
     return row
 
 
+def _run_table1_task(validate: bool, apps: Optional[List[AppSpec]],
+                     random_attempts: int,
+                     config: Optional[AnalysisConfig],
+                     runner: Optional[CorpusRunner]):
+    """Run the ``table1`` task over ``apps`` (default: all 27); returns
+    the runner's ``(payloads, RunMetrics)``."""
+    specs = apps if apps is not None else all_apps()
+    return (runner or CorpusRunner()).run(
+        "table1",
+        [spec.name for spec in specs],
+        {"validate": validate, "random_attempts": random_attempts,
+         "config": config},
+    )
+
+
 def run_table1(validate: bool = True, apps: Optional[List[AppSpec]] = None,
                random_attempts: int = 40,
                config: Optional[AnalysisConfig] = None,
@@ -97,18 +112,23 @@ def run_table1(validate: bool = True, apps: Optional[List[AppSpec]] = None,
     processes and/or served from its result cache -- or, without one,
     through a serial, uncached :class:`repro.runner.CorpusRunner`.
     """
-    specs = apps if apps is not None else all_apps()
-    payloads, _ = (runner or CorpusRunner()).run(
-        "table1",
-        [spec.name for spec in specs],
-        {"validate": validate, "random_attempts": random_attempts,
-         "config": config},
-    )
+    payloads, _ = _run_table1_task(validate, apps, random_attempts,
+                                   config, runner)
     # Faulted apps come back as {"error": ...} envelopes under
     # --keep-going; the table simply has no row for them (the faults
     # themselves surface through runner.last_faults and the report).
     return [row_from_dict(payload) for payload in payloads
             if "error" not in payload]
+
+
+def run_table1_metrics(apps: Optional[List[AppSpec]] = None,
+                       config: Optional[AnalysisConfig] = None,
+                       runner: Optional[CorpusRunner] = None) -> RunMetrics:
+    """The ``run_table1(validate=False)`` run for callers that read only
+    its metrics (``bench``, ``timing``, ``hotspots``): the same task and
+    params, so the same cache entries as ``repro corpus``, but no payload
+    is decoded into rows."""
+    return _run_table1_task(False, apps, 40, config, runner)[1]
 
 
 def render_table1(rows: List[Table1Row]) -> str:

@@ -12,7 +12,6 @@ effective speedup over the summed per-stage analysis time.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
@@ -20,7 +19,7 @@ from ..core import AnalysisConfig
 from ..corpus import AppSpec
 from ..runner import CorpusRunner
 from .render import render_table
-from .table1 import run_table1
+from .table1 import run_table1_metrics
 
 #: every timed pipeline stage, in execution order
 STAGES = ("lowering", "modeling", "detection", "filtering")
@@ -76,18 +75,17 @@ def run_timing(apps: Optional[List[AppSpec]] = None,
     """Time every app's analysis.  The per-app work is the Table 1 run
     without validation, so ``repro corpus`` and ``repro timing`` share
     one cache entry per app; each app's stage seconds are read off the
-    span tree of its metrics snapshot."""
-    runner = runner or CorpusRunner()
-    start = time.perf_counter()
-    run_table1(validate=False, apps=apps, config=config, runner=runner)
-    stats = runner.last_stats
+    span tree of its metrics snapshot, and the wall-clock, app counts and
+    jobs off the run's own snapshot."""
+    metrics = run_table1_metrics(apps=apps, config=config, runner=runner)
+    run = metrics.run
     return TimingData(
         per_app={name: snapshot.stage_seconds()
-                 for name, snapshot in runner.last_metrics.apps.items()},
-        wall_seconds=time.perf_counter() - start,
-        analyzed=stats.analyzed,
-        cached=stats.cached,
-        jobs=stats.jobs,
+                 for name, snapshot in metrics.apps.items()},
+        wall_seconds=run.gauges["runner.wall_seconds"],
+        analyzed=run.counters["runner.apps.analyzed"],
+        cached=run.counters["runner.apps.cached"],
+        jobs=int(run.gauges["runner.jobs"]),
     )
 
 

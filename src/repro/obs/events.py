@@ -2,8 +2,9 @@
 
 Each lifecycle fact of a run is stated once, as one record of this
 stream; the JSONL file, ``--progress``, the ``--trace-out`` instants,
-the live telemetry and the runner's :class:`~repro.runner.RunStats` are
-all folds over it.  Each line is one schema-versioned event::
+the live telemetry and the runner's run snapshot
+(``CorpusRunner.last_metrics.run``) are all folds over it.  Each line
+is one schema-versioned event::
 
     {"schema": 1, "event": "app-done", "t": 1.234567, "app": "...",
      "status": "analyzed", "duration_s": 0.021}

@@ -16,7 +16,6 @@ from .runner import (
     CorpusRunner,
     execute_app_task_observed,
     RunMetrics,
-    RunStats,
     TASK_KINDS,
 )
 from .serialize import (
@@ -37,6 +36,6 @@ __all__ = [
     "default_cache_dir", "execute_app_task_observed",
     "result_data_from_dict", "result_data_to_dict", "result_to_data",
     "ResultCache", "ResultData", "row_from_dict", "row_to_dict",
-    "RunMetrics", "RunStats", "TASK_KINDS", "warning_from_dict",
+    "RunMetrics", "TASK_KINDS", "warning_from_dict",
     "warning_sort_key", "warning_to_dict",
 ]

@@ -18,14 +18,17 @@ Observability: every task executes under a fresh :class:`repro.obs
 .Recorder` whose snapshot (span tree rooted at ``app:<name>`` plus the
 analysis counters) rides back across the process boundary -- and into the
 cache, so cache hits replay the metrics recorded when the entry was
-built.  The runner exposes them as :attr:`CorpusRunner.last_metrics`.
-:class:`RunStats`, the event sinks and the live telemetry are all folds
-over one lifecycle stream (:class:`repro.obs.RunEventLog`).
+built.  The runner exposes them as :attr:`CorpusRunner.last_metrics`,
+beside the run's own snapshot (``last_metrics.run``, the one record of
+what the run did).  That snapshot, the event sinks and the live
+telemetry are all folds over one lifecycle stream
+(:class:`repro.obs.RunEventLog`).
 """
 
 from __future__ import annotations
 
 import time
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
@@ -120,19 +123,14 @@ def execute_app_task_observed(kind: str, app_name: str,
     instead of interleaving them.
     """
     recorder = Recorder()
-    with task_scope(app_name):
-        with obs_use(recorder):
-            if params.get("memory"):
-                # opt-in tracemalloc gauges (mem.app.peak_kb and
-                # mem.stage.<span>.peak_kb) ride the same snapshot
-                with track_memory(recorder):
-                    with obs_span(f"app:{app_name}", kind=kind):
-                        checkpoint("task")
-                        data = _TASKS[kind](app_name, params)
-            else:
-                with obs_span(f"app:{app_name}", kind=kind):
-                    checkpoint("task")
-                    data = _TASKS[kind](app_name, params)
+    # opt-in tracemalloc gauges (mem.app.peak_kb and
+    # mem.stage.<span>.peak_kb) ride the same snapshot
+    memory = track_memory(recorder) if params.get("memory") \
+        else nullcontext()
+    with task_scope(app_name), obs_use(recorder), memory:
+        with obs_span(f"app:{app_name}", kind=kind):
+            checkpoint("task")
+            data = _TASKS[kind](app_name, params)
     return {"data": data, "obs": recorder.snapshot().to_dict()}
 
 
@@ -184,69 +182,6 @@ def _source_for(kind: str, app_name: str, params: Dict[str, Any]) -> str:
 
 
 @dataclass
-class RunStats:
-    """What one driver invocation actually did."""
-
-    analyzed: int = 0
-    cached: int = 0
-    wall_seconds: float = 0.0
-    jobs: int = 1
-    cache_hits: int = 0
-    cache_misses: int = 0
-    cache_stores: int = 0
-    #: apps that ended in a fault (error envelope) instead of a result
-    faulted: int = 0
-    #: transient-fault re-submissions performed
-    retries: int = 0
-    #: faults that were per-app deadline expiries
-    timeouts: int = 0
-    #: cache entries quarantined as ``.json.corrupt`` during this run
-    cache_corrupt: int = 0
-    #: fault-kind histogram, e.g. ``{"parse": 1, "timeout": 1}``
-    fault_kinds: Dict[str, int] = field(default_factory=dict)
-
-    @property
-    def total(self) -> int:
-        return self.analyzed + self.cached
-
-    def to_snapshot(self) -> MetricsSnapshot:
-        """The run's fan-out/cache behaviour as a metrics snapshot --
-        the structured form behind every stderr summary and
-        ``--metrics-out`` payload."""
-        counters = {
-            "runner.apps.analyzed": self.analyzed,
-            "runner.apps.cached": self.cached,
-            "runner.cache.hits": self.cache_hits,
-            "runner.cache.misses": self.cache_misses,
-            "runner.cache.stores": self.cache_stores,
-        }
-        # Fault-tolerance counters appear only on runs that needed them,
-        # keeping fault-free metrics payloads byte-stable across versions.
-        if self.faulted:
-            counters["runner.apps.faulted"] = self.faulted
-        if self.retries:
-            counters["runner.retries"] = self.retries
-        if self.timeouts:
-            counters["runner.timeouts"] = self.timeouts
-        if self.cache_corrupt:
-            counters["runner.cache.corrupt"] = self.cache_corrupt
-        for kind in sorted(self.fault_kinds):
-            counters[f"runner.faults.{kind}"] = self.fault_kinds[kind]
-        return MetricsSnapshot(
-            counters=counters,
-            gauges={
-                "runner.jobs": float(self.jobs),
-                "runner.wall_seconds": self.wall_seconds,
-            },
-        )
-
-    def describe(self) -> str:
-        from ..obs import describe_run
-
-        return describe_run(self.to_snapshot())
-
-
-@dataclass
 class RunMetrics:
     """Observability bundle for one driver invocation."""
 
@@ -279,8 +214,11 @@ class CorpusRunner:
 
     Each run is narrated once, into a :class:`repro.obs.RunEventLog`
     -- ``events`` when given (its sinks flush in input-app order), else
-    a sink-less one -- and :class:`RunStats` is read off its funnel.  A
-    fail-fast abort still states the fault and the run-end first.
+    a sink-less one -- and the run's snapshot (``last_metrics.run``) is
+    read off its funnel.  A fail-fast abort closes the run like any
+    other: it states the fault and the run-end, and leaves
+    :attr:`last_metrics` (the apps landed so far) and :attr:`last_faults`
+    (the aborting fault) describing that run before it re-raises.
     ``memory=True`` turns on tracemalloc peak gauges in every worker; it
     joins the cache fingerprint, so instrumented and plain runs never
     share entries.
@@ -305,7 +243,6 @@ class CorpusRunner:
         self.events = events
         self.memory = bool(memory)
         self.telemetry = telemetry
-        self.last_stats: Optional[RunStats] = None
         self.last_metrics: Optional[RunMetrics] = None
         self.last_faults: List[Fault] = []
 
@@ -328,38 +265,72 @@ class CorpusRunner:
             out["fault_plan"] = plan.digest()
         return out
 
+    def _cache_counts(self) -> Tuple[int, int, int, int]:
+        """The cache's running hits, misses, stores and quarantines."""
+        cache = self.cache
+        if cache is None:
+            return (0, 0, 0, 0)
+        return (cache.hits, cache.misses, cache.stores, cache.corrupt)
+
     def _close_run(self, log: RunEventLog, start: float,
-                   cache_base: Tuple[int, int, int, int]) -> RunStats:
-        """Read the run's stats off its funnel and state its run-end."""
+                   cache_base: Tuple[int, int, int, int],
+                   snapshots: Dict[str, MetricsSnapshot],
+                   app_names: Sequence[str],
+                   faults: List[Fault]) -> RunMetrics:
+        """Build the run's metrics off its funnel and the cache deltas,
+        state its run-end and record it as :attr:`last_metrics`."""
         funnel = log.funnel
-        stats = RunStats(
-            analyzed=funnel.analyzed, cached=funnel.cached,
-            faulted=funnel.faulted, retries=funnel.retries,
-            timeouts=funnel.timeouts, fault_kinds=dict(funnel.fault_kinds),
-            wall_seconds=time.perf_counter() - start, jobs=self.jobs,
+        wall_seconds = time.perf_counter() - start
+        hits, misses, stores, corrupt = (
+            now - base for now, base in zip(self._cache_counts(), cache_base)
         )
-        if self.cache is not None:
-            stats.cache_hits = self.cache.hits - cache_base[0]
-            stats.cache_misses = self.cache.misses - cache_base[1]
-            stats.cache_stores = self.cache.stores - cache_base[2]
-            stats.cache_corrupt = self.cache.corrupt - cache_base[3]
+        counters = {
+            "runner.apps.analyzed": funnel.analyzed,
+            "runner.apps.cached": funnel.cached,
+            "runner.cache.hits": hits,
+            "runner.cache.misses": misses,
+            "runner.cache.stores": stores,
+        }
+        # Fault-tolerance counters appear only on runs that needed them,
+        # keeping fault-free metrics payloads byte-stable across versions.
+        for name, value in (("runner.apps.faulted", funnel.faulted),
+                            ("runner.retries", funnel.retries),
+                            ("runner.timeouts", funnel.timeouts),
+                            ("runner.cache.corrupt", corrupt)):
+            if value:
+                counters[name] = value
+        for kind in sorted(funnel.fault_kinds):
+            counters[f"runner.faults.{kind}"] = funnel.fault_kinds[kind]
+        run = MetricsSnapshot(
+            counters=counters,
+            gauges={"runner.jobs": float(self.jobs),
+                    "runner.wall_seconds": wall_seconds},
+        )
         log.run_end(
-            stats.to_snapshot(),
-            analyzed=stats.analyzed,
-            cached=stats.cached,
-            faulted=stats.faulted,
-            wall_seconds=round(stats.wall_seconds, 6),
+            run,
+            analyzed=funnel.analyzed,
+            cached=funnel.cached,
+            faulted=funnel.faulted,
+            wall_seconds=round(wall_seconds, 6),
         )
-        self.last_stats = stats
-        return stats
+        self.last_faults = faults
+        self.last_metrics = RunMetrics(
+            run=run,
+            apps={name: snapshots[name] for name in app_names
+                  if name in snapshots},
+        )
+        return self.last_metrics
 
     def run(
         self,
         kind: str,
         app_names: Sequence[str],
         params: Optional[Dict[str, Any]] = None,
-    ) -> Tuple[List[Dict[str, Any]], RunStats]:
-        """Execute ``kind`` for every app; results follow the input order."""
+    ) -> Tuple[List[Dict[str, Any]], RunMetrics]:
+        """Execute ``kind`` for every app; results follow the input order.
+
+        Returns the payloads and the run's :class:`RunMetrics` -- the
+        same object it leaves as :attr:`last_metrics`."""
         if kind not in _TASKS:
             raise ValueError(f"unknown task kind {kind!r}; "
                              f"expected one of {TASK_KINDS}")
@@ -369,11 +340,7 @@ class CorpusRunner:
             # only set when on, so plain runs keep their cache keys
             params["memory"] = True
         fingerprint = self._fingerprint(params)
-        cache_base = (
-            (self.cache.hits, self.cache.misses, self.cache.stores,
-             self.cache.corrupt)
-            if self.cache is not None else (0, 0, 0, 0)
-        )
+        cache_base = self._cache_counts()
 
         log = self.events if self.events is not None else RunEventLog(())
         log.run_start(kind, app_names, listeners=(
@@ -430,10 +397,12 @@ class CorpusRunner:
             try:
                 outcome = run_tasks(kind, pending, params, self.jobs,
                                     self.policy, narrate)
-            except FaultError:
+            except FaultError as exc:
                 # fail-fast: the aborting app's fault is already stated;
-                # close the run so the stream and telemetry end with it
-                self._close_run(log, start, cache_base)
+                # close the run so the stream, the telemetry and
+                # last_metrics/last_faults end with it
+                self._close_run(log, start, cache_base, snapshots,
+                                app_names, [exc.fault])
                 raise
             envelopes.update(outcome.envelopes)
             faults = outcome.faults
@@ -444,16 +413,12 @@ class CorpusRunner:
                     if name not in faults:
                         self.cache.store(keys[name], envelopes[name])
 
-        stats = self._close_run(log, start, cache_base)
-        self.last_faults = [faults[name] for name in app_names
-                            if name in faults]
-        self.last_metrics = RunMetrics(
-            run=stats.to_snapshot(),
-            apps={name: snapshots[name] for name in app_names
-                  if name in snapshots},
+        metrics = self._close_run(
+            log, start, cache_base, snapshots, app_names,
+            [faults[name] for name in app_names if name in faults],
         )
         return [
             envelopes[name]["data"] if "data" in envelopes[name]
             else {"error": envelopes[name]["error"]}
             for name in app_names
-        ], stats
+        ], metrics

@@ -213,6 +213,18 @@ def single_app_report(result, source: Optional[str], metrics=None):
     ])
 
 
+#: ``JobResult.stats`` key -> the run-snapshot counter it reports
+JOB_STATS = {
+    "analyzed": "runner.apps.analyzed",
+    "cached": "runner.apps.cached",
+    "faulted": "runner.apps.faulted",
+    "retries": "runner.retries",
+    "cache_hits": "runner.cache.hits",
+    "cache_misses": "runner.cache.misses",
+    "cache_stores": "runner.cache.stores",
+}
+
+
 def execute_job(spec: JobSpec, runner) -> JobResult:
     """Run one job on a :class:`~repro.runner.CorpusRunner`.
 
@@ -229,9 +241,7 @@ def execute_job(spec: JobSpec, runner) -> JobResult:
         },
     }
     names = [app.name for app in spec.apps]
-    payloads, stats = runner.run("analyze", names, params)
-    metrics = runner.last_metrics
-    per_app = metrics.apps if metrics is not None else {}
+    payloads, metrics = runner.run("analyze", names, params)
 
     app_reports = []
     faults: List[Dict[str, Any]] = []
@@ -245,20 +255,13 @@ def execute_job(spec: JobSpec, runner) -> JobResult:
             app.name,
             result,
             source=app.files[0][0],
-            metrics=per_app.get(app.name),
+            metrics=metrics.apps.get(app.name),
         ))
     report = build_report(app_reports)
     return JobResult(
         report=report,
-        stats={
-            "analyzed": stats.analyzed,
-            "cached": stats.cached,
-            "faulted": stats.faulted,
-            "retries": stats.retries,
-            "cache_hits": stats.cache_hits,
-            "cache_misses": stats.cache_misses,
-            "cache_stores": stats.cache_stores,
-        },
+        stats={key: metrics.run.counters.get(counter, 0)
+               for key, counter in JOB_STATS.items()},
         faults=faults,
         sarif=spec.sarif,
     )

@@ -8,7 +8,7 @@ and each consumer of the lifecycle is pinned:
 
 * the event sequence (``t``, ``duration_s`` and ``wall_seconds`` are
   wall-clock values and are dropped);
-* the ``RunStats`` fields and their metrics snapshot;
+* the run's metrics snapshot (``last_metrics.run``);
 * the live aggregator's final ``/progress`` funnel and ``telemetry.*``
   counters;
 * the ``--progress`` stderr lines;
@@ -64,10 +64,10 @@ def _observe(jobs, cache_dir, state_dir):
     )
     with pytest.MonkeyPatch.context() as patch:
         patch.setenv(ENV_VAR, json.dumps(_plan(state_dir).to_dict()))
-        _, stats = runner.run("table1", APPS, {"validate": False})
+        _, metrics = runner.run("table1", APPS, {"validate": False})
     return {
         "events": _strip(stream.records),
-        "stats": stats,
+        "run": metrics.run,
         "progress": aggregator.progress(),
         "telemetry": {
             name: value
@@ -133,6 +133,19 @@ EXPECTED_STATS = {
                  cache_misses=2, cache_stores=0, cache_corrupt=0),
 }
 
+#: EXPECTED_STATS field -> the run-snapshot counter that reports it
+STAT_COUNTERS = {
+    "analyzed": "runner.apps.analyzed",
+    "cached": "runner.apps.cached",
+    "faulted": "runner.apps.faulted",
+    "retries": "runner.retries",
+    "timeouts": "runner.timeouts",
+    "cache_hits": "runner.cache.hits",
+    "cache_misses": "runner.cache.misses",
+    "cache_stores": "runner.cache.stores",
+    "cache_corrupt": "runner.cache.corrupt",
+}
+
 CASES = [(jobs, temperature) for jobs in (1, 2)
          for temperature in ("cold", "warm")]
 
@@ -149,12 +162,20 @@ def test_jobs_1_and_jobs_2_streams_are_equal(runs, temperature):
 
 @pytest.mark.parametrize("jobs,temperature", CASES)
 def test_run_stats(runs, jobs, temperature):
-    stats = runs[jobs, temperature]["stats"]
+    run = runs[jobs, temperature]["run"]
     expected = EXPECTED_STATS[temperature]
-    assert {name: getattr(stats, name) for name in expected} == expected
-    assert stats.jobs == jobs
-    assert stats.total == expected["analyzed"] + expected["cached"]
-    counters = stats.to_snapshot().counters
+    counters = run.counters
+    assert {name: counters.get(counter, 0)
+            for name, counter in STAT_COUNTERS.items()} == \
+        {name: expected[name] for name in STAT_COUNTERS}
+    assert {name[len("runner.faults."):]: value
+            for name, value in counters.items()
+            if name.startswith("runner.faults.")} == expected["fault_kinds"]
+    assert run.gauges["runner.jobs"] == jobs
+    assert counters["runner.apps.analyzed"] + counters["runner.apps.cached"] \
+        + counters["runner.apps.faulted"] == len(APPS) == 4
+    # fault-tolerance counters are present only when nonzero
+    assert "runner.cache.corrupt" not in counters
     assert counters["runner.apps.faulted"] == 2
     assert counters["runner.timeouts"] == 1
     assert counters["runner.faults.analysis"] == 1

@@ -313,8 +313,9 @@ def test_cache_replays_recorded_metric_snapshots(tmp_path):
     cold.run("table1", SUBSET, {"validate": False})
     warm = CorpusRunner(cache=ResultCache(tmp_path))
     warm.run("table1", SUBSET, {"validate": False})
-    assert warm.last_stats.analyzed == 0
-    assert warm.last_stats.cache_hits == len(SUBSET)
+    counters = warm.last_metrics.run.counters
+    assert counters["runner.apps.analyzed"] == 0
+    assert counters["runner.cache.hits"] == len(SUBSET)
     for name in SUBSET:
         assert cold.last_metrics.apps[name].to_dict() \
             == warm.last_metrics.apps[name].to_dict()
@@ -335,11 +336,12 @@ def test_worker_spans_root_at_app_name():
 
 
 def test_run_stats_describe_includes_cache_counts(tmp_path):
+    from repro.obs import describe_run
     from repro.runner import CorpusRunner, ResultCache
 
     runner = CorpusRunner(cache=ResultCache(tmp_path))
     runner.run("table1", SUBSET[:1], {"validate": False})
-    line = runner.last_stats.describe()
+    line = describe_run(runner.last_metrics.run)
     assert "1 analyzed, 0 from cache" in line
     assert "cache: 0 hits, 1 misses, 1 stores" in line
 
@@ -392,7 +394,8 @@ def test_warm_cache_bench_reproduces_cold_timings(tmp_path):
                      apps=_specs())
     runner = CorpusRunner(cache=ResultCache(tmp_path))
     warm = run_bench(runner, apps=_specs())
-    assert runner.last_stats.analyzed == 0
+    assert runner.last_metrics.run.counters["runner.apps.analyzed"] == 0
+    assert warm["run"] == runner.last_metrics.run.to_dict()
     assert {name: entry["timings"] for name, entry in warm["apps"].items()} \
         == {name: entry["timings"] for name, entry in cold["apps"].items()}
     assert warm["totals"]["timings"] == cold["totals"]["timings"]

@@ -87,7 +87,7 @@ def test_fail_fast_stream_ends_with_the_fault_and_run_end(jobs):
     assert summary["fault_kinds"] == {"analysis": 1}
     assert records[-1]["faulted"] == 1
     assert records[-1]["analyzed"] == summary["analyzed"]
-    assert runner.last_stats.faulted == 1
+    assert runner.last_metrics.run.counters["runner.apps.faulted"] == 1
     progress = telemetry.progress()
     assert progress["apps"]["faulted"] == 1
     assert progress["phase"] == "idle"

@@ -45,13 +45,14 @@ def test_serial_and_parallel_runs_are_byte_identical():
 def test_cold_and_warm_cache_runs_are_byte_identical(tmp_path):
     cold = CorpusRunner(jobs=2, cache=ResultCache(tmp_path))
     apps_cold, results_cold = run_generated(cold, CONFIG)
-    assert cold.last_stats.analyzed == CONFIG.count
-    assert cold.last_stats.cached == 0
+    assert cold.last_metrics.run.counters["runner.apps.analyzed"] \
+        == CONFIG.count
+    assert cold.last_metrics.run.counters["runner.apps.cached"] == 0
 
     warm = CorpusRunner(jobs=2, cache=ResultCache(tmp_path))
     apps_warm, results_warm = run_generated(warm, CONFIG)
-    assert warm.last_stats.analyzed == 0
-    assert warm.last_stats.cached == CONFIG.count
+    assert warm.last_metrics.run.counters["runner.apps.analyzed"] == 0
+    assert warm.last_metrics.run.counters["runner.apps.cached"] == CONFIG.count
 
     assert _canonical(apps_cold, results_cold) == \
         _canonical(apps_warm, results_warm)
@@ -62,13 +63,14 @@ def test_cold_and_warm_cache_runs_are_byte_identical(tmp_path):
 def test_generator_config_changes_invalidate_the_cache(tmp_path):
     runner = CorpusRunner(jobs=1, cache=ResultCache(tmp_path))
     run_generated(runner, CONFIG)
-    assert runner.last_stats.analyzed == CONFIG.count
+    assert runner.last_metrics.run.counters["runner.apps.analyzed"] \
+        == CONFIG.count
 
     # same seed/count, different pattern knobs: sources differ, so every
     # app must miss the cache
     tweaked = GeneratorConfig(seed=42, count=10, max_patterns=2)
     run_generated(runner, tweaked)
-    assert runner.last_stats.cached == 0
+    assert runner.last_metrics.run.counters["runner.apps.cached"] == 0
 
 
 def test_generated_names_never_collide_with_registry_apps():

@@ -40,11 +40,13 @@ def test_report_bytes_identical_serial_vs_parallel(specs):
 def test_report_bytes_identical_cold_vs_warm_cache(specs, tmp_path):
     cold_runner = CorpusRunner(jobs=2, cache=ResultCache(tmp_path))
     cold = report_to_json(corpus_report(cold_runner, specs))
-    assert cold_runner.last_stats.analyzed == len(specs)
+    assert cold_runner.last_metrics.run.counters["runner.apps.analyzed"] \
+        == len(specs)
 
     warm_runner = CorpusRunner(jobs=2, cache=ResultCache(tmp_path))
     warm = report_to_json(corpus_report(warm_runner, specs))
-    assert warm_runner.last_stats.cached == len(specs)
+    assert warm_runner.last_metrics.run.counters["runner.apps.cached"] \
+        == len(specs)
     assert cold == warm
 
 

@@ -50,17 +50,19 @@ def test_runner_recovers_from_a_corrupted_entry(tmp_path):
     victim = sorted(cache.root.glob("*/*.json"))[0]
     victim.write_text(victim.read_text()[: 40])
     second = CorpusRunner(jobs=1, cache=cache)
-    rows, stats = second.run("table1", APPS, PARAMS)
-    assert stats.cache_corrupt == 1
-    assert stats.cache_hits == 1
-    assert stats.analyzed == 1  # the corrupted app was re-analyzed
+    rows, metrics = second.run("table1", APPS, PARAMS)
+    counters = metrics.run.counters
+    assert counters["runner.cache.corrupt"] == 1
+    assert counters["runner.cache.hits"] == 1
+    # the corrupted app was re-analyzed
+    assert counters["runner.apps.analyzed"] == 1
     assert all("error" not in row for row in rows)
     assert len(list(cache.root.glob("*/*.json.corrupt"))) == 1
 
     # ... and the re-analysis restored the entry.
     third = CorpusRunner(jobs=1, cache=cache)
-    _, stats = third.run("table1", APPS, PARAMS)
-    assert stats.cache_hits == len(APPS)
+    _, metrics = third.run("table1", APPS, PARAMS)
+    assert metrics.run.counters["runner.cache.hits"] == len(APPS)
 
 
 def test_prune_sweeps_quarantined_entries_only(tmp_path):

@@ -35,6 +35,13 @@ def raise_plan(app="todolist", stage="detection"):
                                        action="raise"),))
 
 
+def fault_kinds(counters):
+    """The run's fault-kind histogram, read off its snapshot counters."""
+    prefix = "runner.faults."
+    return {name[len(prefix):]: value for name, value in counters.items()
+            if name.startswith(prefix)}
+
+
 def canonical(rows, faults):
     """Rows + fault records as canonical JSON."""
     return json.dumps(
@@ -49,15 +56,16 @@ def canonical(rows, faults):
 def test_keep_going_isolates_the_faulting_app():
     runner = CorpusRunner(jobs=1, policy=FaultPolicy(keep_going=True))
     with install(raise_plan()):
-        rows, stats = runner.run("table1", APPS, PARAMS)
+        rows, metrics = runner.run("table1", APPS, PARAMS)
     assert len(rows) == len(APPS)
     assert "error" in rows[0]
     assert rows[0]["error"]["kind"] == "analysis"
     assert rows[0]["error"]["stage"] == "detection"
     assert all("error" not in row for row in rows[1:])
-    assert stats.faulted == 1
-    assert stats.analyzed == len(APPS) - 1
-    assert stats.fault_kinds == {"analysis": 1}
+    counters = metrics.run.counters
+    assert counters["runner.apps.faulted"] == 1
+    assert counters["runner.apps.analyzed"] == len(APPS) - 1
+    assert fault_kinds(counters) == {"analysis": 1}
     assert [f.app for f in runner.last_faults] == ["todolist"]
 
 
@@ -69,11 +77,38 @@ def test_fail_fast_is_the_default_and_names_the_app():
     assert "--keep-going" in str(excinfo.value)
 
 
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_fail_fast_run_replaces_the_previous_runs_metrics(jobs,
+                                                          monkeypatch):
+    # An ok run, then a fail-fast one on the same runner: the aborted
+    # run's metrics and fault must replace the first run's, not sit
+    # beside them.
+    runner = CorpusRunner(jobs=jobs)
+    runner.run("table1", APPS, PARAMS)
+    assert set(runner.last_metrics.apps) == set(APPS)
+    monkeypatch.setenv(ENV_VAR, json.dumps(raise_plan("swiftnotes")
+                                           .to_dict()))
+    with pytest.raises(FaultError) as excinfo:
+        runner.run("table1", ["todolist", "swiftnotes"], PARAMS)
+    counters = runner.last_metrics.run.counters
+    assert counters["runner.apps.faulted"] == 1
+    assert counters["runner.faults.analysis"] == 1
+    # only the aborted run's apps, in input order: todolist (which may
+    # not have landed at --jobs 2), never the first run's clipstack
+    landed = list(runner.last_metrics.apps)
+    assert set(landed) <= {"todolist"}
+    if jobs == 1:
+        assert landed == ["todolist"]
+    assert counters["runner.apps.analyzed"] == len(landed)
+    assert runner.last_faults == [excinfo.value.fault]
+
+
 def test_fault_counters_reach_the_metrics_snapshot():
     runner = CorpusRunner(jobs=1, policy=FaultPolicy(keep_going=True))
     with install(raise_plan()):
-        _, stats = runner.run("table1", APPS, PARAMS)
-    counters = stats.to_snapshot().counters
+        _, metrics = runner.run("table1", APPS, PARAMS)
+    assert metrics is runner.last_metrics
+    counters = metrics.run.counters
     assert counters["runner.apps.faulted"] == 1
     assert counters["runner.faults.analysis"] == 1
     assert "runner.timeouts" not in counters  # only present when nonzero
@@ -92,8 +127,8 @@ def test_timeout_produces_the_canonical_fault(jobs, monkeypatch):
     runner = CorpusRunner(
         jobs=jobs, policy=FaultPolicy(timeout=0.5, keep_going=True)
     )
-    rows, stats = runner.run("table1", APPS, PARAMS)
-    assert stats.timeouts == 1
+    rows, metrics = runner.run("table1", APPS, PARAMS)
+    assert metrics.run.counters["runner.timeouts"] == 1
     assert runner.last_faults == [timeout_fault("clipstack", 0.5)]
     assert "error" in rows[1]
 
@@ -122,7 +157,7 @@ def test_a_stuck_stage_is_bounded_by_the_timeout(jobs, names, monkeypatch):
         jobs=jobs, policy=FaultPolicy(timeout=0.5, keep_going=True)
     )
     started = time.perf_counter()
-    rows, stats = runner.run("table1", names, PARAMS)
+    rows, metrics = runner.run("table1", names, PARAMS)
     assert time.perf_counter() - started < 2.5
     assert runner.last_faults == [timeout_fault("todolist", 0.5)]
     assert rows[0]["error"] == timeout_fault("todolist", 0.5).to_dict()
@@ -130,8 +165,8 @@ def test_a_stuck_stage_is_bounded_by_the_timeout(jobs, names, monkeypatch):
     reference = CorpusRunner(jobs=1).run("table1", names[1:], PARAMS)[0]
     assert canonical(rows[1:], []) == canonical(reference, [])
     # the timeout outranks degradation: the filter was not skipped
-    assert "filters.degraded" not in runner.last_metrics.totals().counters
-    assert "filters.degraded" not in stats.to_snapshot().counters
+    assert "filters.degraded" not in metrics.totals().counters
+    assert "filters.degraded" not in metrics.run.counters
 
 
 # -- retries ------------------------------------------------------------------
@@ -145,9 +180,9 @@ def test_transient_worker_loss_is_retried_serial(tmp_path):
     )
     runner = CorpusRunner(jobs=1, policy=FaultPolicy(max_retries=1))
     with install(plan):
-        rows, stats = runner.run("table1", APPS, PARAMS)
-    assert stats.retries == 1
-    assert stats.faulted == 0
+        rows, metrics = runner.run("table1", APPS, PARAMS)
+    assert metrics.run.counters["runner.retries"] == 1
+    assert "runner.apps.faulted" not in metrics.run.counters
     assert all("error" not in row for row in rows)
 
 
@@ -161,9 +196,9 @@ def test_real_worker_death_is_retried_parallel(tmp_path, monkeypatch):
     )
     monkeypatch.setenv(ENV_VAR, json.dumps(plan.to_dict()))
     runner = CorpusRunner(jobs=2, policy=FaultPolicy(max_retries=1))
-    rows, stats = runner.run("table1", APPS, PARAMS)
-    assert stats.retries == 1
-    assert stats.faulted == 0
+    rows, metrics = runner.run("table1", APPS, PARAMS)
+    assert metrics.run.counters["runner.retries"] == 1
+    assert "runner.apps.faulted" not in metrics.run.counters
     assert all("error" not in row for row in rows)
 
 
@@ -177,9 +212,10 @@ def test_exhausted_retries_surface_the_worker_loss(tmp_path):
         jobs=1, policy=FaultPolicy(max_retries=1, keep_going=True)
     )
     with install(plan):
-        rows, stats = runner.run("table1", APPS, PARAMS)
-    assert stats.retries == 1  # one re-submission, then recorded
-    assert stats.fault_kinds == {"worker-lost": 1}
+        rows, metrics = runner.run("table1", APPS, PARAMS)
+    counters = metrics.run.counters
+    assert counters["runner.retries"] == 1  # one re-submission, then recorded
+    assert fault_kinds(counters) == {"worker-lost": 1}
     assert "todolist" in rows[0]["error"]["message"]
 
 
@@ -192,9 +228,10 @@ def test_deterministic_faults_are_never_retried():
         jobs=1, policy=FaultPolicy(max_retries=5, keep_going=True)
     )
     with install(plan):
-        _, stats = runner.run("table1", APPS, PARAMS)
-    assert stats.retries == 0
-    assert stats.fault_kinds == {"parse": 1}
+        _, metrics = runner.run("table1", APPS, PARAMS)
+    counters = metrics.run.counters
+    assert "runner.retries" not in counters
+    assert fault_kinds(counters) == {"parse": 1}
 
 
 # -- determinism (the acceptance scenario) ------------------------------------
@@ -213,12 +250,15 @@ def test_faulted_run_is_byte_identical_across_jobs(crash_and_hang_env):
     policy = FaultPolicy(timeout=1.0, keep_going=True)
     serial = CorpusRunner(jobs=1, policy=policy)
     parallel = CorpusRunner(jobs=4, policy=policy)
-    rows_s, stats_s = serial.run("table1", APPS, PARAMS)
-    rows_p, stats_p = parallel.run("table1", APPS, PARAMS)
+    rows_s, metrics_s = serial.run("table1", APPS, PARAMS)
+    rows_p, metrics_p = parallel.run("table1", APPS, PARAMS)
     assert canonical(rows_s, serial.last_faults) == \
         canonical(rows_p, parallel.last_faults)
-    assert stats_s.faulted == stats_p.faulted == 2
-    assert stats_s.timeouts == stats_p.timeouts == 1
+    counters_s, counters_p = metrics_s.run.counters, metrics_p.run.counters
+    assert counters_s["runner.apps.faulted"] == \
+        counters_p["runner.apps.faulted"] == 2
+    assert counters_s["runner.timeouts"] == \
+        counters_p["runner.timeouts"] == 1
 
 
 def test_faulted_run_is_byte_identical_cold_vs_warm(crash_and_hang_env,
@@ -226,16 +266,16 @@ def test_faulted_run_is_byte_identical_cold_vs_warm(crash_and_hang_env,
     policy = FaultPolicy(timeout=1.0, keep_going=True)
     cache = ResultCache(tmp_path / "cache")
     cold = CorpusRunner(jobs=1, cache=cache, policy=policy)
-    rows_cold, stats_cold = cold.run("table1", APPS, PARAMS)
+    rows_cold, metrics_cold = cold.run("table1", APPS, PARAMS)
     warm = CorpusRunner(jobs=1, cache=cache, policy=policy)
-    rows_warm, stats_warm = warm.run("table1", APPS, PARAMS)
+    rows_warm, metrics_warm = warm.run("table1", APPS, PARAMS)
     assert canonical(rows_cold, cold.last_faults) == \
         canonical(rows_warm, warm.last_faults)
     # Error envelopes are never cached: the clean app replays from disk,
     # the faulty apps re-run (and re-fault) every time.
-    assert stats_cold.cache_stores == 1
-    assert stats_warm.cache_hits == 1
-    assert stats_warm.faulted == 2
+    assert metrics_cold.run.counters["runner.cache.stores"] == 1
+    assert metrics_warm.run.counters["runner.cache.hits"] == 1
+    assert metrics_warm.run.counters["runner.apps.faulted"] == 2
 
 
 def test_error_envelopes_are_not_cached(tmp_path):
@@ -250,8 +290,8 @@ def test_error_envelopes_are_not_cached(tmp_path):
     # nothing poisoned the cache, but note the key ALSO changed (the
     # plan digest participates), so this is a full miss for todolist.
     clean = CorpusRunner(jobs=1, cache=cache)
-    rows, stats = clean.run("table1", APPS, PARAMS)
-    assert stats.faulted == 0
+    rows, metrics = clean.run("table1", APPS, PARAMS)
+    assert "runner.apps.faulted" not in metrics.run.counters
     assert all("error" not in row for row in rows)
 
 
@@ -267,11 +307,11 @@ def test_fault_plan_digest_participates_in_the_cache_key(tmp_path):
         app="no-such-app", stage="detection", action="raise"),))
     injected = CorpusRunner(jobs=1, cache=cache)
     with install(dormant):
-        _, stats = injected.run("table1", APPS, PARAMS)
-    assert stats.cache_hits == 0
-    assert stats.analyzed == len(APPS)
+        _, metrics = injected.run("table1", APPS, PARAMS)
+    assert metrics.run.counters["runner.cache.hits"] == 0
+    assert metrics.run.counters["runner.apps.analyzed"] == len(APPS)
 
     # ... while a plan-free rerun still hits the original entries.
     rerun = CorpusRunner(jobs=1, cache=cache)
-    _, stats = rerun.run("table1", APPS, PARAMS)
-    assert stats.cache_hits == len(APPS)
+    _, metrics = rerun.run("table1", APPS, PARAMS)
+    assert metrics.run.counters["runner.cache.hits"] == len(APPS)

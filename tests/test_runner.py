@@ -91,6 +91,20 @@ def test_parallel_timing_matches_serial(specs):
     assert serial.analyzed == parallel.analyzed == len(SUBSET)
 
 
+def test_timing_reads_the_run_snapshot(specs, tmp_path):
+    """``TimingData``'s wall-clock and app counts are the run
+    snapshot's, and ``timing`` reuses ``corpus``'s cache entries."""
+    runner = CorpusRunner(cache=ResultCache(tmp_path))
+    run_table1(validate=False, apps=specs[:2], runner=runner)
+    data = run_timing(apps=specs, runner=runner)
+    run = runner.last_metrics.run
+    assert data.wall_seconds == run.gauges["runner.wall_seconds"]
+    assert data.analyzed == run.counters["runner.apps.analyzed"] \
+        == len(specs) - 2
+    assert data.cached == run.counters["runner.apps.cached"] == 2
+    assert data.jobs == run.gauges["runner.jobs"] == 1
+
+
 # -- one execution path -------------------------------------------------------
 
 
@@ -114,13 +128,13 @@ def test_task_kinds_are_the_distinct_worker_computations():
 def test_warm_cache_performs_zero_reanalyses(specs, tmp_path):
     cold = CorpusRunner(jobs=2, cache=ResultCache(tmp_path))
     rows_cold = run_table1(validate=False, apps=specs, runner=cold)
-    assert cold.last_stats.analyzed == len(specs)
-    assert cold.last_stats.cached == 0
+    assert cold.last_metrics.run.counters["runner.apps.analyzed"] == len(specs)
+    assert cold.last_metrics.run.counters["runner.apps.cached"] == 0
 
     warm = CorpusRunner(jobs=2, cache=ResultCache(tmp_path))
     rows_warm = run_table1(validate=False, apps=specs, runner=warm)
-    assert warm.last_stats.analyzed == 0
-    assert warm.last_stats.cached == len(specs)
+    assert warm.last_metrics.run.counters["runner.apps.analyzed"] == 0
+    assert warm.last_metrics.run.counters["runner.apps.cached"] == len(specs)
     # cached payloads round-trip exactly
     assert json.dumps([row_to_dict(r) for r in rows_cold], sort_keys=True) \
         == json.dumps([row_to_dict(r) for r in rows_warm], sort_keys=True)
@@ -129,17 +143,19 @@ def test_warm_cache_performs_zero_reanalyses(specs, tmp_path):
 def test_cache_invalidates_when_config_k_changes(specs, tmp_path):
     runner = CorpusRunner(cache=ResultCache(tmp_path))
     run_table1(validate=False, apps=specs, runner=runner)
-    assert runner.last_stats.analyzed == len(specs)
+    assert runner.last_metrics.run.counters["runner.apps.analyzed"] \
+        == len(specs)
 
     run_table1(validate=False, apps=specs,
                config=AnalysisConfig(k=3), runner=runner)
-    assert runner.last_stats.analyzed == len(specs), \
+    assert runner.last_metrics.run.counters["runner.apps.analyzed"] \
+        == len(specs), \
         "changing AnalysisConfig.k must miss every cache entry"
-    assert runner.last_stats.cached == 0
+    assert runner.last_metrics.run.counters["runner.apps.cached"] == 0
 
     # and the default-config entries are still warm
     run_table1(validate=False, apps=specs, runner=runner)
-    assert runner.last_stats.analyzed == 0
+    assert runner.last_metrics.run.counters["runner.apps.analyzed"] == 0
 
 
 def test_cache_invalidates_when_source_changes(tmp_path):
@@ -159,7 +175,7 @@ def test_corrupt_cache_entry_is_a_miss(specs, tmp_path):
 
     again = CorpusRunner(cache=ResultCache(tmp_path))
     rows = run_table1(validate=False, apps=specs[:1], runner=again)
-    assert again.last_stats.analyzed == 1
+    assert again.last_metrics.run.counters["runner.apps.analyzed"] == 1
     assert rows[0].name == specs[0].name
 
 
@@ -177,9 +193,9 @@ def test_stale_schema_cache_entry_is_a_miss(specs, tmp_path):
 
     again = CorpusRunner(cache=ResultCache(tmp_path))
     rows = run_table1(validate=False, apps=specs[:1], runner=again)
-    assert again.last_stats.analyzed == 1, \
+    assert again.last_metrics.run.counters["runner.apps.analyzed"] == 1, \
         "a stale-schema entry must not count as a hit"
-    assert again.last_stats.cached == 0
+    assert again.last_metrics.run.counters["runner.apps.cached"] == 0
     assert rows[0].name == specs[0].name
     # the entry was re-stamped with the current schema
     restamped = json.loads(entries[0].read_text())
@@ -187,7 +203,7 @@ def test_stale_schema_cache_entry_is_a_miss(specs, tmp_path):
 
     warm = CorpusRunner(cache=ResultCache(tmp_path))
     run_table1(validate=False, apps=specs[:1], runner=warm)
-    assert warm.last_stats.cached == 1
+    assert warm.last_metrics.run.counters["runner.apps.cached"] == 1
 
 
 def test_validation_params_participate_in_cache_key(specs, tmp_path):
@@ -195,7 +211,7 @@ def test_validation_params_participate_in_cache_key(specs, tmp_path):
     run_table1(validate=False, apps=specs[:2], runner=runner)
     run_table1(validate=True, apps=specs[:2], random_attempts=5,
                runner=runner)
-    assert runner.last_stats.analyzed == 2, \
+    assert runner.last_metrics.run.counters["runner.apps.analyzed"] == 2, \
         "validate/random_attempts are part of the key"
 
 
