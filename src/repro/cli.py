@@ -1153,8 +1153,9 @@ def build_parser() -> argparse.ArgumentParser:
                         "a free one; the bound port is printed in the "
                         "'listening on' stderr line)")
     p.add_argument("--jobs", type=int, default=1, metavar="N",
-                   help="worker processes per job (default 1 = serial; "
-                        "jobs themselves run one at a time)")
+                   help="worker processes, kept for the daemon's "
+                        "lifetime, that run every analysis (default 1; "
+                        "queued jobs run one at a time)")
     p.add_argument("--cache-dir", metavar="PATH",
                    help="result cache directory (default: "
                         "$NADROID_CACHE_DIR or ~/.cache/nadroid)")
@@ -1195,9 +1196,10 @@ def main(argv: List[str] = None) -> int:
         return args.fn(args)
     except KeyboardInterrupt:
         # Ctrl-C: the pool has already terminated and joined its worker
-        # processes on the way out (run_parallel's BaseException cleanup)
-        # and the finally below flushes the event stream and closes any
-        # live servers; all that is left is the conventional exit code.
+        # processes on the way out (run_tasks closes the pool it opened;
+        # serve closes its daemon pool) and the finally below flushes
+        # the event stream and closes any live servers; all that is left
+        # is the conventional exit code.
         print("nadroid: interrupted", file=sys.stderr)
         return EXIT_INTERRUPTED
     except (CliError, FaultError, SourceError) as exc:

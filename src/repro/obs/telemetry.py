@@ -86,6 +86,9 @@ class LiveAggregator:
         self._phase: Optional[str] = None
         #: the task kind of the current run (its run-start record)
         self._kind = "idle"
+        #: runs started and not yet ended (the daemon answers cached
+        #: jobs while a cold one runs, so runs can overlap)
+        self._open_runs = 0
         self._funnel = RunFunnel()
         self._active: List[str] = []
         self._durations: Deque[float] = deque(maxlen=LATENCY_WINDOW)
@@ -104,6 +107,7 @@ class LiveAggregator:
         with self._lock:
             self._funnel.fold(record)
             if event == "run-start":
+                self._open_runs += 1
                 self._kind = str(record.get("kind"))
             elif event == "app-start":
                 self.app_started(record["app"])
@@ -113,10 +117,12 @@ class LiveAggregator:
             elif event == "run-end":
                 if snapshot is not None:
                     self._merge(snapshot.counters, snapshot.gauges)
-                # a fail-fast abort leaves in-flight apps unclosed; the
-                # run is over either way
-                self._active.clear()
-                self._kind = "idle"
+                self._open_runs -= 1
+                if not self._open_runs:
+                    # a fail-fast abort leaves in-flight apps unclosed;
+                    # with no run open, none is in flight
+                    self._active.clear()
+                    self._kind = "idle"
 
     def set_phase(self, phase: str) -> None:
         """Name the current stage of a multi-run driver (e.g. a bench

@@ -52,6 +52,7 @@ from .pool import (
     Observer,
     PoolOutcome,
     run_tasks,
+    WorkerPool,
 )
 
 _CURRENT_APP: ContextVar[Optional[str]] = ContextVar(
@@ -129,4 +130,5 @@ __all__ = [
     "task_scope",
     "timeout_fault",
     "worker_lost_fault",
+    "WorkerPool",
 ]

@@ -5,13 +5,16 @@ One parse error, ``RecursionError`` or OOM-killed worker must cost one
 app's result, never the whole run.  This pool keeps per-app blast radius
 without paying a fork per app:
 
-* each :func:`run_parallel` call forks ``min(jobs, pending)`` **workers**
-  that serve tasks one at a time over their own ``Pipe`` until the call
-  returns; the task kind and ``params`` reach them through the fork, so
-  a task is just its app name on the wire;
+* a :class:`WorkerPool` forks at most ``jobs`` **workers**, on demand,
+  that serve tasks one at a time over their own ``Pipe``.  Workers
+  outlive a single :meth:`WorkerPool.run`: :func:`run_tasks` opens a
+  pool for one call (the CLI), while the ``repro serve`` daemon keeps
+  one for its whole lifetime.  A task message carries its kind, its app
+  name and its params: a request's ``sources`` narrowed to that app's
+  own files, and params a run shares sent once per worker;
 * a worker runs one app at a time, so a dying worker still loses
-  exactly one app -- the one it was running -- and is respawned for the
-  rest of the queue;
+  exactly one app -- the one it was running -- and is respawned when
+  work next needs it;
 * a **watchdog** enforces the per-app deadline by ``terminate()``-ing
   the overrunning worker and recording a canonical
   :class:`~repro.resilience.errors.TimeoutFault`.  It is the only
@@ -22,22 +25,23 @@ without paying a fork per app:
   timeouts) never are;
 * under ``keep_going`` every fault becomes an error envelope
   ``{"error": {...}}`` and the remaining apps complete; otherwise the
-  first final fault terminates every worker and aborts the run with a
-  one-line actionable :class:`~repro.resilience.errors.FaultError`.
+  first final fault terminates every busy worker and aborts the run
+  with a one-line actionable :class:`~repro.resilience.errors.FaultError`.
 
 Workers are forked after the shared Android framework is built, so
 they inherit it copy-on-write instead of each building its own.  A
 worker that dies before replying (kill injection, OOM, segfault)
 surfaces as EOF on its pipe and classifies as :class:`WorkerLostFault`.
-An untimed run with one worker's worth of work takes the in-process
-path (:func:`run_serial`), which applies the same retry and keep-going
-policy, so ``--jobs 1`` and ``--jobs N`` produce byte-identical fault
-records.
+An untimed run with one worker's worth of work and no pool of its own
+takes the in-process path (:func:`run_serial`), which applies the same
+retry and keep-going policy, so ``--jobs 1`` and ``--jobs N`` produce
+byte-identical fault records.
 """
 
 from __future__ import annotations
 
 import multiprocessing
+import threading
 import time
 from collections import deque
 from dataclasses import dataclass
@@ -128,7 +132,7 @@ def run_serial(
     policy: FaultPolicy,
     observer: Optional[Observer] = None,
 ) -> PoolOutcome:
-    """The in-process twin of :func:`run_parallel` for untimed runs."""
+    """The in-process twin of :meth:`WorkerPool.run` for untimed runs."""
     from ..runner.runner import execute_app_task_observed
 
     outcome = PoolOutcome(envelopes={}, faults={})
@@ -156,17 +160,28 @@ def run_serial(
     return outcome
 
 
-# -- parallel path -----------------------------------------------------------
+# -- worker pool -------------------------------------------------------------
 
 
-def _worker_main(conn, kind: str, params: Dict[str, Any],
-                 inherited: Sequence[Any]) -> None:
-    """Worker entry point: serve app names from the pipe until it closes
-    or the parent terminates the worker, answering each with
-    ``("ok", envelope)`` or a pre-classified ``("error", fault_dict)``.
+def _wire_params(params: Dict[str, Any], name: str) -> Dict[str, Any]:
+    """One task's params on the wire: a request's ``sources`` map (the
+    ``analyze`` kind) narrowed to the task's own app, so no worker
+    receives -- or unpickles -- another app's files."""
+    sources = params.get("sources")
+    if sources is None:
+        return params
+    return {**params, "sources": {name: sources[name]}}
 
-    ``inherited`` holds the parent's ends of this worker's and earlier
-    workers' pipes, which the fork copied; closing them lets this
+
+def _worker_main(conn, inherited: Sequence[Any]) -> None:
+    """Worker entry point: serve ``(kind, name, params)`` tasks from the
+    pipe until it closes or the parent terminates the worker, answering
+    each with ``("ok", envelope)`` or a pre-classified
+    ``("error", fault_dict)``.  ``params`` is ``None`` when it is the
+    same as the previous task's.
+
+    ``inherited`` holds the parent's ends of this worker's and the other
+    live workers' pipes, which the fork copied; closing them lets this
     worker see EOF -- and exit -- if the parent goes away.  An injected
     ``kill`` (or a real OOM) exits without replying; the parent reads
     EOF and classifies the loss itself.
@@ -177,12 +192,16 @@ def _worker_main(conn, kind: str, params: Dict[str, Any],
     from ..runner.runner import execute_app_task_observed
     from . import current_stage
 
+    last_params = None
     try:
         while True:
             try:
-                name = conn.recv()
+                kind, name, params = conn.recv()
             except (EOFError, OSError):
                 return  # the parent is gone
+            if params is None:
+                params = last_params
+            last_params = params
             try:
                 reply = ("ok", execute_app_task_observed(kind, name, params))
             except Exception as exc:
@@ -213,7 +232,7 @@ def _pool_context():
 class _Worker:
     """One live worker process and the task it is running, if any."""
 
-    __slots__ = ("proc", "conn", "task", "attempt", "deadline_at")
+    __slots__ = ("proc", "conn", "task", "attempt", "deadline_at", "params")
 
     def __init__(self, proc, conn) -> None:
         self.proc = proc
@@ -221,6 +240,8 @@ class _Worker:
         self.task: Optional[str] = None
         self.attempt = 0
         self.deadline_at: Optional[float] = None
+        #: the params object this worker last received
+        self.params: Optional[Dict[str, Any]] = None
 
     def stop(self) -> None:
         """Terminate the worker (busy, idle or already dead); reap it."""
@@ -229,68 +250,126 @@ class _Worker:
         self.proc.join()
 
 
-def run_parallel(
-    kind: str,
-    names: Sequence[str],
-    params: Dict[str, Any],
-    jobs: int,
-    policy: FaultPolicy,
-    observer: Optional[Observer] = None,
-) -> PoolOutcome:
-    """Fan tasks out over at most ``jobs`` long-lived workers."""
-    from ..threadify import build_shared_frameworks
+class WorkerPool:
+    """At most ``jobs`` long-lived worker processes, forked on demand.
 
-    # built before the first fork, so every worker inherits it
-    build_shared_frameworks()
-    ctx = _pool_context()
-    outcome = PoolOutcome(envelopes={}, faults={})
-    queue = deque((name, 1) for name in names)
-    workers: List[_Worker] = []
+    Workers are forked lazily, by the first :meth:`run` that has work
+    for them, and survive from one run to the next; one that dies or is
+    killed by the watchdog is replaced only when work next needs a
+    worker.  Runs are serialized (one at a time per pool), and between
+    runs every worker is idle: a run that ends abnormally (fail-fast,
+    interrupt) terminates the workers still busy on it, so no stale
+    reply can reach the next run.  :meth:`close` terminates every
+    worker; a closed pool forks no more.
+    """
 
-    def spawn() -> _Worker:
+    def __init__(self, jobs: int) -> None:
+        self.jobs = max(1, int(jobs))
+        self._workers: List[_Worker] = []
+        self._lock = threading.Lock()
+        self._closed = False
+
+    def __enter__(self) -> "WorkerPool":
+        return self
+
+    def __exit__(self, *exc_info: Any) -> None:
+        self.close()
+
+    def close(self) -> None:
+        """Terminate and reap every worker; the pool forks no more."""
+        self._closed = True
+        for worker in list(self._workers):
+            self._lose(worker)
+
+    def _lose(self, worker: _Worker) -> None:
+        if worker in self._workers:
+            self._workers.remove(worker)
+        worker.stop()
+
+    def _spawn(self) -> _Worker:
+        from ..threadify import build_shared_frameworks
+
+        if self._closed:
+            raise RuntimeError("the worker pool is closed")
+        # built before the fork, so every worker inherits it
+        build_shared_frameworks()
+        ctx = _pool_context()
         parent_conn, child_conn = ctx.Pipe()
-        inherited = [parent_conn] + [worker.conn for worker in workers]
+        inherited = [parent_conn] + [worker.conn for worker in self._workers]
         proc = ctx.Process(target=_worker_main,
-                           args=(child_conn, kind, params, inherited))
+                           args=(child_conn, inherited), daemon=True)
         proc.start()
         child_conn.close()
         worker = _Worker(proc, parent_conn)
-        workers.append(worker)
+        self._workers.append(worker)
         return worker
 
-    def assign(worker: _Worker, name: str, attempt: int) -> None:
-        if attempt == 1 and observer is not None:
-            observer("start", name, None)
-        worker.task, worker.attempt = name, attempt
-        worker.deadline_at = (
-            time.monotonic() + policy.timeout
-            if policy.timeout is not None else None
-        )
-        try:
-            worker.conn.send(name)
-        except OSError:
-            pass  # the worker is gone; its EOF surfaces as a lost worker
+    def run(
+        self,
+        kind: str,
+        names: Sequence[str],
+        params: Dict[str, Any],
+        policy: FaultPolicy,
+        observer: Optional[Observer] = None,
+    ) -> PoolOutcome:
+        """Fan ``kind`` tasks for ``names`` out over the workers."""
+        with self._lock:
+            try:
+                return self._run(kind, names, params, policy, observer)
+            except BaseException:
+                # failed fast or interrupted: a busy worker's late reply
+                # would be read as the next run's, so it goes
+                for worker in list(self._workers):
+                    if worker.task is not None:
+                        self._lose(worker)
+                raise
 
-    def settle(worker: _Worker, fault: Fault) -> None:
-        """Free the worker's task slot and apply the policy to its fault."""
-        name, attempt = worker.task, worker.attempt
-        worker.task = None
-        if _finalize(name, fault, attempt, policy, outcome, observer):
-            queue.append((name, attempt + 1))
+    def _run(self, kind: str, names: Sequence[str], params: Dict[str, Any],
+             policy: FaultPolicy,
+             observer: Optional[Observer]) -> PoolOutcome:
+        outcome = PoolOutcome(envelopes={}, faults={})
+        queue = deque((name, 1) for name in names)
+        workers = self._workers
+        for worker in list(workers):
+            # died while idle (say, OOM-killed between runs): replace it
+            # instead of charging its loss to this run's first app
+            if not worker.proc.is_alive():
+                self._lose(worker)
 
-    def lose(worker: _Worker) -> None:
-        workers.remove(worker)
-        worker.stop()
+        def assign(worker: _Worker, name: str, attempt: int) -> None:
+            if attempt == 1 and observer is not None:
+                observer("start", name, None)
+            worker.task, worker.attempt = name, attempt
+            worker.deadline_at = (
+                time.monotonic() + policy.timeout
+                if policy.timeout is not None else None
+            )
+            wire = _wire_params(params, name)
+            # a run's shared params cross each worker's pipe once
+            message = (kind, name, None if wire is worker.params else wire)
+            worker.params = wire
+            try:
+                worker.conn.send(message)
+            except OSError:
+                pass  # the worker is gone; its EOF surfaces as a lost worker
 
-    try:
+        def settle(worker: _Worker, fault: Fault) -> None:
+            """Free the worker's task slot and apply the policy to its
+            fault."""
+            name, attempt = worker.task, worker.attempt
+            worker.task = None
+            if _finalize(name, fault, attempt, policy, outcome, observer):
+                queue.append((name, attempt + 1))
+
         while True:
             idle = [worker for worker in workers if worker.task is None]
-            while queue and (idle or len(workers) < jobs):
-                assign(idle.pop() if idle else spawn(), *queue.popleft())
+            while queue and (idle or len(workers) < self.jobs):
+                assign(idle.pop() if idle else self._spawn(),
+                       *queue.popleft())
             busy = {worker.conn: worker for worker in workers
                     if worker.task is not None}
             if not busy:
-                break
+                return outcome
             deadlines = [worker.deadline_at for worker in busy.values()
                          if worker.deadline_at is not None]
             wait_timeout = (max(0.0, min(deadlines) - time.monotonic())
@@ -300,7 +379,7 @@ def run_parallel(
                 try:
                     status, payload = conn.recv()
                 except (EOFError, OSError):
-                    lose(worker)
+                    self._lose(worker)
                     settle(worker, worker_lost_fault(worker.task))
                     continue
                 if status == "ok":
@@ -314,13 +393,8 @@ def run_parallel(
             for worker in busy.values():
                 if worker.task is not None and worker.deadline_at is not None \
                         and now >= worker.deadline_at:
-                    lose(worker)
+                    self._lose(worker)
                     settle(worker, timeout_fault(worker.task, policy.timeout))
-    finally:
-        # done, failed fast or interrupted: no worker outlives the call
-        for worker in workers:
-            worker.stop()
-    return outcome
 
 
 def run_tasks(
@@ -330,12 +404,19 @@ def run_tasks(
     jobs: int,
     policy: Optional[FaultPolicy] = None,
     observer: Optional[Observer] = None,
+    pool: Optional[WorkerPool] = None,
 ) -> PoolOutcome:
-    """Execute tasks under ``policy``: in worker processes when the
-    policy sets a timeout (the watchdog needs a process to kill) or when
-    ``jobs > 1`` and more than one task is pending; in-process otherwise."""
+    """Execute tasks under ``policy``.
+
+    On ``pool`` when one is given (the daemon's: every task runs in a
+    worker).  Otherwise in worker processes of a pool opened for this
+    call when the policy sets a timeout (the watchdog needs a process to
+    kill) or when ``jobs > 1`` and more than one task is pending; and
+    in-process otherwise."""
     policy = policy or FaultPolicy()
+    if pool is not None:
+        return pool.run(kind, names, params, policy, observer)
     if policy.timeout is not None or (jobs > 1 and len(names) > 1):
-        return run_parallel(kind, names, params,
-                            max(1, min(jobs, len(names))), policy, observer)
+        with WorkerPool(min(jobs, len(names))) as call_pool:
+            return call_pool.run(kind, names, params, policy, observer)
     return run_serial(kind, names, params, policy, observer)

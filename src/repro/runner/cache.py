@@ -24,6 +24,7 @@ import hashlib
 import json
 import os
 import tempfile
+from collections import Counter
 from pathlib import Path
 from typing import Any, Dict, Optional
 
@@ -64,7 +65,12 @@ def cache_key(kind: str, source: str, fingerprint: Dict[str, Any]) -> str:
 
 
 class ResultCache:
-    """A directory of content-addressed JSON results, with hit counters."""
+    """A directory of content-addressed JSON results, with hit counters.
+
+    The counters total the cache's whole lifetime.  A run that shares
+    the cache with concurrent runs (the daemon) counts its own share by
+    passing a ``tally`` to :meth:`lookup` and :meth:`store`.
+    """
 
     def __init__(self, root: Path) -> None:
         self.root = Path(root)
@@ -77,7 +83,7 @@ class ResultCache:
     def path_for(self, key: str) -> Path:
         return self.root / key[:2] / f"{key}.json"
 
-    def _quarantine(self, path: Path) -> None:
+    def _quarantine(self, path: Path) -> bool:
         """Rename an undecodable entry to ``<key>.json.corrupt``.
 
         Without this a truncated write (power loss, full disk) would
@@ -88,21 +94,30 @@ class ResultCache:
         try:
             os.replace(path, path.with_suffix(".json.corrupt"))
         except OSError:
-            return
-        self.corrupt += 1
+            return False
+        return True
 
-    def lookup(self, key: str) -> Optional[Dict[str, Any]]:
+    def _count(self, what: str, tally: Optional[Counter]) -> None:
+        """Bump one of the cache-lifetime counters and, when given, the
+        caller's own ``tally`` (a run's share of the traffic)."""
+        setattr(self, what, getattr(self, what) + 1)
+        if tally is not None:
+            tally[what] += 1
+
+    def lookup(self, key: str,
+               tally: Optional[Counter] = None) -> Optional[Dict[str, Any]]:
         path = self.path_for(key)
         try:
             with open(path, "r", encoding="utf-8") as handle:
                 payload = json.load(handle)
         except OSError:
-            self.misses += 1
+            self._count("misses", tally)
             return None
         except ValueError:
             # The file exists but is not JSON: quarantine, then miss.
-            self._quarantine(path)
-            self.misses += 1
+            if self._quarantine(path):
+                self._count("corrupt", tally)
+            self._count("misses", tally)
             return None
         # Stale-schema hygiene: an entry written by an older payload
         # layout (e.g. schema 2, before provenance witnesses) replays as
@@ -111,9 +126,9 @@ class ResultCache:
         # the hash), but a shared cache dir may hold hand-migrated or
         # corrupted entries at the new key.
         if payload.get("schema") != CACHE_SCHEMA:
-            self.misses += 1
+            self._count("misses", tally)
             return None
-        self.hits += 1
+        self._count("hits", tally)
         return payload
 
     def prune(self, everything: bool = False) -> int:
@@ -136,7 +151,8 @@ class ResultCache:
                 removed += 1
         return removed
 
-    def store(self, key: str, payload: Dict[str, Any]) -> None:
+    def store(self, key: str, payload: Dict[str, Any],
+              tally: Optional[Counter] = None) -> None:
         """Atomically publish one entry.
 
         The payload is spooled to a same-directory ``.tmp`` sibling,
@@ -149,13 +165,16 @@ class ResultCache:
         """
         path = self.path_for(key)
         path.parent.mkdir(parents=True, exist_ok=True)
-        stamped = {"schema": CACHE_SCHEMA, **payload}
+        # one C-encoder call: json.dump would take the pure-Python
+        # iterencode path, several times slower on a report envelope
+        text = json.dumps({"schema": CACHE_SCHEMA, **payload},
+                          separators=(",", ":"))
         fd, tmp = tempfile.mkstemp(
             dir=str(path.parent), prefix=path.name, suffix=".tmp"
         )
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                json.dump(stamped, handle, separators=(",", ":"))
+                handle.write(text)
                 handle.flush()
                 # without the fsync a rename can outlive its data on a
                 # power loss, materializing exactly the torn entry the
@@ -168,4 +187,4 @@ class ResultCache:
             except OSError:
                 pass
             raise
-        self.stores += 1
+        self._count("stores", tally)

@@ -28,6 +28,7 @@ telemetry are all folds over one lifecycle stream
 from __future__ import annotations
 
 import time
+from collections import Counter
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
@@ -43,6 +44,7 @@ from ..resilience import (
     FaultPolicy,
     run_tasks,
     task_scope,
+    WorkerPool,
 )
 from .cache import cache_key, ResultCache
 from .serialize import config_fingerprint
@@ -199,9 +201,9 @@ class RunMetrics:
 class CorpusRunner:
     """Fan per-app analysis tasks out over processes, behind the cache.
 
-    An untimed run with ``jobs <= 1``, or with only one app missing the
-    cache, runs in-process (no worker).  ``cache=None`` disables caching
-    entirely.
+    An untimed run without a ``pool``, at ``jobs <= 1`` or with only one
+    app missing the cache, runs in-process (no worker).  ``cache=None``
+    disables caching entirely.
 
     ``policy`` governs fault tolerance (per-app timeout, transient
     retries, keep-going vs fail-fast).  A policy with a timeout always
@@ -223,6 +225,12 @@ class CorpusRunner:
     joins the cache fingerprint, so instrumented and plain runs never
     share entries.
 
+    ``pool`` runs every pending app on a long-lived
+    :class:`~repro.resilience.WorkerPool` (the daemon's) instead of the
+    in-process path or a pool opened for the run.  Each run counts its
+    own cache lookups and stores, so runs sharing one
+    :class:`ResultCache` concurrently never see each other's traffic.
+
     ``telemetry`` attaches a :class:`repro.obs.LiveAggregator` as the
     log's live listener: it sees each record (and each app's metrics
     snapshot) the moment it happens, which is what the
@@ -236,13 +244,15 @@ class CorpusRunner:
                  policy: Optional[FaultPolicy] = None,
                  events: Optional[RunEventLog] = None,
                  memory: bool = False,
-                 telemetry: Optional[LiveAggregator] = None) -> None:
+                 telemetry: Optional[LiveAggregator] = None,
+                 pool: Optional[WorkerPool] = None) -> None:
         self.jobs = max(1, int(jobs))
         self.cache = cache
         self.policy = policy or FaultPolicy()
         self.events = events
         self.memory = bool(memory)
         self.telemetry = telemetry
+        self.pool = pool
         self.last_metrics: Optional[RunMetrics] = None
         self.last_faults: List[Fault] = []
 
@@ -265,38 +275,55 @@ class CorpusRunner:
             out["fault_plan"] = plan.digest()
         return out
 
-    def _cache_counts(self) -> Tuple[int, int, int, int]:
-        """The cache's running hits, misses, stores and quarantines."""
-        cache = self.cache
-        if cache is None:
-            return (0, 0, 0, 0)
-        return (cache.hits, cache.misses, cache.stores, cache.corrupt)
+    def _run_params(self, params: Optional[Dict[str, Any]]) \
+            -> Dict[str, Any]:
+        params = dict(params or {})
+        if self.memory:
+            # only set when on, so plain runs keep their cache keys
+            params["memory"] = True
+        return params
+
+    def _key(self, kind: str, name: str, params: Dict[str, Any],
+             fingerprint: Dict[str, Any]) -> str:
+        return cache_key(kind, _source_for(kind, name, params), fingerprint)
+
+    def fully_cached(self, kind: str, app_names: Sequence[str],
+                     params: Optional[Dict[str, Any]] = None) -> bool:
+        """Whether every app has a cache entry on disk: one ``stat`` per
+        app, no lookup counted.  An entry that then reads back as a miss
+        (corrupt, stale schema, pruned meanwhile) is simply analyzed."""
+        if self.cache is None:
+            return False
+        params = self._run_params(params)
+        fingerprint = self._fingerprint(params)
+        return all(
+            self.cache.path_for(
+                self._key(kind, name, params, fingerprint)).is_file()
+            for name in app_names
+        )
 
     def _close_run(self, log: RunEventLog, start: float,
-                   cache_base: Tuple[int, int, int, int],
+                   tally: Counter,
                    snapshots: Dict[str, MetricsSnapshot],
                    app_names: Sequence[str],
                    faults: List[Fault]) -> RunMetrics:
-        """Build the run's metrics off its funnel and the cache deltas,
-        state its run-end and record it as :attr:`last_metrics`."""
+        """Build the run's metrics off its funnel and its own cache
+        tally, state its run-end and record it as :attr:`last_metrics`."""
         funnel = log.funnel
         wall_seconds = time.perf_counter() - start
-        hits, misses, stores, corrupt = (
-            now - base for now, base in zip(self._cache_counts(), cache_base)
-        )
         counters = {
             "runner.apps.analyzed": funnel.analyzed,
             "runner.apps.cached": funnel.cached,
-            "runner.cache.hits": hits,
-            "runner.cache.misses": misses,
-            "runner.cache.stores": stores,
+            "runner.cache.hits": tally["hits"],
+            "runner.cache.misses": tally["misses"],
+            "runner.cache.stores": tally["stores"],
         }
         # Fault-tolerance counters appear only on runs that needed them,
         # keeping fault-free metrics payloads byte-stable across versions.
         for name, value in (("runner.apps.faulted", funnel.faulted),
                             ("runner.retries", funnel.retries),
                             ("runner.timeouts", funnel.timeouts),
-                            ("runner.cache.corrupt", corrupt)):
+                            ("runner.cache.corrupt", tally["corrupt"])):
             if value:
                 counters[name] = value
         for kind in sorted(funnel.fault_kinds):
@@ -335,12 +362,10 @@ class CorpusRunner:
             raise ValueError(f"unknown task kind {kind!r}; "
                              f"expected one of {TASK_KINDS}")
         start = time.perf_counter()
-        params = dict(params or {})
-        if self.memory:
-            # only set when on, so plain runs keep their cache keys
-            params["memory"] = True
+        params = self._run_params(params)
         fingerprint = self._fingerprint(params)
-        cache_base = self._cache_counts()
+        #: this run's own cache hits, misses, stores and quarantines
+        tally: Counter = Counter()
 
         log = self.events if self.events is not None else RunEventLog(())
         log.run_start(kind, app_names, listeners=(
@@ -381,10 +406,9 @@ class CorpusRunner:
             if name in envelopes or name in pending:
                 continue  # duplicate input name: analyze once
             if self.cache is not None:
-                key = cache_key(kind, _source_for(kind, name, params),
-                                fingerprint)
+                key = self._key(kind, name, params, fingerprint)
                 keys[name] = key
-                hit = self.cache.lookup(key)
+                hit = self.cache.lookup(key, tally)
                 if hit is not None:
                     log.app_event(name, "app-start")
                     log.app_event(name, "cache-hit")
@@ -396,12 +420,12 @@ class CorpusRunner:
         if pending:
             try:
                 outcome = run_tasks(kind, pending, params, self.jobs,
-                                    self.policy, narrate)
+                                    self.policy, narrate, self.pool)
             except FaultError as exc:
                 # fail-fast: the aborting app's fault is already stated;
                 # close the run so the stream, the telemetry and
                 # last_metrics/last_faults end with it
-                self._close_run(log, start, cache_base, snapshots,
+                self._close_run(log, start, tally, snapshots,
                                 app_names, [exc.fault])
                 raise
             envelopes.update(outcome.envelopes)
@@ -411,10 +435,10 @@ class CorpusRunner:
                     # Error envelopes are never cached: a transient
                     # fault must not replay from disk as a permanent one.
                     if name not in faults:
-                        self.cache.store(keys[name], envelopes[name])
+                        self.cache.store(keys[name], envelopes[name], tally)
 
         metrics = self._close_run(
-            log, start, cache_base, snapshots, app_names,
+            log, start, tally, snapshots, app_names,
             [faults[name] for name in app_names if name in faults],
         )
         return [

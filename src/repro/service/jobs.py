@@ -225,23 +225,36 @@ JOB_STATS = {
 }
 
 
-def execute_job(spec: JobSpec, runner) -> JobResult:
-    """Run one job on a :class:`~repro.runner.CorpusRunner`.
-
-    The runner provides everything the daemon needs per job: the
-    worker pool (``jobs`` fan-out within the job), the
-    content-addressed cache (cross-job warm path), fault isolation under
-    the spec's policy, and per-app metrics snapshots for the report.
-    """
-    params: Dict[str, Any] = {
+def _job_params(spec: JobSpec) -> Dict[str, Any]:
+    """The ``analyze`` task params of a spec: its config and every
+    app's sources."""
+    return {
         "config": spec.config(),
         "sources": {
             app.name: [list(pair) for pair in app.files]
             for app in spec.apps
         },
     }
+
+
+def fully_cached(spec: JobSpec, runner) -> bool:
+    """Whether every app of ``spec`` has an entry in ``runner``'s cache
+    -- the daemon answers such a job at admission (a ``stat`` per app;
+    nothing is read or counted)."""
+    return runner.fully_cached("analyze", [app.name for app in spec.apps],
+                               _job_params(spec))
+
+
+def execute_job(spec: JobSpec, runner) -> JobResult:
+    """Run one job on a :class:`~repro.runner.CorpusRunner`.
+
+    The runner provides everything the daemon needs per job: the
+    worker pool (the daemon's workers run every analysis), the
+    content-addressed cache (cross-job warm path), fault isolation under
+    the spec's policy, and per-app metrics snapshots for the report.
+    """
     names = [app.name for app in spec.apps]
-    payloads, metrics = runner.run("analyze", names, params)
+    payloads, metrics = runner.run("analyze", names, _job_params(spec))
 
     app_reports = []
     faults: List[Dict[str, Any]] = []

@@ -7,14 +7,17 @@ on, daemonic handler threads, **127.0.0.1 only**).  Two layers:
 
 * :class:`AnalysisService` -- the scheduler.  Holds the long-lived warm
   state (the content-addressed :class:`~repro.runner.ResultCache`, the
-  interned framework model living in this process's modules, which
-  forked workers inherit) and a single drain thread that executes
-  queued jobs one at a time on a
-  :class:`~repro.runner.CorpusRunner` (``--jobs N`` fan-out *within*
-  each job keeps results deterministic).  Admission control: a bounded
-  queue (:class:`QueueFullError` -> HTTP 429 with ``Retry-After``) and
-  round-robin fairness over client ids, so one chatty client cannot
-  starve the rest.
+  interned framework model, which its workers inherit) and the
+  daemon-lifetime :class:`~repro.resilience.WorkerPool` of ``--jobs``
+  workers on which every analysis runs: this process parses requests,
+  reads the cache, builds and renders reports, and never analyzes.  A
+  job whose apps all hit the cache is answered at admission, on its
+  request thread; any other job queues for a single drain thread that
+  runs cold jobs one at a time on a :class:`~repro.runner.CorpusRunner`
+  (``--jobs N`` fan-out *within* each job keeps results deterministic).
+  Admission control: a bounded queue (:class:`QueueFullError` -> HTTP
+  429 with ``Retry-After``) and round-robin fairness over client ids, so
+  one chatty client cannot starve the rest.
 * :class:`ServiceServer` -- the HTTP front.  ``POST /v1/analyze`` /
   ``POST /v1/batch`` submit jobs (``"wait": true`` blocks until done),
   ``GET /v1/jobs[/<id>[/report|/sarif]]`` reads them back (the
@@ -43,9 +46,9 @@ from ..obs.telemetry import (
     TELEMETRY_HOST,
     telemetry_response,
 )
-from ..resilience import FaultPolicy
+from ..resilience import FaultPolicy, WorkerPool
 from ..runner import CorpusRunner, ResultCache
-from .jobs import execute_job, JobResult, JobSpec
+from .jobs import execute_job, fully_cached, JobResult, JobSpec
 
 #: default bound on queued (not yet running) jobs
 DEFAULT_QUEUE_LIMIT = 8
@@ -111,12 +114,17 @@ class Job:
 
 
 class AnalysisService:
-    """The daemon's scheduler: bounded fair queue + one drain thread.
+    """The daemon's scheduler: bounded fair queue + one drain thread,
+    in front of the daemon-lifetime worker pool.
 
-    Jobs execute strictly one at a time (parallelism lives *inside* a
-    job via the runner's ``jobs`` fan-out), which keeps every job's
-    results byte-identical to a standalone run -- no cross-job
-    interleaving to perturb metrics or cache traffic attribution.
+    Cold jobs execute strictly one at a time (parallelism lives *inside*
+    a job via the pool's ``jobs`` workers), which keeps every job's
+    results byte-identical to a standalone run.  A job whose apps all
+    hit the cache skips the queue and runs on the submitting thread; it
+    analyzes nothing, and each run counts its own cache traffic, so its
+    stats match a queued run's.  The pool forks its workers at the
+    first cold job, not at start-up, and :meth:`shutdown` terminates
+    them.
 
     Call :meth:`start` to begin draining; tests can submit first and
     start later to exercise admission control deterministically.
@@ -135,6 +143,8 @@ class AnalysisService:
         self.default_policy = policy or FaultPolicy(keep_going=True)
         self.telemetry = telemetry
         self.queue_limit = max(0, int(queue_limit))
+        #: the workers every analysis of this daemon runs on
+        self.pool = WorkerPool(self.jobs)
         self._lock = threading.Lock()
         self._wake = threading.Condition(self._lock)
         #: per-client FIFO queues, drained round-robin
@@ -160,7 +170,8 @@ class AnalysisService:
 
     def shutdown(self, timeout: float = 10.0) -> None:
         """Stop draining: the in-flight job finishes, queued jobs are
-        cancelled (their waiters released), and the drain thread joins."""
+        cancelled (their waiters released), the drain thread joins and
+        the pool's workers are terminated."""
         with self._wake:
             self._stop = True
             for queue in self._queues.values():
@@ -172,6 +183,7 @@ class AnalysisService:
         if self._thread is not None:
             self._thread.join(timeout=timeout)
             self._thread = None
+        self.pool.close()
 
     # -- submission / lookup --------------------------------------------------
 
@@ -180,22 +192,30 @@ class AnalysisService:
             return sum(len(q) for q in self._queues.values())
 
     def submit(self, spec: JobSpec) -> Job:
-        """Queue one job; raises :class:`QueueFullError` at the bound."""
+        """Admit one job.  A job whose apps all hit the cache runs to
+        completion on the calling thread before this returns; any other
+        is queued, and raises :class:`QueueFullError` at the bound."""
+        runner = self._make_runner(spec)
+        warm = fully_cached(spec, runner)
         with self._wake:
             if self._stop:
                 raise QueueFullError(0, self.queue_limit)
             depth = sum(len(q) for q in self._queues.values())
-            if depth >= self.queue_limit:
+            if not warm and depth >= self.queue_limit:
                 raise QueueFullError(depth, self.queue_limit)
             self._seq += 1
             job = Job(id=f"j{self._seq}", spec=spec)
             self._jobs[job.id] = job
-            if spec.client not in self._queues:
-                self._queues[spec.client] = deque()
-                self._rotation.append(spec.client)
-            self._queues[spec.client].append(job)
-            self._wake.notify_all()
-            return job
+            if not warm:
+                if spec.client not in self._queues:
+                    self._queues[spec.client] = deque()
+                    self._rotation.append(spec.client)
+                self._queues[spec.client].append(job)
+                self._wake.notify_all()
+                return job
+            job.status = "running"
+        self._execute(job, runner)
+        return job
 
     def get(self, job_id: str) -> Optional[Job]:
         with self._lock:
@@ -235,14 +255,15 @@ class AnalysisService:
 
     def _make_runner(self, spec: JobSpec) -> CorpusRunner:
         """A fresh (cheap) runner per job: per-job policy, shared warm
-        cache, shared telemetry aggregator."""
+        cache, shared telemetry aggregator, shared worker pool."""
         policy = spec.policy()
         if policy.timeout is None and self.default_policy.timeout:
             policy = FaultPolicy(timeout=self.default_policy.timeout,
                                  max_retries=policy.max_retries,
                                  keep_going=True)
         return CorpusRunner(jobs=self.jobs, cache=self.cache,
-                            policy=policy, telemetry=self.telemetry)
+                            policy=policy, telemetry=self.telemetry,
+                            pool=self.pool)
 
     def _drain(self) -> None:
         while True:
@@ -254,21 +275,27 @@ class AnalysisService:
                 if job is None:
                     return
                 job.status = "running"
-            if self.telemetry is not None:
-                self.telemetry.set_phase(f"job:{job.id}")
-            started = time.perf_counter()
-            try:
-                job.result = execute_job(job.spec, self._make_runner(job.spec))
-                job.status = "done"
-            except Exception as exc:  # a job must never kill the daemon
-                job.error = f"{type(exc).__name__}: {exc}"
-                job.status = "failed"
-            job.wall_seconds = time.perf_counter() - started
-            with self._lock:
-                self._finished.append(job.id)
-                while len(self._finished) > JOB_HISTORY:
-                    del self._jobs[self._finished.popleft()]
-            job.done.set()
+            self._execute(job, self._make_runner(job.spec))
+
+    def _execute(self, job: Job, runner: CorpusRunner) -> None:
+        """Run one admitted job to its end state and file it in the
+        history (on the drain thread, or on the request thread of a job
+        answered at admission)."""
+        if self.telemetry is not None:
+            self.telemetry.set_phase(f"job:{job.id}")
+        started = time.perf_counter()
+        try:
+            job.result = execute_job(job.spec, runner)
+            job.status = "done"
+        except Exception as exc:  # a job must never kill the daemon
+            job.error = f"{type(exc).__name__}: {exc}"
+            job.status = "failed"
+        job.wall_seconds = time.perf_counter() - started
+        with self._lock:
+            self._finished.append(job.id)
+            while len(self._finished) > JOB_HISTORY:
+                del self._jobs[self._finished.popleft()]
+        job.done.set()
 
 
 # -- the HTTP front ----------------------------------------------------------

@@ -68,6 +68,24 @@ def test_aggregator_tracks_the_run_funnel():
     assert agg.progress()["phase"] == "idle"
 
 
+def test_an_overlapping_run_ending_leaves_the_other_in_progress():
+    agg = LiveAggregator(clock=lambda: 0.0)
+    feed(agg, "run-start", kind="analyze", apps=1)
+    feed(agg, "app-start", app="cold")
+    # a second run (a cached job) starts and ends meanwhile
+    feed(agg, "run-start", kind="analyze", apps=1)
+    feed(agg, "app-start", app="warm")
+    feed(agg, "app-done", app="warm", status="cached", duration_s=0.001)
+    feed(agg, "run-end", analyzed=0, cached=1, faulted=0)
+    progress = agg.progress()
+    assert progress["phase"] == "analyze"
+    assert progress["active"] == ["cold"]
+    feed(agg, "app-done", app="cold", status="analyzed", duration_s=0.01)
+    feed(agg, "run-end", analyzed=1, cached=0, faulted=0)
+    assert agg.progress()["phase"] == "idle"
+    assert agg.progress()["runs"] == 2
+
+
 def test_aggregator_latency_memory_is_bounded():
     agg = LiveAggregator(clock=lambda: 0.0)
     count = 10_000

@@ -3,18 +3,21 @@
 ``ResultCache.store`` spools to a same-directory ``.tmp`` sibling,
 fsyncs, and ``os.replace``s into place.  These tests SIGKILL a real
 writer process *inside* the store (after partial bytes hit the spool
-file) and assert the contract: readers see either nothing or the old
-complete entry -- never a truncated ``<key>.json`` -- and the orphaned
-spool file is swept by ``prune``.
+file, before the rename) and assert the contract: readers see either
+nothing or the old complete entry -- never a truncated ``<key>.json``
+-- and the orphaned spool file is swept by ``prune``.
 """
 
+import io
 import json
 import multiprocessing
 import os
 import signal
 from pathlib import Path
 
-from repro.runner import ResultCache
+from repro.corpus import all_apps
+from repro.runner import CACHE_SCHEMA, ResultCache
+from repro.runner.runner import execute_app_task_observed
 
 KEY = "ab" + "0" * 62
 PAYLOAD = {"data": {"rows": list(range(200))}, "obs": None}
@@ -25,24 +28,25 @@ def _fork():
 
 
 def _killed_writer(root: str) -> None:
-    """Child: start a store, die by SIGKILL after partial bytes are on
-    disk (patching the module's ``json.dump`` seam; the fork dies, so
-    the patch never leaks anywhere)."""
+    """Child: start a store, die by SIGKILL once partial bytes are on
+    disk, just before the rename would publish them (patching the
+    module's ``json.dumps`` and ``os.replace`` seams; the fork dies, so
+    the patches never leak anywhere)."""
     from repro.runner import cache as cache_mod
 
-    def dump_and_die(obj, handle, **kwargs):
-        handle.write('{"schema": 999, "data": "tr')
-        handle.flush()
-        os.fsync(handle.fileno())
+    def torn_dumps(obj, **kwargs):
+        return '{"schema": 999, "data": "tr'
+
+    def die(*args):
         os.kill(os.getpid(), signal.SIGKILL)
 
     cache_mod.json = type(
         "_TornJson", (), {
-            "dump": staticmethod(dump_and_die),
-            "dumps": staticmethod(json.dumps),
+            "dumps": staticmethod(torn_dumps),
             "load": staticmethod(json.load),
         },
     )
+    os.replace = die
     ResultCache(Path(root)).store(KEY, PAYLOAD)
 
 
@@ -98,3 +102,21 @@ def test_failed_dump_cleans_up_its_spool_file(tmp_path):
         raise AssertionError("store of an unserializable payload passed")
     assert not list(tmp_path.glob("*/*"))
     assert cache.stores == 0
+
+
+def test_store_writes_the_bytes_of_the_streaming_encoder(tmp_path):
+    """The one-call ``json.dumps`` store publishes, for every registry
+    app's envelope, exactly the bytes the earlier streaming
+    ``json.dump`` writer did."""
+    cache = ResultCache(tmp_path)
+    for index, spec in enumerate(all_apps()):
+        envelope = execute_app_task_observed("table1", spec.name,
+                                             {"validate": False})
+        key = f"{index:02d}" + "0" * 62
+        cache.store(key, envelope)
+        reference = io.StringIO()
+        json.dump({"schema": CACHE_SCHEMA, **envelope}, reference,
+                  separators=(",", ":"))
+        assert cache.path_for(key).read_bytes() \
+            == reference.getvalue().encode("utf-8"), spec.name
+    assert cache.stores == len(all_apps()) == 27

@@ -3,10 +3,12 @@
 The pool forks at most ``jobs`` workers per ``run_tasks`` call, each
 serving many tasks; a worker that dies or overruns its deadline is
 replaced, and no worker outlives the call -- whether it returns, aborts
-fail-fast or is interrupted.  A cheap ``probe`` task kind stands in for
-an analysis: it drops a ``<app>.<pid>`` marker per attempt, crosses a
-``probe`` checkpoint where planted faults fire, and takes long enough
-that the pool notices a lost worker before the queue runs dry.
+fail-fast or is interrupted.  A :class:`WorkerPool` kept open (the
+daemon's) serves run after run on the same workers until it is closed.
+A cheap ``probe`` task kind stands in for an analysis: it drops a
+``<app>.<pid>`` marker per attempt, crosses a ``probe`` checkpoint
+where planted faults fire, and takes long enough that the pool notices
+a lost worker before the queue runs dry.
 """
 
 import json
@@ -24,6 +26,7 @@ from repro.resilience import (
     FaultPolicy,
     FaultSpec,
     run_tasks,
+    WorkerPool,
 )
 from repro.resilience.faultinject import ENV_VAR
 from repro.runner import runner as runner_module
@@ -133,4 +136,57 @@ def test_interrupt_terminates_every_worker(tmp_path):
 
     with pytest.raises(KeyboardInterrupt):
         run(tmp_path, observer=interrupt)
+    assert multiprocessing.active_children() == []
+
+
+def test_an_open_pool_serves_run_after_run_on_the_same_worker(tmp_path):
+    with WorkerPool(1) as pool:
+        assert multiprocessing.active_children() == []  # forks on demand
+        pids = set()
+        for batch in (APPS[:3], APPS[3:]):
+            outcome = pool.run("probe", batch, {"dir": str(tmp_path)},
+                               FaultPolicy(timeout=30.0, keep_going=True))
+            assert sorted(outcome.envelopes) == batch
+            pids |= {env["data"]["pid"]
+                     for env in outcome.envelopes.values()}
+        assert len(pids) == 1
+        assert [child.pid for child in multiprocessing.active_children()] \
+            == list(pids)
+    assert multiprocessing.active_children() == []
+
+
+def test_an_open_pool_replaces_a_killed_worker_at_the_next_run(
+        tmp_path, monkeypatch):
+    plant(monkeypatch, tmp_path, "app0", "hang")
+    policy = FaultPolicy(timeout=0.5, keep_going=True)
+    with WorkerPool(1) as pool:
+        outcome = pool.run("probe", ["app0"], {"dir": str(tmp_path)}, policy)
+        assert outcome.faults["app0"].kind == "timeout"
+        # the watchdog's kill is not followed by an eager respawn
+        assert multiprocessing.active_children() == []
+        outcome = pool.run("probe", ["app1"], {"dir": str(tmp_path)}, policy)
+        assert "data" in outcome.envelopes["app1"]
+        assert len(multiprocessing.active_children()) == 1
+    assert multiprocessing.active_children() == []
+
+
+def test_a_fail_fast_run_leaves_an_open_pool_usable(tmp_path, monkeypatch):
+    plant(monkeypatch, tmp_path, "app1", "raise")
+    with WorkerPool(2) as pool:
+        with pytest.raises(FaultError, match="app1"):
+            pool.run("probe", APPS, {"dir": str(tmp_path)}, FaultPolicy())
+        # no busy worker survives the abort, so no stale reply can be
+        # read as the next run's
+        outcome = pool.run("probe", ["app5", "app6"], {"dir": str(tmp_path)},
+                           FaultPolicy(keep_going=True))
+        assert sorted(outcome.envelopes) == ["app5", "app6"]
+        assert all("data" in env for env in outcome.envelopes.values())
+    assert multiprocessing.active_children() == []
+
+
+def test_a_closed_pool_forks_no_more(tmp_path):
+    pool = WorkerPool(1)
+    pool.close()
+    with pytest.raises(RuntimeError, match="closed"):
+        pool.run("probe", ["app0"], {"dir": str(tmp_path)}, FaultPolicy())
     assert multiprocessing.active_children() == []

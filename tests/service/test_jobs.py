@@ -1,11 +1,13 @@
 """The job layer: spec validation, execution, CLI byte-identity."""
 
 import json
+import threading
 
 import pytest
 
 from repro.corpus import app
-from repro.runner import CorpusRunner
+from repro.runner import CorpusRunner, ResultCache
+from repro.runner import runner as runner_module
 from repro.service import (
     AppSource,
     execute_job,
@@ -160,6 +162,55 @@ def test_execute_job_sarif_round_trips():
     result = execute_job(spec, CorpusRunner(jobs=1))
     sarif = result.sarif_dict()
     assert sarif is not None and sarif["version"] == "2.1.0"
+
+
+def test_concurrent_runs_count_only_their_own_cache_traffic(tmp_path,
+                                                           monkeypatch):
+    """Two runs on one cache at once -- a cold one held mid-analysis
+    while a warm one runs start to finish -- each report exactly their
+    own lookups and stores, not deltas of the shared cache counters."""
+    cache = ResultCache(tmp_path / "cache")
+    warm_spec = JobSpec(apps=(_app_source("todolist", "todolist"),))
+    cold_spec = JobSpec(apps=(_app_source("clipstack", "clipstack"),))
+    execute_job(warm_spec, CorpusRunner(cache=cache))  # warm the entry
+
+    analyzing, release = threading.Event(), threading.Event()
+    analyze = runner_module._TASKS["analyze"]
+
+    def held_analyze(name, params):
+        analyzing.set()
+        assert release.wait(timeout=30)
+        return analyze(name, params)
+
+    monkeypatch.setitem(runner_module._TASKS, "analyze", held_analyze)
+    cold_runner = CorpusRunner(cache=cache)
+    cold = {}
+    thread = threading.Thread(target=lambda: cold.update(
+        result=execute_job(cold_spec, cold_runner)))
+    thread.start()
+    try:
+        assert analyzing.wait(timeout=30)  # cold: looked up, analyzing
+        warm_runner = CorpusRunner(cache=cache)
+        warm = execute_job(warm_spec, warm_runner)
+    finally:
+        release.set()
+        thread.join(timeout=60)
+
+    assert warm.stats == {"analyzed": 0, "cached": 1, "faulted": 0,
+                          "retries": 0, "cache_hits": 1,
+                          "cache_misses": 0, "cache_stores": 0}
+    assert cold["result"].stats == {"analyzed": 1, "cached": 0,
+                                    "faulted": 0, "retries": 0,
+                                    "cache_hits": 0, "cache_misses": 1,
+                                    "cache_stores": 1}
+    for runner, (hits, misses, stores) in ((warm_runner, (1, 0, 0)),
+                                           (cold_runner, (0, 1, 1))):
+        counters = runner.last_metrics.run.counters
+        assert (counters["runner.cache.hits"],
+                counters["runner.cache.misses"],
+                counters["runner.cache.stores"]) == (hits, misses, stores)
+    # the cache's own counters still total its whole lifetime
+    assert (cache.hits, cache.misses, cache.stores) == (1, 2, 2)
 
 
 # -- CLI byte-identity --------------------------------------------------------

@@ -325,14 +325,17 @@ def test_queue_bound_surfaces_as_429_with_retry_after(tmp_path,
         status, headers, _ = _request(srv.url + "/v1/analyze", payload)
         assert status == 202
         assert started.wait(timeout=30)  # running: the queue is empty
-        status, _, _ = _request(srv.url + "/v1/analyze", payload)
+        status, _, body = _request(srv.url + "/v1/analyze", payload)
         assert status == 202  # fills the one queue slot
+        queued = json.loads(body)["id"]
         status, headers, body = _request(srv.url + "/v1/analyze", payload)
         assert status == 429
         assert headers["Retry-After"] == "1"
         assert "queue is full" in json.loads(body)["error"]
-        # draining the queue clears the backpressure
+        # draining the queue clears the backpressure: once the queued
+        # job has run, the slot is free again
         release.set()
+        assert service.wait(queued, timeout=30).status == "done"
         status, _, body = _request(srv.url + "/v1/analyze",
                                    dict(payload, wait=True))
         assert status == 200
@@ -439,7 +442,7 @@ def test_daemon_reports_match_repro_analyze_over_the_corpus(
         tmp_path, jobs):
     """The acceptance bar: for every corpus app, the daemon's report is
     byte-identical to ``repro analyze --report-out``, at daemon fan-out
-    1 and 4 alike."""
+    1 and 4 alike, cold and warm (answered at admission)."""
     from repro.cli import main
 
     sources = tmp_path / "sources"
@@ -457,15 +460,18 @@ def test_daemon_reports_match_repro_analyze_over_the_corpus(
             code = main(["analyze", str(path),
                          "--report-out", str(out)])
             assert code in (0, 1)
-            status, _, body = _request(srv.url + "/v1/analyze", {
-                "files": [{"path": str(path), "text": spec.source()}],
-                "wait": True,
-            })
-            assert status == 200
-            job = json.loads(body)
-            assert job["status"] == "done"
-            _, _, served = _request(srv.url + job["report"])
-            assert served.decode() == out.read_text(), spec.name
+            for temperature in ("cold", "warm"):
+                status, _, body = _request(srv.url + "/v1/analyze", {
+                    "files": [{"path": str(path), "text": spec.source()}],
+                    "wait": True,
+                })
+                assert status == 200
+                job = json.loads(body)
+                assert job["status"] == "done"
+                assert job["stats"]["cached"] == (temperature == "warm")
+                _, _, served = _request(srv.url + job["report"])
+                assert served.decode() == out.read_text(), \
+                    (spec.name, temperature)
     finally:
         srv.close()
 
