@@ -60,7 +60,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from contextlib import nullcontext
 from pathlib import Path
 from typing import List
 
@@ -299,30 +298,42 @@ def _emit_report_outputs(args, report) -> None:
                         lambda path: write_sarif(report, path))
 
 
-def _single_app_report(args, result, recorder):
-    """The one-app AnalysisReport behind analyze/explain outputs.
+def _analyze_files(args: argparse.Namespace, **params):
+    """Analyze ``args.files`` as one ``analyze`` task (the daemon's) on a
+    serial, uncached, fail-fast runner, as a runner-less paper driver
+    does.  Returns the task payload, its ``ResultData``, the report and
+    the app's metrics snapshot.  A fault exits 2 as one line; a parse
+    fault prints just its ``<file>:<line>:<col>:`` diagnostic."""
+    from .core import AnalysisConfig
+    from .resilience import FaultError
+    from .runner import CorpusRunner
+    from .runner.serialize import result_data_from_dict
+    from .service.jobs import SINGLE_APP_NAME, single_app_report
 
-    Delegates to the job layer's projection so the ``repro serve``
-    daemon and the CLI cannot drift apart byte-wise."""
-    from .service.jobs import single_app_report
-
-    return single_app_report(
-        result,
-        source=args.files[0],
-        metrics=recorder.snapshot() if recorder is not None else None,
-    )
+    # task params are set only when used, like the runner's "memory"
+    params = {name: value for name, value in params.items() if value}
+    params["config"] = AnalysisConfig(k=args.k)
+    params["sources"] = {SINGLE_APP_NAME: _read_sources(args.files)}
+    runner = CorpusRunner(memory=getattr(args, "memory", False))
+    try:
+        payloads, metrics = runner.run("analyze", [SINGLE_APP_NAME], params)
+    except FaultError as exc:
+        if exc.fault.kind == "parse":
+            raise CliError(exc.fault.message) from exc
+        raise
+    payload = payloads[0]
+    result = result_data_from_dict(payload["result"])
+    snapshot = metrics.apps[SINGLE_APP_NAME]
+    report = single_app_report(result, source=args.files[0],
+                               metrics=snapshot)
+    return payload, result, report, snapshot
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
     from . import obs
-    from .core import analyze_app, AnalysisConfig
 
-    config = AnalysisConfig(k=args.k)
-    recorder = obs.Recorder(profile_stages=args.profile_stage or ())
-    memory = obs.track_memory(recorder) if args.memory else nullcontext()
-    with obs.use(recorder), memory:
-        result = analyze_app(_read_sources(args.files), config=config)
-    snapshot = recorder.snapshot()
+    payload, result, report, snapshot = _analyze_files(
+        args, validate=args.validate, profile_stages=args.profile_stage)
     if args.trace:
         print(obs.render_spans(snapshot.spans), file=sys.stderr)
         print(obs.render_metrics(snapshot), file=sys.stderr)
@@ -331,8 +342,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         print(obs.render_hotspots(entries, top=args.hotspots),
               file=sys.stderr)
     if args.profile_stage:
-        for root in recorder.roots:
-            for node in root.walk():
+        for root in snapshot.spans:
+            for node in obs.Span.from_dict(root).walk():
                 profile = node.attrs.get("profile")
                 if profile:
                     print(f"[profile] {node.name}\n{profile}",
@@ -347,8 +358,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             "trace", "trace", args.trace_out,
             lambda path: write_trace(path, chrome_trace({"app": snapshot})),
         )
-    if args.report_out or args.sarif_out:
-        _emit_report_outputs(args, _single_app_report(args, result, recorder))
+    _emit_report_outputs(args, report)
     counts = result.counts()
     print(f"modeled threads : EC={counts['EC']} PC={counts['PC']} "
           f"T={counts['T']}")
@@ -359,35 +369,23 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     if by_type:
         print(f"origin split    : {by_type}")
     print()
-    for warning in result.remaining():
-        print(warning.describe(result.program.forest))
-        if args.validate:
-            from .runtime import Simulator, validate_warning
-
-            program = result.program
-
-            def make_sim():
-                return Simulator(program.module, program.manifest)
-
-            verdict = validate_warning(make_sim, warning)
-            status = "CONFIRMED harmful" if verdict.confirmed \
+    remaining = result.remaining()
+    verdicts = payload.get("validation", [None] * len(remaining))
+    for warning, verdict in zip(remaining, verdicts):
+        print(warning.describe())
+        if verdict is not None:
+            status = "CONFIRMED harmful" if verdict["confirmed"] \
                 else "not confirmed (possible false positive)"
             print(f"  dynamic check: {status} "
-                  f"({verdict.schedules_tried} schedules)")
+                  f"({verdict['schedules_tried']} schedules)")
         print()
-    return 0 if not result.remaining() else 1
+    return 1 if remaining else 0
 
 
 def cmd_explain(args: argparse.Namespace) -> int:
-    from . import obs
-    from .core import analyze_app, AnalysisConfig
     from .report import render_app_explanations
 
-    config = AnalysisConfig(k=args.k)
-    recorder = obs.Recorder()
-    with obs.use(recorder):
-        result = analyze_app(_read_sources(args.files), config=config)
-    report = _single_app_report(args, result, recorder)
+    _, _, report, _ = _analyze_files(args)
     app_report = report.apps["app"]
     by_status = {s: len(ws) for s, ws in app_report.by_status().items()}
     print(f"{len(app_report.warnings)} potential warning(s): "
@@ -401,7 +399,7 @@ def cmd_explain(args: argparse.Namespace) -> int:
         print()
         print(text)
     _emit_report_outputs(args, report)
-    return 0 if not result.remaining() else 1
+    return 1 if by_status["remaining"] else 0
 
 
 def cmd_diff(args: argparse.Namespace) -> int:

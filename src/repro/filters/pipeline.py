@@ -8,7 +8,7 @@ from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .. import obs
 from ..race.warnings import Occurrence, UafWarning, Witness
-from ..resilience import checkpoint, SimulatedWorkerLoss
+from ..resilience import checkpoint
 from .base import Filter, FilterContext
 from .sound import SOUND_FILTERS
 from .unsound import UNSOUND_FILTERS
@@ -114,8 +114,6 @@ class FilterPipeline:
         try:
             checkpoint(f"filter:{f.name}")
             witness = f.witness(occ, warning, self.ctx)
-        except SimulatedWorkerLoss:
-            raise  # worker-loss semantics outrank degradation
         except Exception as exc:
             self._record_filter_fault(f, exc, occ)
             return None

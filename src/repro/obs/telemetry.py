@@ -33,9 +33,9 @@ from __future__ import annotations
 import json
 import threading
 import time
-from collections import deque
+from collections import Counter, deque
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Any, Deque, Dict, List, Optional, Tuple
+from typing import Any, Deque, Dict, Optional, Tuple
 
 from .events import APP_STATUSES, percentile, RunFunnel
 from .exporters import prometheus_text
@@ -90,7 +90,9 @@ class LiveAggregator:
         #: jobs while a cold one runs, so runs can overlap)
         self._open_runs = 0
         self._funnel = RunFunnel()
-        self._active: List[str] = []
+        #: in-flight runs per app name: every single-app daemon job is
+        #: ``app``, so a name stays listed until its last run finishes
+        self._active: Counter = Counter()
         self._durations: Deque[float] = deque(maxlen=LATENCY_WINDOW)
         self._latency_count = 0
         self._latency_max = 0.0
@@ -133,8 +135,7 @@ class LiveAggregator:
     def app_started(self, name: str) -> None:
         """The per-app fold step of an ``app-start`` record."""
         with self._lock:
-            if name not in self._active:
-                self._active.append(name)
+            self._active[name] += 1
 
     def app_finished(self, name: str, status: str,
                      duration_s: Optional[float] = None,
@@ -142,8 +143,9 @@ class LiveAggregator:
         """The per-app fold step of an ``app-done`` record: latency and
         metrics (the funnel counts the outcome itself)."""
         with self._lock:
-            if name in self._active:
-                self._active.remove(name)
+            self._active[name] -= 1
+            if self._active[name] <= 0:
+                del self._active[name]
             if duration_s is not None:
                 self._durations.append(float(duration_s))
                 self._latency_count += 1

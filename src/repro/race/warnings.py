@@ -170,9 +170,10 @@ class UafWarning:
                 counts[name] = counts.get(name, 0) + 1
         return counts
 
-    def describe(self, forest: ThreadForest) -> str:
+    def describe(self) -> str:
         """Programmer-facing description with callback/thread lineage
-        (the section-7 aid)."""
+        (the section-7 aid), read off each occurrence's lineage entries,
+        so it also works on a result decoded from a task payload."""
         lines = [
             f"potential UAF on {self.fieldref}:",
             f"  use : {self.use_method} (line {self._line('use')})",
@@ -180,11 +181,11 @@ class UafWarning:
         ]
         shown = self.surviving_occurrences() or self.occurrences
         for occ in shown[:4]:
-            use_node = forest.node(occ.use.node_id)
-            free_node = forest.node(occ.free.node_id)
             lines.append(f"  [{occ.pair_type}]")
-            lines.append(f"    use  thread: {use_node.describe()}")
-            lines.append(f"    free thread: {free_node.describe()}")
+            for label, lineage in (("use  thread", occ.use_lineage),
+                                   ("free thread", occ.free_lineage)):
+                path = " -> ".join(entry["entry"] for entry in lineage)
+                lines.append(f"    {label}: {path}")
         return "\n".join(lines)
 
     def _line(self, which: str) -> int:

@@ -30,7 +30,6 @@ from .errors import (
     FilterFault,
     InjectedFaultError,
     ParseFault,
-    SimulatedWorkerLoss,
     TimeoutFault,
     WorkerLostFault,
     fault_digest,
@@ -113,7 +112,6 @@ __all__ = [
     "InjectedFaultError",
     "ParseFault",
     "PoolOutcome",
-    "SimulatedWorkerLoss",
     "TimeoutFault",
     "WorkerLostFault",
     "active_plan",

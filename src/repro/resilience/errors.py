@@ -33,16 +33,6 @@ from ..lang.errors import SourceError
 # -- exceptions the resilience layer itself raises ---------------------------
 
 
-class SimulatedWorkerLoss(Exception):
-    """The in-process stand-in for a worker death (``kill`` injection).
-
-    ``os._exit`` in the main process would take the whole run down, so on
-    the in-process path an injected kill raises this instead; the
-    runner classifies it exactly like a real worker loss (transient,
-    retried).
-    """
-
-
 class InjectedFaultError(RuntimeError):
     """A deterministic crash planted by the fault-injection harness."""
 
@@ -181,11 +171,10 @@ def fault_from_exception(exc: BaseException, app: str,
                          stage: str = "task") -> Fault:
     """Classify an exception raised while analyzing ``app``.
 
-    The mapping is the retry policy: :class:`WorkerLostFault` (and only
-    it) comes back ``transient``.
+    An exception is always a deterministic fault (never retried); the
+    one transient fault, a lost worker, raises nothing -- the pool reads
+    it as EOF on the worker's pipe (:func:`worker_lost_fault`).
     """
-    if isinstance(exc, SimulatedWorkerLoss):
-        return worker_lost_fault(app)
     if isinstance(exc, SourceError):
         cls: Type[Fault] = ParseFault
         message = str(exc)

@@ -18,8 +18,8 @@ Actions:
 * ``hang``        -- block until the watchdog kills the worker or
   ``hang_seconds`` elapse,
 * ``kill``        -- ``os._exit`` the worker mid-task (a real worker
-  loss, retried as transient); in-process it raises
-  :class:`SimulatedWorkerLoss` so the run itself survives.
+  loss, retried as transient); a run whose plan has one runs its apps
+  in worker processes (:func:`repro.resilience.run_tasks`).
 
 ``times: K`` limits a spec to the first K attempts, which is how
 retry-succeeds scenarios are scripted; attempt counts persist across
@@ -47,21 +47,11 @@ from pathlib import Path
 from typing import Any, Dict, Iterator, Optional, Tuple
 
 from ..lang.errors import ParseError
-from .errors import InjectedFaultError, SimulatedWorkerLoss
+from .errors import InjectedFaultError
 
 ENV_VAR = "NADROID_FAULT_PLAN"
 
 ACTIONS = ("raise", "parse-error", "hang", "kill")
-
-#: set by the worker-pool child entry point; decides whether ``kill``
-#: may really ``os._exit`` or must simulate the loss
-_IN_WORKER = False
-
-
-def mark_worker_process() -> None:
-    """Flag this process as a disposable analysis worker."""
-    global _IN_WORKER
-    _IN_WORKER = True
 
 
 @dataclass(frozen=True)
@@ -97,6 +87,10 @@ class FaultPlan:
             "state_dir": self.state_dir,
             "hang_seconds": self.hang_seconds,
         }
+
+    def kills(self) -> bool:
+        """Whether a spec exits the process it fires in."""
+        return any(spec.action == "kill" for spec in self.faults)
 
     def digest(self) -> str:
         """Stable content hash, mixed into runner cache fingerprints."""
@@ -151,8 +145,9 @@ _ENV_CACHE: Tuple[Optional[str], Optional[FaultPlan]] = (None, None)
 def install(plan: Optional[FaultPlan]) -> Iterator[None]:
     """Activate ``plan`` for the enclosed block (tests, in-process runs).
 
-    Worker processes do not inherit this scope portably -- use the
-    ``NADROID_FAULT_PLAN`` environment variable for multi-process runs.
+    Workers forked inside the block (a pool :func:`repro.resilience
+    .run_tasks` opens, as it does for a plan with a ``kill``) inherit
+    it; longer-lived workers need the ``NADROID_FAULT_PLAN`` variable.
     """
     token = _INSTALLED.set(plan)
     try:
@@ -236,8 +231,4 @@ def maybe_fault(app: Optional[str], stage: str) -> None:
             time.sleep(plan.hang_seconds)
             return
         if spec.action == "kill":
-            if _IN_WORKER:
-                os._exit(17)
-            raise SimulatedWorkerLoss(
-                f"injected worker loss in app '{name}' at stage '{stage}'"
-            )
+            os._exit(17)

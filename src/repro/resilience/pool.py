@@ -32,10 +32,10 @@ Workers are forked after the shared Android framework is built, so
 they inherit it copy-on-write instead of each building its own.  A
 worker that dies before replying (kill injection, OOM, segfault)
 surfaces as EOF on its pipe and classifies as :class:`WorkerLostFault`.
-An untimed run with one worker's worth of work and no pool of its own
-takes the in-process path (:func:`run_serial`), which applies the same
-retry and keep-going policy, so ``--jobs 1`` and ``--jobs N`` produce
-byte-identical fault records.
+An untimed run with one worker's worth of work, no planted ``kill`` and
+no pool of its own takes the in-process path (:func:`run_serial`),
+which applies the same retry and keep-going policy, so ``--jobs 1`` and
+``--jobs N`` produce byte-identical fault records.
 """
 
 from __future__ import annotations
@@ -56,7 +56,7 @@ from .errors import (
     timeout_fault,
     worker_lost_fault,
 )
-from .faultinject import mark_worker_process
+from .faultinject import active_plan
 
 
 @dataclass(frozen=True)
@@ -188,7 +188,6 @@ def _worker_main(conn, inherited: Sequence[Any]) -> None:
     """
     for connection in inherited:
         connection.close()
-    mark_worker_process()
     from ..runner.runner import execute_app_task_observed
     from . import current_stage
 
@@ -411,12 +410,15 @@ def run_tasks(
     On ``pool`` when one is given (the daemon's: every task runs in a
     worker).  Otherwise in worker processes of a pool opened for this
     call when the policy sets a timeout (the watchdog needs a process to
-    kill) or when ``jobs > 1`` and more than one task is pending; and
-    in-process otherwise."""
+    kill), when the active fault plan has a ``kill`` (it exits the
+    process it fires in) or when ``jobs > 1`` and more than one task is
+    pending; and in-process otherwise."""
     policy = policy or FaultPolicy()
     if pool is not None:
         return pool.run(kind, names, params, policy, observer)
-    if policy.timeout is not None or (jobs > 1 and len(names) > 1):
+    plan = active_plan()
+    if policy.timeout is not None or (plan is not None and plan.kills()) \
+            or (jobs > 1 and len(names) > 1):
         with WorkerPool(min(jobs, len(names))) as call_pool:
             return call_pool.run(kind, names, params, policy, observer)
     return run_serial(kind, names, params, policy, observer)

@@ -31,6 +31,7 @@ import time
 from collections import Counter
 from contextlib import nullcontext
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..obs import merge_snapshots, MetricsSnapshot, Recorder, RunEventLog
@@ -93,14 +94,27 @@ def _task_generated(app_name: str, params: Dict[str, Any]) -> Dict[str, Any]:
 def _task_analyze(app_name: str, params: Dict[str, Any]) -> Dict[str, Any]:
     """One service/CLI analysis job unit: sources arrive *in* the params
     (``{"sources": {app: [[path, text], ...]}}``) instead of being
-    resolved from the corpus registry -- the ``repro serve`` daemon feeds
-    request bodies through here."""
+    resolved from the corpus registry.  ``validate`` adds a
+    ``{"confirmed", "schedules_tried"}`` verdict per remaining warning."""
     from ..core import analyze_app
     from .serialize import result_data_to_dict, result_to_data
 
     files = [tuple(entry) for entry in params["sources"][app_name]]
     result = analyze_app(files, config=params.get("config"))
-    return {"result": result_data_to_dict(result_to_data(result))}
+    data = result_to_data(result)
+    payload = {"result": result_data_to_dict(data)}
+    if params.get("validate"):
+        from ..runtime import Simulator, validate_warning
+
+        make_sim = partial(Simulator, result.program.module,
+                           result.program.manifest)
+        payload["validation"] = [
+            {"confirmed": verdict.confirmed,
+             "schedules_tried": verdict.schedules_tried}
+            for verdict in (validate_warning(make_sim, warning)
+                            for warning in data.remaining())
+        ]
+    return payload
 
 
 _TASKS = {
@@ -124,9 +138,9 @@ def execute_app_task_observed(kind: str, app_name: str,
     a ``--jobs N`` run nests each worker's spans under its own app root
     instead of interleaving them.
     """
-    recorder = Recorder()
-    # opt-in tracemalloc gauges (mem.app.peak_kb and
-    # mem.stage.<span>.peak_kb) ride the same snapshot
+    # opt-in cProfile reports (span attrs) and tracemalloc gauges
+    # (mem.app.peak_kb and mem.stage.<span>.peak_kb) ride the snapshot
+    recorder = Recorder(profile_stages=params.get("profile_stages", ()))
     memory = track_memory(recorder) if params.get("memory") \
         else nullcontext()
     with task_scope(app_name), obs_use(recorder), memory:
@@ -201,9 +215,9 @@ class RunMetrics:
 class CorpusRunner:
     """Fan per-app analysis tasks out over processes, behind the cache.
 
-    An untimed run without a ``pool``, at ``jobs <= 1`` or with only one
-    app missing the cache, runs in-process (no worker).  ``cache=None``
-    disables caching entirely.
+    An untimed run without a ``pool`` or a planted ``kill``, at
+    ``jobs <= 1`` or with only one app missing the cache, runs
+    in-process (no worker).  ``cache=None`` disables caching entirely.
 
     ``policy`` governs fault tolerance (per-app timeout, transient
     retries, keep-going vs fail-fast).  A policy with a timeout always

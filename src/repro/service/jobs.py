@@ -21,8 +21,8 @@ into the same artifacts.  This module is that seam:
 Byte-identity contract: for a single-app spec, :meth:`JobResult
 .report_json` equals the file ``repro analyze FILE... --report-out``
 writes, byte for byte, regardless of daemon ``--jobs`` or cache
-temperature (``tests/service`` pins this over the full 27-app corpus).
-Both paths build their report through :func:`single_app_report`.
+temperature: both run the same ``analyze`` task and project its
+payload with ``build_app_report`` (the CLI via :func:`single_app_report`).
 """
 
 from __future__ import annotations
@@ -201,12 +201,13 @@ class JobResult:
 
 
 def single_app_report(result, source: Optional[str], metrics=None):
-    """The one-app :class:`~repro.report.AnalysisReport` of a single
-    analysis: app keyed :data:`SINGLE_APP_NAME`, sourced at the first
-    input path.  ``repro analyze``/``explain`` build their report here;
-    the daemon's single-app jobs use the same app key (via
-    :meth:`JobSpec.from_request`) and the same ``build_app_report``
-    projection, so the two artifacts cannot drift apart byte-wise."""
+    """The one-app :class:`~repro.report.AnalysisReport` of one
+    ``analyze`` task's result: app keyed :data:`SINGLE_APP_NAME`,
+    sourced at the first input path.  ``repro analyze``/``explain``
+    build their report here; the daemon's single-app jobs use the same
+    app key (via :meth:`JobSpec.from_request`) and the same
+    ``build_app_report`` projection, so the two artifacts cannot drift
+    apart byte-wise."""
     return build_report([
         build_app_report(SINGLE_APP_NAME, result, source=source,
                          metrics=metrics)

@@ -8,7 +8,7 @@ from typing import Any, Dict, Iterable, List, Optional, Sequence
 
 from repro import obs
 from repro.race.warnings import UafWarning, Witness
-from repro.resilience import checkpoint, SimulatedWorkerLoss
+from repro.resilience import checkpoint
 from repro.filters.base import Filter, FilterContext
 from repro.filters.sound import SOUND_FILTERS
 from repro.filters.unsound import UNSOUND_FILTERS
@@ -95,8 +95,6 @@ class FilterPipeline:
         try:
             checkpoint(f"filter:{f.name}")
             return f.witness(occ, warning, self.ctx)
-        except SimulatedWorkerLoss:
-            raise  # deadline/worker-loss semantics outrank degradation
         except Exception as exc:
             self._record_filter_fault(f, exc, occ)
             return None
@@ -107,8 +105,6 @@ class FilterPipeline:
         try:
             checkpoint(f"filter:{f.name}")
             return f.prunes(occ, warning, self.ctx)
-        except SimulatedWorkerLoss:
-            raise
         except Exception as exc:
             self._record_filter_fault(f, exc, occ)
             return False

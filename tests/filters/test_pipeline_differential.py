@@ -2,12 +2,13 @@
 
 ``reference_pipeline.py`` is the pipeline that evaluated each filter once
 for the Figure 5 individual counts (``prunes``) and again in the cascade
-(``witness``); it is kept verbatim, with only its imports changed.  On
-every registry app and the generated apps of two seeds, both pipelines
-run on fresh :func:`detect_uaf_warnings` output -- with no fault plan,
-with a ``raise`` plan on each filter (the filter faults on its first
-call), and with each filter crashing midway, on one chosen occurrence,
-after it has already decided others -- and must agree on:
+(``witness``); it is kept verbatim, with only its imports changed and
+the clauses that re-raised the removed in-process worker-loss exception
+dropped.  On every registry app and the generated apps of two seeds,
+both pipelines run on fresh :func:`detect_uaf_warnings` output -- with
+no fault plan, with a ``raise`` plan on each filter (the filter faults
+on its first call), and with each filter crashing midway, on one chosen
+occurrence, after it has already decided others -- and must agree on:
 
 * the full :class:`FilterReport` (counts, both individual dicts and
   ``degraded``) and the ``filters.*``/``report.witnesses.*`` counters

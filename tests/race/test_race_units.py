@@ -127,7 +127,7 @@ def test_warning_key_is_instruction_pair():
 
 def test_describe_contains_lineage():
     result = analyze_app(UAF_APP)
-    text = result.warnings[0].describe(result.program.forest)
+    text = result.warnings[0].describe()
     assert "main -> A.onResume" in text
     assert "main -> A.onStop" in text
 

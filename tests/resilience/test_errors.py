@@ -13,9 +13,7 @@ from repro.resilience import (
     fault_from_dict,
     fault_from_exception,
     ParseFault,
-    SimulatedWorkerLoss,
     timeout_fault,
-    WorkerLostFault,
     worker_lost_fault,
 )
 
@@ -49,13 +47,6 @@ def test_non_decimal_digit_classifies_as_parse_fault():
     fault = fault_from_exception(excinfo.value, "badapp", stage="lowering")
     assert isinstance(fault, ParseFault)
     assert fault.message == "bad.mjava:1:10: unexpected character '²'"
-
-
-def test_simulated_worker_loss_classifies_canonically():
-    fault = fault_from_exception(SimulatedWorkerLoss("boom"), "oomapp")
-    assert isinstance(fault, WorkerLostFault)
-    assert fault == worker_lost_fault("oomapp")
-    assert fault.transient
 
 
 def test_worker_lost_fault_names_the_app():

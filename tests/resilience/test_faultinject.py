@@ -1,6 +1,7 @@
 """The deterministic fault-injection harness itself."""
 
 import json
+import multiprocessing
 
 import pytest
 
@@ -11,7 +12,6 @@ from repro.resilience import (
     InjectedFaultError,
     install,
     maybe_fault,
-    SimulatedWorkerLoss,
 )
 from repro.resilience.faultinject import ENV_VAR, active_plan
 
@@ -84,12 +84,19 @@ def test_parse_error_action_raises_minidroid_parse_error():
             maybe_fault("myapp", "detection")
 
 
-def test_kill_in_process_simulates_worker_loss():
-    # In the main process an injected kill must NOT os._exit (that would
-    # take the whole run down); it raises the simulated loss instead.
+def _fire_kill() -> None:
     with install(plan_with("kill")):
-        with pytest.raises(SimulatedWorkerLoss):
-            maybe_fault("myapp", "detection")
+        maybe_fault("myapp", "detection")
+
+
+def test_kill_exits_the_process_it_fires_in():
+    # A kill is always a real exit, never an exception: run_tasks sends
+    # a run with a kill plan to worker processes, whose loss the pool
+    # reads as EOF.  Fired here in a child, so the test process lives.
+    child = multiprocessing.get_context("fork").Process(target=_fire_kill)
+    child.start()
+    child.join(30)
+    assert child.exitcode == 17
 
 
 def test_hang_backstop_returns_without_a_deadline():

@@ -23,6 +23,7 @@ import pytest
 
 import repro
 from repro.corpus import app
+from repro.obs import LiveAggregator
 from repro.resilience import FaultPlan, FaultSpec, worker_lost_fault
 from repro.resilience.faultinject import ENV_VAR
 from repro.runner import ResultCache
@@ -145,6 +146,37 @@ def test_a_full_cache_hit_does_not_wait_behind_cold_work(daemon,
                              "retries": 0, "cache_hits": 1,
                              "cache_misses": 0, "cache_stores": 0}
     assert service.wait(slow, timeout=30).status == "done"
+
+
+def test_a_warm_job_ending_leaves_the_cold_job_of_the_same_name_active(
+        tmp_path, monkeypatch):
+    # Both single-app jobs are named "app".  The hang fires at the first
+    # filter, which swiftnotes (no potential warnings) never reaches.
+    plan = FaultPlan(faults=(FaultSpec(app="app", stage="filter:MHB",
+                                       action="hang"),), hang_seconds=3.0)
+    monkeypatch.setenv(ENV_VAR, json.dumps(plan.to_dict()))
+    aggregator = LiveAggregator()
+    service = AnalysisService(jobs=1, cache=ResultCache(tmp_path / "cache"),
+                              telemetry=aggregator)
+    srv = ServiceServer(service, port=0).start()
+    try:
+        _analyze(srv.url, "swiftnotes")  # warms the entry
+        status, body = _request(srv.url + "/v1/analyze",
+                                {"files": _files("clipstack")})
+        assert status == 202
+        cold = json.loads(body)["id"]
+        deadline = time.monotonic() + 30
+        while aggregator.progress()["active"] != ["app"]:
+            assert time.monotonic() < deadline
+            time.sleep(0.01)
+        warm = _analyze(srv.url, "swiftnotes")
+        assert warm["stats"]["cached"] == 1
+        assert service.get(cold).status == "running"
+        assert aggregator.progress()["active"] == ["app"]
+        assert service.wait(cold, timeout=30).status == "done"
+        assert aggregator.progress()["active"] == []
+    finally:
+        srv.close()
 
 
 # -- the daemon as a process --------------------------------------------------

@@ -1,9 +1,18 @@
 """CLI integration tests (in-process, via ``repro.cli.main``)."""
 
+import json
+
 import pytest
 
 from repro.cli import main
 from repro.corpus import app
+from repro.resilience import (
+    FAULT_PLAN_ENV_VAR,
+    FaultPlan,
+    FaultSpec,
+    install,
+    worker_lost_fault,
+)
 
 
 @pytest.fixture()
@@ -101,6 +110,61 @@ def test_malformed_source_exits_2_with_one_line_error(
     assert captured.out == ""
     assert captured.err.splitlines() == [
         f"nadroid: error: {path}{diagnostic}"]
+
+
+@pytest.mark.parametrize("command", ["analyze", "explain"])
+@pytest.mark.parametrize("stage", ["detection", "filtering"])
+def test_an_analysis_fault_exits_2_with_one_line_error(
+        app_file, capsys, command, stage):
+    plan = FaultPlan(faults=(FaultSpec(app="*", stage=stage,
+                                       action="raise"),))
+    with install(plan):
+        code = main([command, app_file])
+    captured = capsys.readouterr()
+    assert code == 2  # 1 would read as "warnings remain"
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"nadroid: error: analysis of app 'app' failed [analysis, stage "
+        f"{stage}]: InjectedFaultError: injected fault in app 'app' at "
+        f"stage '{stage}' (rerun with --keep-going to complete the "
+        f"remaining apps)"]
+
+
+def test_a_killed_analyze_worker_exits_2_with_one_line_error(
+        app_file, capsys, monkeypatch):
+    plan = FaultPlan(faults=(FaultSpec(app="*", stage="detection",
+                                       action="kill"),))
+    monkeypatch.setenv(FAULT_PLAN_ENV_VAR, json.dumps(plan.to_dict()))
+    code = main(["analyze", app_file])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.splitlines() == [
+        f"nadroid: error: analysis of app 'app' failed [worker-lost, stage "
+        f"task]: {worker_lost_fault('app').message} (rerun with "
+        f"--keep-going to complete the remaining apps)"]
+
+
+def test_an_untimed_serial_corpus_run_loses_a_real_worker(
+        tmp_path, capsys, monkeypatch):
+    # the kill plan sends even a --jobs 1 run without --timeout to a
+    # worker: the kill exits that worker (twice, with the one retry),
+    # never this process
+    plan = FaultPlan(faults=(FaultSpec(app="todolist", stage="detection",
+                                       action="kill"),))
+    monkeypatch.setenv(FAULT_PLAN_ENV_VAR, json.dumps(plan.to_dict()))
+    metrics = tmp_path / "metrics.json"
+    code = main(["corpus", "--apps", "todolist", "clipstack", "--jobs", "1",
+                 "--no-cache", "--keep-going",
+                 "--metrics-out", str(metrics)])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert [line for line in captured.err.splitlines()
+            if line.startswith("[fault]")] == [
+        f"[fault] {worker_lost_fault('todolist').describe()}"]
+    counters = json.loads(metrics.read_text())["run"]["counters"]
+    assert counters["runner.faults.worker-lost"] == 1
+    assert counters["runner.retries"] == 1
+    assert counters["runner.apps.analyzed"] == 1
 
 
 def test_corpus_subset_serial_and_parallel_stdout_identical(capsys):
