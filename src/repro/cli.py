@@ -146,18 +146,7 @@ def _make_runner(args: argparse.Namespace):
         from .obs import ProgressSink
 
         sinks.append(ProgressSink(sys.stderr))
-    if getattr(args, "trace_out", None):
-        from .obs import MemoryEventSink
-
-        # retain the stream in memory so the Chrome trace can carry the
-        # run's instant events alongside the span lanes
-        args._trace_events = MemoryEventSink()
-        sinks.append(args._trace_events)
-    events = None
-    if sinks:
-        from .obs import RunEventLog
-
-        events = RunEventLog(sinks)
+    events = _trace_event_log(args, sinks)
     # remembered so main() can close the sinks even on a faulted run
     args._events_log = events
     telemetry = _make_telemetry(args)
@@ -165,6 +154,32 @@ def _make_runner(args: argparse.Namespace):
                         events=events,
                         memory=getattr(args, "memory", False),
                         telemetry=telemetry)
+
+
+def _trace_event_log(args: argparse.Namespace, sinks: list):
+    """The run's event log over ``sinks``; under --trace-out it also
+    retains the records in memory, the timeline the trace is drawn on."""
+    if getattr(args, "trace_out", None):
+        from .obs import MemoryEventSink
+
+        args._trace_events = MemoryEventSink()
+        sinks = sinks + [args._trace_events]
+    if not sinks:
+        return None
+    from .obs import RunEventLog
+
+    return RunEventLog(sinks)
+
+
+def _emit_trace(args: argparse.Namespace, apps) -> None:
+    """Honor --trace-out: the run's timeline with its apps' stages."""
+    out = getattr(args, "trace_out", None)
+    if out:
+        from .obs import chrome_trace, write_json
+
+        trace = chrome_trace(args._trace_events.records, apps)
+        _write_artifact("trace", "trace", out,
+                        lambda path: write_json(path, trace))
 
 
 def _make_telemetry(args: argparse.Namespace):
@@ -239,7 +254,8 @@ def _report_faults(runner) -> int:
 
 
 def _emit_observability(args, runner) -> None:
-    """Honor --trace / --metrics-out for a runner-driven subcommand."""
+    """Honor --trace / --metrics-out / --trace-out for a runner-driven
+    subcommand."""
     metrics = runner.last_metrics
     if getattr(args, "trace", False):
         from .obs import render_spans
@@ -262,17 +278,7 @@ def _emit_observability(args, runner) -> None:
         }
         _write_artifact("obs", "metrics", out,
                         lambda path: write_json(path, payload))
-    out = getattr(args, "trace_out", None)
-    if out:
-        from .obs import chrome_trace, write_trace
-
-        sink = getattr(args, "_trace_events", None)
-        trace = chrome_trace(
-            metrics.apps,
-            events=sink.records if sink is not None else None,
-        )
-        _write_artifact("trace", "trace", out,
-                        lambda path: write_trace(path, trace))
+    _emit_trace(args, metrics.apps)
 
 
 def _emit_report_outputs(args, report) -> None:
@@ -314,7 +320,8 @@ def _analyze_files(args: argparse.Namespace, **params):
     params = {name: value for name, value in params.items() if value}
     params["config"] = AnalysisConfig(k=args.k)
     params["sources"] = {SINGLE_APP_NAME: _read_sources(args.files)}
-    runner = CorpusRunner(memory=getattr(args, "memory", False))
+    runner = CorpusRunner(events=_trace_event_log(args, []),
+                          memory=getattr(args, "memory", False))
     try:
         payloads, metrics = runner.run("analyze", [SINGLE_APP_NAME], params)
     except FaultError as exc:
@@ -331,6 +338,7 @@ def _analyze_files(args: argparse.Namespace, **params):
 
 def cmd_analyze(args: argparse.Namespace) -> int:
     from . import obs
+    from .service.jobs import SINGLE_APP_NAME
 
     payload, result, report, snapshot = _analyze_files(
         args, validate=args.validate, profile_stages=args.profile_stage)
@@ -351,13 +359,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     if args.metrics_out:
         _write_artifact("obs", "metrics", args.metrics_out,
                         lambda path: obs.write_json(path, snapshot.to_dict()))
-    if args.trace_out:
-        from .obs import chrome_trace, write_trace
-
-        _write_artifact(
-            "trace", "trace", args.trace_out,
-            lambda path: write_trace(path, chrome_trace({"app": snapshot})),
-        )
+    _emit_trace(args, {SINGLE_APP_NAME: snapshot})
     _emit_report_outputs(args, report)
     counts = result.counts()
     print(f"modeled threads : EC={counts['EC']} PC={counts['PC']} "
@@ -648,26 +650,23 @@ def _read_event_stream(path: str):
 
 
 def cmd_events(args: argparse.Namespace) -> int:
-    import json
-
-    from .obs import render_events_summary, summarize_events
+    from .obs import canonical_json, render_events_summary, summarize_events
 
     records = _read_event_stream(args.path)
     summary = summarize_events(records)
     if args.json:
-        print(json.dumps(summary, sort_keys=True, indent=2))
+        sys.stdout.write(canonical_json(summary))
     else:
         print(render_events_summary(summary))
     return 0
 
 
 def cmd_events_to_trace(args: argparse.Namespace) -> int:
-    from .obs import trace_from_events, write_trace
+    from .obs import chrome_trace, write_json
 
-    records = _read_event_stream(args.path)
-    trace = trace_from_events(records)
+    trace = chrome_trace(_read_event_stream(args.path))
     _write_artifact("trace", "trace", args.out,
-                    lambda path: write_trace(path, trace))
+                    lambda path: write_json(path, trace))
     return 0
 
 
@@ -680,8 +679,9 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
     from .harness import (
         BENCH_SCHEMA, compare_bench, default_bench_path, has_regressions,
-        render_compare, run_bench, run_generated_bench, write_bench,
+        render_compare, run_bench, run_generated_bench,
     )
+    from .obs import write_json
 
     # Bench measures; a warm cache would replay old durations.  Only use
     # the cache when the user explicitly points at one.
@@ -724,7 +724,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     _report_stats(runner)
     _emit_observability(args, runner)
     _write_artifact("bench", "benchmark", args.out or default_bench_path(),
-                    lambda path: write_bench(payload, path))
+                    lambda path: write_json(path, payload))
     if args.history:
         from .harness import append_history
 
@@ -865,8 +865,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--metrics-out", metavar="PATH",
                    help="write the metrics snapshot as JSON to PATH")
     p.add_argument("--trace-out", metavar="PATH",
-                   help="write the stage span tree as a Chrome "
-                        "trace-event / Perfetto JSON timeline to PATH")
+                   help="write a Chrome trace-event / Perfetto JSON "
+                        "timeline of the run (the app's lane with its "
+                        "stage spans) to PATH")
     p.add_argument("--profile-stage", action="append", metavar="STAGE",
                    help="cProfile a pipeline stage (e.g. pointsto, "
                         "detect); repeatable; report goes to stderr")
@@ -933,9 +934,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="write run + per-app metrics as JSON to PATH")
         p.add_argument("--trace-out", metavar="PATH",
                        help="write a Chrome trace-event / Perfetto JSON "
-                            "timeline of the run (one process lane per "
-                            "app) to PATH; open with ui.perfetto.dev or "
-                            "chrome://tracing")
+                            "timeline of the run (one lane per app, with "
+                            "its stage spans) to PATH; open with "
+                            "ui.perfetto.dev or chrome://tracing")
         p.add_argument("--serve-telemetry", type=int, default=None,
                        metavar="PORT",
                        help="serve live run telemetry on "
@@ -1084,8 +1085,8 @@ def build_parser() -> argparse.ArgumentParser:
     pp = events_sub.add_parser(
         "to-trace",
         help="convert an event stream into a Chrome trace-event / "
-             "Perfetto JSON timeline (real wall-clock lanes, one thread "
-             "per app)",
+             "Perfetto JSON timeline (the --trace-out timeline without "
+             "the stage spans: one real wall-clock lane per app)",
     )
     pp.add_argument("path", help="events JSONL file (from --events-out)")
     pp.add_argument("out", help="trace JSON output path")
@@ -1187,7 +1188,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: List[str] = None) -> int:
     from .lang import SourceError
-    from .resilience import FaultError
+    from .resilience import FaultError, FaultPlanError
 
     args = build_parser().parse_args(argv)
     try:
@@ -1200,10 +1201,13 @@ def main(argv: List[str] = None) -> int:
         # is the conventional exit code.
         print("nadroid: interrupted", file=sys.stderr)
         return EXIT_INTERRUPTED
-    except (CliError, FaultError, SourceError) as exc:
+    except (CliError, FaultError, FaultPlanError, SourceError) as exc:
         # a fail-fast fault aborted the run, or a source file is malformed
         # (its diagnostic names <file>:<line>:<col>)
-        print(f"nadroid: error: {exc}", file=sys.stderr)
+        hint = " (rerun with --keep-going to complete the remaining " \
+            "apps)" if isinstance(exc, FaultError) \
+            and hasattr(args, "keep_going") else ""
+        print(f"nadroid: error: {exc}{hint}", file=sys.stderr)
         return 2
     except BrokenPipeError:
         # stdout went away (e.g. piped into head/less); die quietly,

@@ -11,7 +11,6 @@ from .bench import (
     render_compare,
     run_bench,
     run_generated_bench,
-    write_bench,
 )
 from .trend import (
     append_history,
@@ -74,7 +73,7 @@ __all__ = [
     "run_generated", "run_generated_bench", "trend_rows",
     "CSV_COLUMNS", "GATED_COUNTER_PREFIXES", "GATED_COUNTERS",
     "has_regressions", "render_compare",
-    "default_bench_path", "run_bench", "write_bench", "figure5_app_data",
+    "default_bench_path", "run_bench", "figure5_app_data",
     "Figure5Data", "fp_totals", "result_analysis_csv",
     "save_result_analysis", "write_result_analysis",
     "InjectionOutcome", "percent",

@@ -34,7 +34,6 @@ import json
 from typing import Any, Dict, List, Optional
 
 from ..corpus import all_apps, AppSpec
-from ..obs import write_json
 from ..runner import CorpusRunner, RunMetrics
 from .table1 import run_table1_metrics
 
@@ -163,11 +162,6 @@ def _bench_payload(runner: CorpusRunner, metrics: RunMetrics,
         },
         "corpus": corpus,
     }
-
-
-def write_bench(payload: Dict[str, Any], path: str) -> None:
-    """Write the payload canonically (sorted keys, so diffs are clean)."""
-    write_json(path, payload)
 
 
 # -- bench --compare: the perf regression gate --------------------------------

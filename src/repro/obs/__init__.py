@@ -39,6 +39,7 @@ from .recorder import (
 )
 from .metrics import merge_snapshots, MetricsSnapshot, PEAK_GAUGE_PATTERN
 from .export import (
+    canonical_json,
     describe_run,
     render_metrics,
     render_spans,
@@ -67,14 +68,13 @@ from .exporters import (
     chrome_trace,
     collapsed_stacks,
     prometheus_text,
-    trace_from_events,
-    write_trace,
 )
 from .telemetry import LiveAggregator, TelemetryServer
 
 __all__ = [
     "add",
     "add_gauge",
+    "canonical_json",
     "chrome_trace",
     "collapsed_stacks",
     "collect_hotspots",
@@ -106,9 +106,7 @@ __all__ = [
     "summarize_events",
     "TelemetryServer",
     "top_hotspots",
-    "trace_from_events",
     "track_memory",
     "use",
     "write_json",
-    "write_trace",
 ]

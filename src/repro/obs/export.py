@@ -5,9 +5,11 @@ across ``--jobs`` settings, so everything here targets stderr or files):
 
 * :func:`render_spans` / :func:`render_metrics` -- indented text for
   ``--trace`` on stderr,
-* :func:`snapshot_to_json` / :func:`write_json` -- canonical JSON for
-  ``--metrics-out`` and ``BENCH_*.json``: keys sorted at every level, so
-  two exports of the same analysis differ only in duration values.
+* :func:`canonical_json` / :func:`write_json` -- the one canonical JSON
+  text (keys sorted at every level, two-space indent, trailing newline)
+  of every JSON artifact: reports, SARIF, ``--metrics-out``,
+  ``BENCH_*.json``, traces and the HTTP bodies; two exports of the same
+  analysis differ only in timing values.
 """
 
 from __future__ import annotations
@@ -107,8 +109,13 @@ def snapshot_to_json(snapshot: MetricsSnapshot, indent: int = 2) -> str:
     return json.dumps(snapshot.to_dict(), sort_keys=True, indent=indent)
 
 
-def write_json(path, payload: Dict[str, Any]) -> None:
-    """Write any JSON-safe payload canonically (sorted keys, trailing \\n)."""
+def canonical_json(obj: Any) -> str:
+    """Canonical JSON text: sorted keys, two-space indent, trailing
+    newline (list order is preserved)."""
+    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+
+def write_json(path, payload: Any) -> None:
+    """Write any JSON-safe payload as :func:`canonical_json` text."""
     with open(path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, sort_keys=True, indent=2)
-        handle.write("\n")
+        handle.write(canonical_json(payload))

@@ -10,26 +10,22 @@ dependencies:
   (``# TYPE`` headers plus samples), byte-stable for a given snapshot,
   with a deterministic label mapping for the structured
   ``hotspot.*``/``mem.*``/``runner.*`` metric families;
-* :func:`chrome_trace` / :func:`trace_from_events` -- Chrome
-  trace-event JSON (the format Perfetto and ``chrome://tracing`` load):
-  the recorded span trees stitched into one timeline with a synthetic
-  pid/tid lane per app, plus instant events from the run event stream;
+* :func:`chrome_trace` -- Chrome trace-event JSON (the format Perfetto
+  and ``chrome://tracing`` load): one timeline per run, with a
+  real-time lane per app from the event stream and each analyzed app's
+  stage spans inside its lane;
 * :func:`collapsed_stacks` -- Brendan Gregg's collapsed-stack format
   over span paths (self-time) and hotspot cumulative seconds, ready for
   ``flamegraph.pl`` or speedscope.
 
 Determinism contract: everything here is a pure function of its inputs.
-Serialized spans carry no absolute timestamps, so the trace timeline is
-*synthetic* -- each app starts its own lane at t=0 and children are laid
-out sequentially from their parent's start -- which keeps two exports of
-the same run identical up to durations.  :func:`trace_from_events`, by
-contrast, uses the stream's real ``t`` offsets, so it shows the actual
-fan-out concurrency of a run.
+The trace's only clock is the event stream's ``t`` offsets; a span is
+placed by its serialized ``start_s`` offset from its root, so traces
+of two runs over the same input differ only in ``ts``/``dur`` values.
 """
 
 from __future__ import annotations
 
-import json
 import re
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple
 
@@ -198,153 +194,117 @@ def _us(seconds: float) -> int:
     return int(round(seconds * 1e6))
 
 
-def _span_events(node: Dict[str, Any], start_s: float, pid: int,
-                 tid: int, out: List[Dict[str, Any]]) -> float:
-    """Emit one serialized span tree as complete ``X`` events.
-
-    Spans carry durations but no absolute timestamps, so the layout is
-    synthetic: a node starts at ``start_s`` and its children are laid
-    out sequentially from there.  Emission is depth-first, which keeps
-    timestamps monotone (non-decreasing) within the lane.  Returns the
-    node's duration.
-    """
-    duration = node.get("duration_s") or 0.0
-    event: Dict[str, Any] = {
-        "ph": "X",
-        "name": str(node.get("name", "?")),
-        "pid": pid,
-        "tid": tid,
-        "ts": _us(start_s),
-        "dur": _us(duration),
-    }
-    attrs = {
-        key: value for key, value in node.get("attrs", {}).items()
-        if key != "profile"
-    }
+def _stage_events(node: Dict[str, Any], origin: int, low: int, high: int,
+                  tid: int, out: List[Dict[str, Any]]) -> None:
+    """Emit one serialized span tree as complete ``X`` events on lane
+    ``tid``: each node at ``origin`` plus its ``start_s`` offset,
+    clamped into its parent's extent ``[low, high]`` (which absorbs the
+    microsecond rounding), depth-first so stamps stay monotone."""
+    start = origin + _us(node.get("start_s") or 0.0)
+    end = start + _us(node.get("duration_s") or 0.0)
+    start = min(max(start, low), high)
+    end = min(max(end, start), high)
+    event: Dict[str, Any] = {"ph": "X", "cat": "stage",
+                             "name": str(node.get("name", "?")),
+                             "pid": 1, "tid": tid, "ts": start,
+                             "dur": end - start}
+    attrs = {key: value for key, value in node.get("attrs", {}).items()
+             if key != "profile"}
     if attrs:
         event["args"] = attrs
     out.append(event)
-    cursor = start_s
     for child in node.get("children", ()):
-        cursor += _span_events(child, cursor, pid, tid, out)
-    return duration
+        _stage_events(child, origin, start, end, tid, out)
 
 
-def _process_meta(pid: int, name: str) -> Dict[str, Any]:
-    return {"ph": "M", "name": "process_name", "pid": pid, "tid": 0,
-            "ts": 0, "args": {"name": name}}
+def _metadata(kind: str, pid: int, tid: int, name: str) -> Dict[str, Any]:
+    return {"ph": "M", "name": kind, "pid": pid, "tid": tid, "ts": 0,
+            "args": {"name": name}}
+
+
+def _instant(record: Dict[str, Any], pid: int, tid: int,
+             scope: str) -> Dict[str, Any]:
+    event: Dict[str, Any] = {"ph": "i", "s": scope,
+                             "name": str(record.get("event", "?")),
+                             "pid": pid, "tid": tid,
+                             "ts": _us(float(record.get("t", 0.0)))}
+    args = {key: value for key, value in record.items()
+            if key not in ("schema", "event", "t", "app")}
+    if args:
+        event["args"] = args
+    return event
 
 
 def chrome_trace(
-    apps: Mapping[str, MetricsSnapshot],
-    events: Optional[Iterable[Dict[str, Any]]] = None,
+    records: Iterable[Dict[str, Any]],
+    apps: Optional[Mapping[str, MetricsSnapshot]] = None,
 ) -> Dict[str, Any]:
-    """Stitch per-app span trees into one Chrome trace-event payload.
+    """One run's Chrome trace-event timeline, built from its
+    ``--events-out`` records and, optionally, its per-app snapshots.
 
-    Each app becomes its own synthetic process lane (pid = 1-based input
-    order, named ``app:<name>`` via a ``process_name`` metadata event);
-    its span trees render as complete ``X`` events laid out sequentially
-    from t=0.  ``events`` (records from the ``--events-out`` stream)
-    land as instant ``i`` events on pid 0 (``run``), at their real
-    stream offsets.  The result loads in Perfetto / ``chrome://tracing``
-    and round-trips ``json.loads`` unchanged.
+    Run instants (``run-start``, ``run-end``) land on pid 0 (``run``).
+    Each app gets one thread lane on pid 1 (``apps``, tid = first-seen
+    order): an ``X`` event from ``app-start`` to ``app-done`` (or to the
+    end of its ``duration_s``, if later) plus its ``cache-hit``,
+    ``retry``, ``timeout`` and ``fault`` instants.  An app whose latest
+    ``app-done`` says ``analyzed`` and which has a snapshot in ``apps``
+    also gets its ``app:<name>`` span tree (``cat: "stage"``) inside the
+    lane, its root ending at that ``app-done`` stamp -- the end, since
+    ``app-start`` marks a retried app's first attempt.  Cached apps draw
+    bare lanes: their replayed spans did not run in this run.  Events
+    are sorted by timestamp (stably), so stamps are monotone per lane.
     """
-    trace_events: List[Dict[str, Any]] = []
-    if events:
-        trace_events.append(_process_meta(0, "run"))
-        for record in events:
-            args = {key: value for key, value in record.items()
-                    if key not in ("schema", "event", "t")}
-            instant: Dict[str, Any] = {
-                "ph": "i",
-                "s": "g",
-                "name": str(record.get("event", "?")),
-                "pid": 0,
-                "tid": 1,
-                "ts": _us(float(record.get("t", 0.0))),
-            }
-            if args:
-                instant["args"] = args
-            trace_events.append(instant)
-    for index, (name, snapshot) in enumerate(apps.items(), start=1):
-        trace_events.append(_process_meta(index, f"app:{name}"))
-        cursor = 0.0
-        for root in snapshot.spans:
-            cursor += _span_events(root, cursor, index, 1, trace_events)
-    return {
-        "traceEvents": trace_events,
-        "displayTimeUnit": "ms",
-        "otherData": {"generator": "nadroid"},
-    }
-
-
-def trace_from_events(records: Iterable[Dict[str, Any]]) -> Dict[str, Any]:
-    """A *real-time* trace built from an ``--events-out`` stream alone.
-
-    Each app gets a thread lane (tid = first-seen order) on pid 1
-    (``apps``); its ``app-start``/``app-done`` pair becomes one complete
-    ``X`` event spanning the actual stream offsets, and mid-flight
-    events (``cache-hit``, ``retry``, ``timeout``, ``fault``) become
-    instants on the same lane.  Run boundaries land as instants on
-    pid 0.  Events are emitted sorted by timestamp (stably), so the
-    stamps are monotone within every lane.
-    """
-    trace_events: List[Dict[str, Any]] = []
-    trace_events.append(_process_meta(0, "run"))
-    trace_events.append(_process_meta(1, "apps"))
+    apps = apps or {}
+    trace_events = [_metadata("process_name", 0, 0, "run"),
+                    _metadata("process_name", 1, 0, "apps")]
     lanes: Dict[str, int] = {}
     starts: Dict[str, float] = {}
+    #: app -> its latest app-done record and lane event
+    done: Dict[str, Tuple[Dict[str, Any], Dict[str, Any]]] = {}
     for record in records:
-        event = str(record.get("event", "?"))
-        t = float(record.get("t", 0.0))
         app = record.get("app")
         if app is None:
-            args = {key: value for key, value in record.items()
-                    if key not in ("schema", "event", "t")}
-            instant = {"ph": "i", "s": "g", "name": event,
-                       "pid": 0, "tid": 1, "ts": _us(t)}
-            if args:
-                instant["args"] = args
-            trace_events.append(instant)
+            trace_events.append(_instant(record, 0, 1, "g"))
             continue
-        tid = lanes.setdefault(str(app), len(lanes) + 1)
+        app = str(app)
+        if app not in lanes:
+            lanes[app] = len(lanes) + 1
+            trace_events.append(
+                _metadata("thread_name", 1, lanes[app], app))
+        tid = lanes[app]
+        event = record.get("event")
+        t = float(record.get("t", 0.0))
         if event == "app-start":
-            starts[str(app)] = t
-            continue
-        if event == "app-done":
-            start = starts.pop(str(app), t)
+            starts[app] = t
+        elif event == "app-done":
+            start = starts.pop(app, t)
             duration = record.get("duration_s")
             end = max(t, start + float(duration)) \
                 if duration is not None else t
-            trace_events.append({
-                "ph": "X", "name": str(app), "pid": 1, "tid": tid,
-                "ts": _us(start), "dur": _us(end - start),
-                "args": {"status": record.get("status")},
-            })
+            lane = {"ph": "X", "name": app, "pid": 1, "tid": tid,
+                    "ts": _us(start), "dur": _us(end - start),
+                    "args": {"status": record.get("status")}}
+            trace_events.append(lane)
+            done[app] = (record, lane)
+        else:
+            trace_events.append(_instant(record, 1, tid, "t"))
+    for app, (record, lane) in done.items():
+        snapshot = apps.get(app)
+        if record.get("status") != "analyzed" or snapshot is None:
             continue
-        args = {key: value for key, value in record.items()
-                if key not in ("schema", "event", "t", "app")}
-        instant = {"ph": "i", "s": "t", "name": event,
-                   "pid": 1, "tid": tid, "ts": _us(t)}
-        if args:
-            instant["args"] = args
-        trace_events.append(instant)
-    # an app's X event lands at its *start* stamp but is emitted at
-    # app-done time; a stable sort restores per-lane monotonicity
-    trace_events.sort(key=lambda event: event.get("ts", 0))
+        for root in snapshot.spans:
+            if root.get("name") == f"app:{app}":
+                origin = _us(float(record["t"])) \
+                    - _us(root.get("duration_s") or 0.0)
+                _stage_events(root, origin, lane["ts"],
+                              lane["ts"] + lane["dur"], lane["tid"],
+                              trace_events)
+    trace_events.sort(key=lambda event: event["ts"])
     return {
         "traceEvents": trace_events,
         "displayTimeUnit": "ms",
         "otherData": {"generator": "nadroid"},
     }
-
-
-def write_trace(path: str, trace: Dict[str, Any]) -> None:
-    """Write a trace payload canonically (sorted keys, trailing newline);
-    event order inside ``traceEvents`` is preserved."""
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(trace, handle, sort_keys=True, indent=2)
-        handle.write("\n")
 
 
 # -- collapsed-stack flamegraph -----------------------------------------------

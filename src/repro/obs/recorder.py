@@ -56,24 +56,22 @@ class Span:
             yield from child.walk()
 
     def to_dict(self) -> Dict[str, Any]:
-        """JSON view: name, monotonic duration, attrs, children.
+        """JSON view: name, start offset, monotonic duration, attrs,
+        children.
 
-        Absolute timestamps are deliberately omitted so two exports of
-        the same analysis differ only in ``duration_s`` values.
+        ``start_s`` is the span's start offset from this (root) span,
+        which starts at 0.0; absolute timestamps are deliberately
+        omitted, so two exports of the same analysis differ only in the
+        ``start_s`` and ``duration_s`` timing values.
         """
-        out: Dict[str, Any] = {
-            "name": self.name,
-            "duration_s": self.duration if self.closed else None,
-        }
-        if self.attrs:
-            out["attrs"] = dict(self.attrs)
-        if self.children:
-            out["children"] = [c.to_dict() for c in self.children]
-        return out
+        return _span_dict(self, self._t0)
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "Span":
+        """Rebuild a tree from :meth:`to_dict`; dicts without ``start_s``
+        (older metrics files and cache entries) start at 0.0."""
         span = cls(data["name"], data.get("attrs"))
+        span._t0 = data.get("start_s", 0.0)
         if data.get("duration_s") is not None:
             span.duration = data["duration_s"]
         span.children = [cls.from_dict(c) for c in data.get("children", ())]
@@ -82,6 +80,19 @@ class Span:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Span({self.name!r}, {self.duration:.6f}s, " \
                f"{len(self.children)} children)"
+
+
+def _span_dict(span: Span, root_t0: float) -> Dict[str, Any]:
+    out: Dict[str, Any] = {
+        "name": span.name,
+        "start_s": span._t0 - root_t0,
+        "duration_s": span.duration if span.closed else None,
+    }
+    if span.attrs:
+        out["attrs"] = dict(span.attrs)
+    if span.children:
+        out["children"] = [_span_dict(c, root_t0) for c in span.children]
+    return out
 
 
 class Recorder:

@@ -30,7 +30,6 @@ attached (pinned by ``tests/obs/test_telemetry.py``).
 
 from __future__ import annotations
 
-import json
 import threading
 import time
 from collections import Counter, deque
@@ -38,6 +37,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Deque, Dict, Optional, Tuple
 
 from .events import APP_STATUSES, percentile, RunFunnel
+from .export import canonical_json
 from .exporters import prometheus_text
 from .hotspots import fold_hotspot_units
 from .metrics import merge_snapshots, MetricsSnapshot
@@ -247,9 +247,8 @@ def telemetry_response(
         return (200 if ok else 503, "text/plain; charset=utf-8",
                 "ok\n" if ok else "unhealthy\n")
     if path == "/progress":
-        body = json.dumps(aggregator.progress(), sort_keys=True,
-                          indent=2) + "\n"
-        return (200, "application/json; charset=utf-8", body)
+        return (200, "application/json; charset=utf-8",
+                canonical_json(aggregator.progress()))
     return None
 
 

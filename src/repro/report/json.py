@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 from typing import Any, Dict
 
+from ..obs.export import canonical_json
 from ..runner.serialize import warning_from_dict, warning_to_dict
 from .model import (
     AnalysisReport,
@@ -91,7 +92,7 @@ def report_from_dict(payload: Dict[str, Any]) -> AnalysisReport:
 
 def report_to_json(report: AnalysisReport) -> str:
     """Canonical text: sorted keys, two-space indent, trailing newline."""
-    return json.dumps(report_to_dict(report), sort_keys=True, indent=2) + "\n"
+    return canonical_json(report_to_dict(report))
 
 
 def write_report(report: AnalysisReport, path) -> None:

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, List
 
+from ..obs.export import write_json
 from ..race.warnings import PAIR_TYPES, UafWarning
 from .model import AnalysisReport, AppReport, warning_id, warning_lines
 
@@ -193,8 +194,4 @@ def report_to_sarif(report: AnalysisReport) -> Dict[str, Any]:
 
 
 def write_sarif(report: AnalysisReport, path) -> None:
-    import json
-
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(report_to_sarif(report), handle, sort_keys=True, indent=2)
-        handle.write("\n")
+    write_json(path, report_to_sarif(report))

@@ -41,6 +41,7 @@ from .errors import (
 from .faultinject import (
     ENV_VAR as FAULT_PLAN_ENV_VAR,
     FaultPlan,
+    FaultPlanError,
     FaultSpec,
     active_plan,
     install,
@@ -106,6 +107,7 @@ __all__ = [
     "Fault",
     "FaultError",
     "FaultPlan",
+    "FaultPlanError",
     "FaultPolicy",
     "FaultSpec",
     "FilterFault",

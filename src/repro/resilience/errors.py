@@ -48,8 +48,7 @@ class FaultError(RuntimeError):
         self.fault = fault
         super().__init__(
             f"analysis of app '{fault.app}' failed "
-            f"[{fault.kind}, stage {fault.stage}]: {fault.message} "
-            f"(rerun with --keep-going to complete the remaining apps)"
+            f"[{fault.kind}, stage {fault.stage}]: {fault.message}"
         )
 
 

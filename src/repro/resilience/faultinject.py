@@ -54,6 +54,11 @@ ENV_VAR = "NADROID_FAULT_PLAN"
 ACTIONS = ("raise", "parse-error", "hang", "kill")
 
 
+class FaultPlanError(Exception):
+    """``NADROID_FAULT_PLAN`` names an unreadable file or holds an
+    invalid plan."""
+
+
 @dataclass(frozen=True)
 class FaultSpec:
     """One planted failure: ``app`` (or ``"*"``), ``stage``, ``action``."""
@@ -167,8 +172,18 @@ def active_plan() -> Optional[FaultPlan]:
         return None
     if _ENV_CACHE[0] == raw:
         return _ENV_CACHE[1]
-    text = raw if raw.lstrip().startswith("{") else Path(raw).read_text()
-    plan = FaultPlan.from_json(text)
+    try:
+        text = raw if raw.lstrip().startswith("{") \
+            else Path(raw).read_text()
+    except OSError as exc:
+        reason = exc.strerror or str(exc)
+        raise FaultPlanError(f"{ENV_VAR}: cannot read {raw}: {reason}") \
+            from exc
+    try:
+        plan = FaultPlan.from_json(text)
+    except (ValueError, TypeError, AttributeError) as exc:
+        raise FaultPlanError(f"{ENV_VAR}: not a valid fault plan: {exc}") \
+            from exc
     _ENV_CACHE = (raw, plan)
     return plan
 

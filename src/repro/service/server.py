@@ -40,6 +40,7 @@ from dataclasses import dataclass, field
 from http.server import BaseHTTPRequestHandler
 from typing import Any, Deque, Dict, List, Optional, Tuple
 
+from ..obs.export import canonical_json
 from ..obs.telemetry import (
     LiveAggregator,
     LoopbackHTTPServer,
@@ -301,10 +302,6 @@ class AnalysisService:
 # -- the HTTP front ----------------------------------------------------------
 
 
-def _json_body(payload: Dict[str, Any]) -> str:
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
-
-
 class _ServiceHandler(BaseHTTPRequestHandler):
     """Routes the job API plus the shared telemetry surface."""
 
@@ -326,7 +323,7 @@ class _ServiceHandler(BaseHTTPRequestHandler):
     def _send_json(self, status: int, payload: Dict[str, Any],
                    headers: Optional[Dict[str, str]] = None) -> None:
         self._send(status, "application/json; charset=utf-8",
-                   _json_body(payload), headers)
+                   canonical_json(payload), headers)
 
     def _error(self, status: int, message: str,
                headers: Optional[Dict[str, str]] = None) -> None:
@@ -381,7 +378,7 @@ class _ServiceHandler(BaseHTTPRequestHandler):
                 sarif = job.result.sarif_dict()
                 if sarif is not None:
                     self._send(200, "application/json; charset=utf-8",
-                               json.dumps(sarif, sort_keys=True, indent=2))
+                               canonical_json(sarif))
                     return
             self._error(404, f"no such artifact for job {parts[0]!r}")
             return

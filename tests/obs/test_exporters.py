@@ -1,4 +1,4 @@
-"""Tests for repro.obs.exporters (ISSUE 8): the Prometheus text,
+"""Tests for repro.obs.exporters: the Prometheus text,
 Chrome trace-event, and collapsed-stack translations.
 
 Covers the format contracts documented in ``docs/observability.md``:
@@ -11,13 +11,16 @@ self-time-weighted collapsed stacks.
 
 import json
 
+import pytest
+
+from repro.cli import main
+from repro.corpus import app
 from repro.obs import (
     chrome_trace,
     collapsed_stacks,
     MetricsSnapshot,
     prometheus_text,
-    trace_from_events,
-    write_trace,
+    write_json,
 )
 from repro.obs.exporters import (
     escape_label_value,
@@ -26,11 +29,13 @@ from repro.obs.exporters import (
 )
 
 
-def _span(name, duration, children=(), attrs=None):
+def _span(name, duration, children=(), attrs=None, start=None):
     node = {"name": name, "duration_s": duration,
             "children": list(children)}
     if attrs:
         node["attrs"] = attrs
+    if start is not None:
+        node["start_s"] = start
     return node
 
 
@@ -145,91 +150,150 @@ def _lane_timestamps(trace):
     return lanes
 
 
+def _event(event, t, **fields):
+    return {"schema": 1, "event": event, "t": t, **fields}
+
+
+def _analyzed(app, start, done, duration):
+    """An app's lifecycle records: analyzed between two stream stamps."""
+    return [_event("app-start", start, app=app),
+            _event("app-done", done, app=app, status="analyzed",
+                   duration_s=duration)]
+
+
+def _stages(trace):
+    return [e for e in trace["traceEvents"] if e.get("cat") == "stage"]
+
+
+def _assert_nested(trace):
+    """Each stage event lies within the innermost X event still open on
+    its lane where it starts -- the way a trace viewer nests them (a
+    zero-length event at its parent's end still belongs to it)."""
+    stacks = {}
+    for event in trace["traceEvents"]:
+        if event["ph"] != "X":
+            continue
+        start, end = event["ts"], event["ts"] + event["dur"]
+        stack = stacks.setdefault((event["pid"], event["tid"]), [])
+        while stack and (stack[-1][1] < start or stack[-1][1] == start < end):
+            stack.pop()
+        if event.get("cat") == "stage":
+            assert stack, event
+            assert stack[-1][0] <= start and end <= stack[-1][1], event
+        stack.append((start, end))
+
+
 def test_chrome_trace_structure_and_roundtrip():
     snapshot = MetricsSnapshot(spans=[
-        _span("app:demo", 0.01, [
-            _span("lowering", 0.004),
-            _span("detection", 0.005, [_span("detect", 0.003)]),
-        ]),
+        _span("app:demo", 0.010, [
+            _span("lowering", 0.004, start=0.0),
+            _span("detection", 0.005, [
+                _span("detect", 0.003, start=0.006),
+            ], start=0.005),
+        ], start=0.0),
     ])
-    trace = chrome_trace({"demo": snapshot})
+    records = _analyzed("demo", 0.001, 0.012, 0.010)
+    trace = chrome_trace(records, {"demo": snapshot})
     assert trace["displayTimeUnit"] == "ms"
     # round-trips json exactly
     assert json.loads(json.dumps(trace)) == trace
-    names = [e["name"] for e in trace["traceEvents"]]
-    assert "process_name" in names  # the pid metadata
     complete = [e for e in trace["traceEvents"] if e["ph"] == "X"]
     assert [e["name"] for e in complete] == \
-        ["app:demo", "lowering", "detection", "detect"]
+        ["demo", "app:demo", "lowering", "detection", "detect"]
     for event in complete:
         assert isinstance(event["ts"], int) and event["ts"] >= 0
         assert isinstance(event["dur"], int) and event["dur"] >= 0
-    # children are laid out inside the parent: lowering at 0,
-    # detection after it
-    by_name = {e["name"]: e for e in complete}
-    assert by_name["app:demo"]["ts"] == 0
-    assert by_name["lowering"]["ts"] == 0
-    assert by_name["detection"]["ts"] == by_name["lowering"]["dur"]
+        assert event["pid"] == 1 and event["tid"] == 1
+    # the lane spans app-start..app-done; the stage tree ends at
+    # app-done and every span sits at its start offset from the root
+    at = {e["name"]: (e["ts"], e["dur"]) for e in complete}
+    assert at["demo"] == (1000, 11000)
+    assert at["app:demo"] == (2000, 10000)
+    assert at["lowering"] == (2000, 4000)
+    assert at["detection"] == (7000, 5000)
+    assert at["detect"] == (8000, 3000)
+    assert "cat" not in complete[0]
+    assert all(e["cat"] == "stage" for e in complete[1:])
+    _assert_nested(trace)
 
 
 def test_chrome_trace_timestamps_monotone_per_lane():
-    snapshot = MetricsSnapshot(spans=[
-        _span("root", 0.02, [
-            _span("a", 0.005), _span("b", 0.007, [_span("c", 0.002)]),
-        ]),
+    one = MetricsSnapshot(spans=[
+        _span("app:one", 0.02, [
+            _span("a", 0.005, start=0.001),
+            _span("b", 0.007, [_span("c", 0.002, start=0.012)],
+                  start=0.010),
+        ], start=0.0),
     ])
-    other = MetricsSnapshot(spans=[_span("root", 0.01)])
-    trace = chrome_trace({"one": snapshot, "twö": other})
+    two = MetricsSnapshot(spans=[_span("app:twö", 0.01, start=0.0)])
+    records = [
+        _event("run-start", 0.0, kind="table1", apps=2),
+        _event("app-start", 0.001, app="one"),
+        _event("app-start", 0.002, app="twö"),
+        _event("app-done", 0.015, app="twö", status="analyzed",
+               duration_s=0.01),
+        _event("app-done", 0.025, app="one", status="analyzed",
+               duration_s=0.02),
+        _event("run-end", 0.026),
+    ]
+    trace = chrome_trace(records, {"one": one, "twö": two})
+    assert len(_stages(trace)) == 5
     for lane, stamps in _lane_timestamps(trace).items():
         assert stamps == sorted(stamps), lane
+    _assert_nested(trace)
 
 
-def test_chrome_trace_assigns_one_pid_per_app_in_input_order():
-    apps = {"alpha": MetricsSnapshot(spans=[_span("x", 0.001)]),
-            "beta": MetricsSnapshot(spans=[_span("y", 0.001)])}
-    trace = chrome_trace(apps)
-    metas = [e for e in trace["traceEvents"]
-             if e["ph"] == "M" and e["name"] == "process_name"]
-    assert [(m["pid"], m["args"]["name"]) for m in metas] == \
-        [(1, "app:alpha"), (2, "app:beta")]
+def test_chrome_trace_assigns_one_lane_per_app_in_first_seen_order():
+    records = _analyzed("beta", 0.001, 0.002, None) \
+        + _analyzed("alpha", 0.003, 0.004, None)
+    trace = chrome_trace(records)
+    metas = [(e["name"], e["pid"], e["tid"], e["args"]["name"])
+             for e in trace["traceEvents"] if e["ph"] == "M"]
+    assert metas == [("process_name", 0, 0, "run"),
+                     ("process_name", 1, 0, "apps"),
+                     ("thread_name", 1, 1, "beta"),
+                     ("thread_name", 1, 2, "alpha")]
 
 
 def test_chrome_trace_unclosed_span_gets_zero_duration():
     snapshot = MetricsSnapshot(spans=[
-        {"name": "open", "duration_s": None, "children": []},
+        {"name": "app:app", "start_s": 0.0, "duration_s": None},
     ])
-    trace = chrome_trace({"app": snapshot})
-    (event,) = [e for e in trace["traceEvents"] if e["ph"] == "X"]
-    assert event["dur"] == 0
+    trace = chrome_trace(_analyzed("app", 0.001, 0.002, None),
+                         {"app": snapshot})
+    (event,) = _stages(trace)
+    assert event["dur"] == 0 and event["ts"] == 2000
 
 
 def test_chrome_trace_includes_event_stream_instants():
-    snapshot = MetricsSnapshot(spans=[_span("root", 0.01)])
     records = [
-        {"schema": 1, "event": "run-start", "t": 0.0, "kind": "table1"},
-        {"schema": 1, "event": "cache-hit", "t": 0.002, "app": "demo"},
+        _event("run-start", 0.0, kind="table1"),
+        _event("app-start", 0.001, app="demo"),
+        _event("cache-hit", 0.002, app="demo"),
+        _event("app-done", 0.002, app="demo", status="cached",
+               duration_s=0.5),
     ]
-    trace = chrome_trace({"demo": snapshot}, events=records)
+    trace = chrome_trace(records)
     instants = [e for e in trace["traceEvents"] if e["ph"] == "i"]
     assert [e["name"] for e in instants] == ["run-start", "cache-hit"]
-    assert all(e["pid"] == 0 for e in instants)
+    assert instants[0]["pid"] == 0
+    # the app's own instants ride its lane
+    assert (instants[1]["pid"], instants[1]["tid"]) == (1, 1)
     assert instants[1]["ts"] == 2000  # microseconds
 
 
-def test_trace_from_events_builds_real_time_lanes():
+def test_chrome_trace_builds_real_time_lanes_from_events():
     records = [
-        {"schema": 1, "event": "run-start", "t": 0.0, "kind": "x",
-         "apps": 2},
-        {"schema": 1, "event": "app-start", "t": 0.001, "app": "a"},
-        {"schema": 1, "event": "app-start", "t": 0.001, "app": "b"},
-        {"schema": 1, "event": "retry", "t": 0.002, "app": "a"},
-        {"schema": 1, "event": "app-done", "t": 0.010, "app": "a",
-         "status": "analyzed", "duration_s": 0.009},
-        {"schema": 1, "event": "app-done", "t": 0.012, "app": "b",
-         "status": "faulted"},
-        {"schema": 1, "event": "run-end", "t": 0.012},
+        _event("run-start", 0.0, kind="x", apps=2),
+        _event("app-start", 0.001, app="a"),
+        _event("app-start", 0.001, app="b"),
+        _event("retry", 0.002, app="a", kind="worker-lost"),
+        _event("app-done", 0.010, app="a", status="analyzed",
+               duration_s=0.009),
+        _event("app-done", 0.012, app="b", status="faulted"),
+        _event("run-end", 0.012),
     ]
-    trace = trace_from_events(records)
+    trace = chrome_trace(records)
     assert json.loads(json.dumps(trace)) == trace
     complete = [e for e in trace["traceEvents"] if e["ph"] == "X"]
     assert {e["name"] for e in complete} == {"a", "b"}
@@ -244,13 +308,136 @@ def test_trace_from_events_builds_real_time_lanes():
         assert stamps == sorted(stamps), lane
 
 
-def test_write_trace_is_loadable_json(tmp_path):
+def test_chrome_trace_clamps_stages_into_their_parents():
+    # the root outlasts its lane by the stamps' rounding, and a child
+    # starts before its parent and runs past it
+    snapshot = MetricsSnapshot(spans=[
+        _span("app:x", 0.0100004, [
+            _span("late", 0.002, [_span("early", 0.004, start=0.0005)],
+                  start=0.001),
+        ], start=0.0),
+    ])
+    trace = chrome_trace(_analyzed("x", 0.001, 0.011, 0.0100004),
+                         {"x": snapshot})
+    lane, root, late, early = [e for e in trace["traceEvents"]
+                               if e["ph"] == "X"]
+    assert root["ts"] >= lane["ts"]
+    assert root["ts"] + root["dur"] == lane["ts"] + lane["dur"] == 11000
+    assert (late["ts"], late["dur"]) == (2000, 2000)
+    assert (early["ts"], early["dur"]) == (2000, 2000)
+    _assert_nested(trace)
+
+
+def test_chrome_trace_draws_bare_lanes_for_cached_and_faulted_apps():
+    spans = {name: MetricsSnapshot(spans=[_span(f"app:{name}", 0.001,
+                                                start=0.0)])
+             for name in ("hit", "bad", "ok")}
+    records = [
+        _event("app-start", 0.0, app="hit"),
+        _event("cache-hit", 0.0, app="hit"),
+        _event("app-done", 0.0, app="hit", status="cached",
+               duration_s=0.001),
+        _event("app-start", 0.0, app="bad"),
+        _event("fault", 0.001, app="bad", kind="analysis"),
+        _event("app-done", 0.001, app="bad", status="faulted"),
+    ] + _analyzed("ok", 0.001, 0.003, 0.001)
+    trace = chrome_trace(records, spans)
+    assert [e["name"] for e in _stages(trace)] == ["app:ok"]
+
+
+def test_chrome_trace_places_stages_at_the_latest_app_done():
+    """Two runs on one log: only the last outcome of an app counts."""
+    snapshot = MetricsSnapshot(spans=[_span("app:a", 0.001, start=0.0)])
+    analyzed_then_cached = _analyzed("a", 0.0, 0.002, 0.001) + [
+        _event("app-start", 0.010, app="a"),
+        _event("app-done", 0.010, app="a", status="cached",
+               duration_s=0.001),
+    ]
+    assert _stages(chrome_trace(analyzed_then_cached, {"a": snapshot})) \
+        == []
+    cached_then_analyzed = analyzed_then_cached[2:] \
+        + _analyzed("a", 0.020, 0.030, 0.001)
+    (root,) = _stages(chrome_trace(cached_then_analyzed, {"a": snapshot}))
+    assert root["ts"] == 29000
+
+
+def test_written_trace_is_loadable_json(tmp_path):
     path = tmp_path / "trace.json"
     trace = chrome_trace(
-        {"app": MetricsSnapshot(spans=[_span("root", 0.001)])}
+        _analyzed("app", 0.0, 0.002, 0.001),
+        {"app": MetricsSnapshot(spans=[_span("app:app", 0.001,
+                                              start=0.0)])},
     )
-    write_trace(str(path), trace)
+    write_json(str(path), trace)
     assert json.loads(path.read_text()) == trace
+
+
+# -- one timeline per run, through the CLI ----------------------------------
+
+APPS = ["todolist", "swiftnotes", "clipstack"]
+STAGES = {"lowering", "modeling", "detection", "filtering"}
+
+
+def _read(path):
+    return json.loads(path.read_text())
+
+
+def _check_lanes(trace):
+    for lane, stamps in _lane_timestamps(trace).items():
+        assert stamps == sorted(stamps), lane
+    _assert_nested(trace)
+
+
+def _app_lanes(trace):
+    """tid -> app name, from the apps' lane events."""
+    return {e["tid"]: e["name"] for e in trace["traceEvents"]
+            if e["ph"] == "X" and "cat" not in e}
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_trace_out_is_the_event_trace_plus_each_apps_stages(
+        tmp_path, capsys, jobs):
+    events, out, replay = (tmp_path / name for name in ("E", "T", "R"))
+    assert main(["corpus", "--apps", *APPS, "--jobs", jobs, "--no-cache",
+                 "--events-out", str(events),
+                 "--trace-out", str(out)]) == 0
+    assert main(["events", "to-trace", str(events), str(replay)]) == 0
+    capsys.readouterr()
+    trace = _read(out)
+    bare = [e for e in trace["traceEvents"] if e.get("cat") != "stage"]
+    assert {**trace, "traceEvents": bare} == _read(replay)
+    _check_lanes(trace)
+    assert sorted(_app_lanes(trace).values()) == sorted(APPS)
+    for tid, app in _app_lanes(trace).items():
+        names = {e["name"] for e in _stages(trace) if e["tid"] == tid}
+        assert {f"app:{app}"} | STAGES <= names
+
+
+def test_a_warm_rerun_draws_bare_lanes_with_cache_hits(tmp_path, capsys):
+    run = ["corpus", "--apps", *APPS, "--cache-dir", str(tmp_path / "c")]
+    assert main(run) == 0
+    out = tmp_path / "T"
+    assert main(run + ["--trace-out", str(out)]) == 0
+    capsys.readouterr()
+    trace = _read(out)
+    assert _stages(trace) == []
+    hits = [e["tid"] for e in trace["traceEvents"]
+            if e["name"] == "cache-hit"]
+    assert sorted(hits) == sorted(_app_lanes(trace)) == [1, 2, 3]
+    _check_lanes(trace)
+
+
+def test_analyze_trace_out_draws_one_app_lane_with_its_stages(
+        tmp_path, capsys):
+    source = tmp_path / "app.mjava"
+    source.write_text(app("todolist").source())
+    out = tmp_path / "T"
+    assert main(["analyze", str(source), "--trace-out", str(out)]) in (0, 1)
+    capsys.readouterr()
+    trace = _read(out)
+    assert _app_lanes(trace) == {1: "app"}
+    assert {"app:app"} | STAGES <= {e["name"] for e in _stages(trace)}
+    _check_lanes(trace)
 
 
 # -- collapsed-stack flamegraph -----------------------------------------------

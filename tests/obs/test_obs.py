@@ -165,8 +165,9 @@ def test_snapshot_roundtrip():
 
 
 def test_json_export_is_deterministic_modulo_durations():
-    """Two runs of the same work produce identical JSON once durations
-    are zeroed: stable key order, no absolute timestamps anywhere."""
+    """Two runs of the same work produce identical JSON once the timing
+    fields (start offsets, durations) are zeroed: stable key order, no
+    absolute timestamps anywhere."""
 
     def one_run():
         rec = Recorder()
@@ -180,6 +181,7 @@ def test_json_export_is_deterministic_modulo_durations():
         return rec.snapshot()
 
     def zero_durations(node):
+        node["start_s"] = 0.0
         node["duration_s"] = 0.0
         for child in node.get("children", ()):
             zero_durations(child)
@@ -197,9 +199,35 @@ def test_span_dicts_carry_no_absolute_timestamps():
     rec = Recorder()
     with obs.use(rec):
         with obs.span("stage"):
-            pass
+            with obs.span("inner"):
+                pass
     payload = rec.roots[0].to_dict()
-    assert set(payload) <= {"name", "duration_s", "attrs", "children"}
+    assert set(payload) <= {"name", "start_s", "duration_s", "attrs",
+                            "children"}
+    # start offsets are relative to the root, which starts at 0.0: an
+    # absolute perf_counter stamp would be far past the root's end
+    assert payload["start_s"] == 0.0
+    (inner,) = payload["children"]
+    assert 0.0 <= inner["start_s"] <= payload["duration_s"]
+    assert inner["start_s"] + inner["duration_s"] <= payload["duration_s"]
+
+
+def test_span_dicts_round_trip_start_offsets():
+    rec = Recorder()
+    with obs.use(rec):
+        with obs.span("root"):
+            with obs.span("a"):
+                pass
+            with obs.span("b"):
+                pass
+    payload = rec.roots[0].to_dict()
+    assert Span.from_dict(payload).to_dict() == payload
+    # dicts from before start_s existed (old metrics, cache entries)
+    legacy = {"name": "root", "duration_s": 0.5,
+              "children": [{"name": "a", "duration_s": 0.25}]}
+    rebuilt = Span.from_dict(legacy).to_dict()
+    assert rebuilt["start_s"] == rebuilt["children"][0]["start_s"] == 0.0
+    assert rebuilt["children"][0]["duration_s"] == 0.25
 
 
 def test_render_spans_tree_shape():
@@ -347,7 +375,8 @@ def test_run_stats_describe_includes_cache_counts(tmp_path):
 
 
 def test_bench_payload_schema(tmp_path):
-    from repro.harness import run_bench, write_bench
+    from repro.harness import run_bench
+    from repro.obs import write_json
     from repro.runner import CorpusRunner
 
     payload = run_bench(CorpusRunner(jobs=2), apps=_specs())
@@ -364,7 +393,7 @@ def test_bench_payload_schema(tmp_path):
     )
 
     out = tmp_path / "BENCH_test.json"
-    write_bench(payload, str(out))
+    write_json(str(out), payload)
     assert json.loads(out.read_text()) == payload
 
 

@@ -13,11 +13,11 @@ import json
 import pytest
 
 from repro.obs import (
+    chrome_trace,
     LiveAggregator,
     MemoryEventSink,
     RunEventLog,
     summarize_events,
-    trace_from_events,
 )
 from repro.resilience import FaultError, FaultPlan, FaultPolicy, FaultSpec
 from repro.resilience.faultinject import ENV_VAR
@@ -53,15 +53,21 @@ def test_app_window_spans_the_analysis():
 
 
 def test_serial_stream_has_no_overlapping_lanes():
-    _, records = _run(jobs=1)
+    runner, records = _run(jobs=1)
+    trace = chrome_trace(records, runner.last_metrics.apps)
     lanes = sorted(
         (event["ts"], event["ts"] + event["dur"])
-        for event in trace_from_events(records)["traceEvents"]
-        if event.get("ph") == "X"
+        for event in trace["traceEvents"]
+        if event.get("ph") == "X" and "cat" not in event
     )
     assert len(lanes) == len(APPS)
     for (_, end), (start, _) in zip(lanes, lanes[1:]):
         assert end <= start
+    # each app's stages ran inside its own window
+    for event in trace["traceEvents"]:
+        if event.get("cat") == "stage":
+            start, end = lanes[event["tid"] - 1]
+            assert start <= event["ts"] <= event["ts"] + event["dur"] <= end
 
 
 # -- fail-fast abort ----------------------------------------------------------

@@ -38,6 +38,22 @@ def test_fail_fast_is_the_default(crash_env, capsys):
     assert "--keep-going" in captured.err
 
 
+@pytest.mark.parametrize("plan", ["{missing}", '{"faults": ['])
+def test_a_bad_fault_plan_exits_2_with_one_line_error(
+        monkeypatch, tmp_path, capsys, plan):
+    # a plan naming a missing file, or holding malformed JSON
+    monkeypatch.setenv(ENV_VAR,
+                       plan.replace("{missing}",
+                                    str(tmp_path / "missing.json")))
+    code = main(["corpus", "--apps", "todolist", "--no-cache"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line.startswith(f"nadroid: error: {ENV_VAR}: ")
+    assert "Traceback" not in captured.err
+
+
 def test_faulted_apps_reach_the_report_and_sarif(crash_env, tmp_path,
                                                  capsys):
     report_path = tmp_path / "report.json"

@@ -91,7 +91,9 @@ def test_fault_error_message_is_actionable():
     fault = timeout_fault("mytracks1", 5.0)
     err = FaultError(fault)
     assert "mytracks1" in str(err)
-    assert "--keep-going" in str(err)
+    assert "[timeout, stage task]" in str(err)
+    # the --keep-going hint is the CLI's, for subcommands that take it
+    assert "--keep-going" not in str(err)
     assert err.fault is fault
 
 

@@ -434,6 +434,27 @@ def test_server_reuses_addresses_and_accepts_port_zero():
     second.close()
 
 
+def test_sarif_body_is_the_sarif_out_file(server, tmp_path, capsys):
+    """``GET /v1/jobs/<id>/sarif`` serves exactly the bytes ``repro
+    analyze --sarif-out`` writes for the same source."""
+    from repro.cli import main
+
+    spec = app("todolist")
+    path = tmp_path / spec.filename
+    path.write_text(spec.source())
+    out = tmp_path / "cli.sarif"
+    assert main(["analyze", str(path), "--sarif-out", str(out)]) in (0, 1)
+    capsys.readouterr()
+    status, _, body = _request(server.url + "/v1/analyze", {
+        "files": [{"path": str(path), "text": spec.source()}],
+        "wait": True, "sarif": True,
+    })
+    assert status == 200
+    status, _, served = _request(server.url + json.loads(body)["sarif"])
+    assert status == 200
+    assert served == out.read_bytes()
+
+
 # -- corpus-wide byte-identity ------------------------------------------------
 
 

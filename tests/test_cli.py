@@ -126,8 +126,7 @@ def test_an_analysis_fault_exits_2_with_one_line_error(
     assert captured.err.splitlines() == [
         f"nadroid: error: analysis of app 'app' failed [analysis, stage "
         f"{stage}]: InjectedFaultError: injected fault in app 'app' at "
-        f"stage '{stage}' (rerun with --keep-going to complete the "
-        f"remaining apps)"]
+        f"stage '{stage}'"]  # no --keep-going hint: neither command takes it
 
 
 def test_a_killed_analyze_worker_exits_2_with_one_line_error(
@@ -140,8 +139,7 @@ def test_a_killed_analyze_worker_exits_2_with_one_line_error(
     assert code == 2
     assert captured.err.splitlines() == [
         f"nadroid: error: analysis of app 'app' failed [worker-lost, stage "
-        f"task]: {worker_lost_fault('app').message} (rerun with "
-        f"--keep-going to complete the remaining apps)"]
+        f"task]: {worker_lost_fault('app').message}"]
 
 
 def test_an_untimed_serial_corpus_run_loses_a_real_worker(
@@ -603,10 +601,12 @@ def test_corpus_trace_out_writes_perfetto_json(tmp_path, capsys):
     assert f"[trace] wrote {trace}" in captured.err
     payload = json.loads(trace.read_text())
     assert payload["displayTimeUnit"] == "ms"
-    names = {e["args"]["name"] for e in payload["traceEvents"]
-             if e["ph"] == "M" and e["name"] == "process_name"}
-    # one process lane per app, plus the event-stream lane
-    assert {"run", "app:todolist", "app:swiftnotes"} <= names
+    names = {(e["name"], e["args"]["name"]) for e in payload["traceEvents"]
+             if e["ph"] == "M"}
+    # the run's lane, plus one thread lane per app
+    assert names == {("process_name", "run"), ("process_name", "apps"),
+                     ("thread_name", "todolist"),
+                     ("thread_name", "swiftnotes")}
     assert any(e["ph"] == "X" for e in payload["traceEvents"])
     assert any(e["ph"] == "i" for e in payload["traceEvents"])
 
