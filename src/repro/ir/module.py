@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import islice
-from typing import Any, Callable, Dict, Iterator, List, Optional, Set
+from typing import Any, Callable, Dict, Iterator, List, Optional, Set, Tuple
 
 from .cfg import ControlFlowGraph
 from .instructions import FieldRef, Instruction, MethodRef, New
@@ -144,6 +144,7 @@ class Module:
         self._superclasses_cache: Dict[str, List[str]] = {}
         self._subclasses_cache: Dict[str, Set[str]] = {}
         self._memo: Dict[Callable, Any] = {}
+        self._field_refs: Dict[Tuple[str, str], Optional[FieldRef]] = {}
         self._own_from = 0  # index of the first class after the prelude
 
     # -- construction --------------------------------------------------------
@@ -335,7 +336,22 @@ class Module:
         return result
 
     def resolve_field(self, class_name: str, field_name: str) -> Optional[FieldRef]:
-        """Resolve a field access to the class that declares the field."""
+        """Resolve a field access to the class that declares the field.
+
+        A sealed module answers from a memo, so each ``(class, field)``
+        pair resolves to one shared :class:`FieldRef`; an unsealed one
+        (still being lowered) walks the hierarchy every time."""
+        if not self._sealed:
+            return self._find_field(class_name, field_name)
+        key = (class_name, field_name)
+        try:
+            return self._field_refs[key]
+        except KeyError:
+            ref = self._field_refs[key] = self._find_field(class_name,
+                                                           field_name)
+            return ref
+
+    def _find_field(self, class_name: str, field_name: str) -> Optional[FieldRef]:
         for name in [class_name, *self.superclasses(class_name)]:
             cls = self.classes.get(name)
             if cls is not None and field_name in cls.fields:

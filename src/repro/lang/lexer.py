@@ -4,15 +4,19 @@ Supports line (``//``) and block (``/* */``) comments, decimal integers,
 double-quoted strings with the common escapes, identifiers and the keyword
 and punctuation tables in :mod:`repro.lang.tokens`.
 
-One compiled alternation matches the next lexeme; its group name says
-what it is.  Newlines can only occur in trivia (whitespace and comments),
-so those are the only matches that advance the line counter; a token's
-column is its offset from the start of its line.
+One compiled pattern matches the next token: a non-capturing run of
+trivia (whitespace and comments), then an alternation whose group name
+says what the token is, so every match is a token and the last one is
+the end of the source.  A token on a later line than the one before it
+finds its line by bisecting the offsets at which the source's lines
+start; its column is its offset from the start of its line.
 """
 
 from __future__ import annotations
 
 import re
+from bisect import bisect
+from itertools import accumulate
 from typing import List
 
 from .errors import LexError
@@ -21,6 +25,13 @@ from .tokens import KEYWORDS, PUNCTUATION, Token, TokenType
 _ESCAPES = {"n": "\n", "t": "\t", '"': '"', "\\": "\\", "r": "\r", "0": "\0"}
 _ESCAPE = re.compile(r"\\(.)")
 _PUNCT = dict(PUNCTUATION)
+# Loaded per token, so bound once: a ``TokenType`` class attribute load is
+# slow (``EnumType`` defines ``__getattr__``).
+_IDENT, _INT, _STRING, _EOF = (TokenType.IDENT, TokenType.INT_LITERAL,
+                               TokenType.STRING_LITERAL, TokenType.EOF)
+#: ``_new(Token, (type, value, line, column))`` builds a token in C,
+#: skipping the Python-level ``__new__`` that ``NamedTuple`` generates.
+_new = tuple.__new__
 
 # Identifiers start with a letter, ``_`` or ``$`` and continue with
 # letters, digits (anything ``str.isalnum`` accepts), ``_`` or ``$``.
@@ -28,9 +39,13 @@ _PUNCT = dict(PUNCTUATION)
 # characters that are not letters (``½``, ``²``) are rejected after the
 # match.  ``\d`` is exactly what ``int()`` accepts.  A string literal
 # that does not match ends at an unknown escape or is unterminated.
+# Trivia is a greedy non-capturing prefix of every match.  The ``eof``
+# alternative gives trailing trivia a match to belong to (without it the
+# engine would backtrack into the trivia and take a blank or a comment's
+# ``/`` as a token); ``finditer`` can follow that match with an empty
+# one at the end, so the loop stops at the first ``eof``.
 _STRING_BODY = r'[^"\\\n]*(?:\\[nt"\\r0][^"\\\n]*)*'
-_TOKEN = re.compile("|".join([
-    r"(?P<trivia>[ \t\r\n]+|//[^\n]*|/\*(?s:.*?)\*/)",
+_TOKEN = re.compile(r"(?:[ \t\r\n]+|//[^\n]*|/\*(?s:.*?)\*/)*(?:" + "|".join([
     r"(?P<word>[^\W\d][\w$]*|\$[\w$]*)",
     r"(?P<open_comment>/\*)",
     "(?P<punct>" + "|".join(re.escape(text) for text, _ in PUNCTUATION) + ")",
@@ -39,7 +54,8 @@ _TOKEN = re.compile("|".join([
     f'(?P<bad_escape>"{_STRING_BODY}' + r'\\(?![nt"\\r0]))',
     r'(?P<open_string>")',
     r"(?P<other>(?s:.))",
-]))
+    r"(?P<eof>\Z)",
+]) + ")")
 
 
 def _number_error(source: str, start: int, line: int, column: int,
@@ -64,42 +80,45 @@ def tokenize(source: str, filename: str = "<source>") -> List[Token]:
     """Tokenize a source string into a list ending with an EOF token."""
     tokens: List[Token] = []
     append = tokens.append
-    line, line_start = 1, 0
+    # Offsets at which lines start; the last is past the end of the source.
+    line_starts = [0, *accumulate(len(text) + 1
+                                  for text in source.split("\n"))]
+    line, line_start, next_start = 1, 0, line_starts[1]
     for match in _TOKEN.finditer(source):
         kind = match.lastgroup
-        start = match.start()
-        text = match.group()
-        if kind == "trivia":
-            newlines = text.count("\n")
-            if newlines:
-                line += newlines
-                line_start = start + text.rindex("\n") + 1
-            continue
+        text = match[kind]
+        start = match.start(kind)
+        if start >= next_start:
+            line = bisect(line_starts, start)
+            line_start, next_start = line_starts[line - 1], line_starts[line]
         column = start - line_start + 1
         if kind == "word":
             first = text[0]
             if first.isalpha() or first in "_$":
-                append(Token(KEYWORDS.get(text, TokenType.IDENT), text,
-                             line, column))
+                append(_new(Token, (KEYWORDS.get(text, _IDENT), text,
+                                    line, column)))
                 continue
             if first.isdigit():
                 raise _number_error(source, start, line, column, filename)
         elif kind == "punct":
-            append(Token(_PUNCT[text], text, line, column))
+            append(_new(Token, (_PUNCT[text], text, line, column)))
             continue
         elif kind == "number":
             after = source[match.end():match.end() + 1]
             if text[-1] in "lL" or not (after.isalpha() or after.isdigit()):
-                append(Token(TokenType.INT_LITERAL, int(text.rstrip("lL")),
-                             line, column))
+                append(_new(Token, (_INT, int(text.rstrip("lL")), line,
+                                    column)))
                 continue
             raise _number_error(source, start, line, column, filename)
         elif kind == "string":
             value = text[1:-1]
             if "\\" in value:
                 value = _ESCAPE.sub(lambda m: _ESCAPES[m.group(1)], value)
-            append(Token(TokenType.STRING_LITERAL, value, line, column))
+            append(_new(Token, (_STRING, value, line, column)))
             continue
+        elif kind == "eof":
+            append(_new(Token, (_EOF, "", line, column)))
+            break
         elif kind == "open_comment":
             raise LexError("unterminated block comment", line, column,
                            filename)
@@ -112,6 +131,4 @@ def tokenize(source: str, filename: str = "<source>") -> List[Token]:
                            filename)
         raise LexError(f"unexpected character {text[0]!r}", line, column,
                        filename)
-    append(Token(TokenType.EOF, "", line, len(source) - line_start + 1))
     return tokens
-

@@ -61,12 +61,37 @@ _BINARY_POWER = {
 #: legitimate while staying well inside the interpreter's stack.
 MAX_NESTING_DEPTH = 64
 
+#: How far past the current token the parser looks: ``_looks_like_var_decl``
+#: reads ``final type name =``.  The token list carries this many extra EOF
+#: tokens, so no lookahead needs a bounds check.
+_LOOKAHEAD = 3
+
+# The token types the parser tests, as module globals.  It tests one or
+# more per token, and loading ``TokenType.X`` is several times slower than
+# loading a global (``EnumType`` defines ``__getattr__``, which puts every
+# class attribute load on a slow path).
+_T = TokenType
+IDENT, INT_LITERAL, STRING_LITERAL = _T.IDENT, _T.INT_LITERAL, _T.STRING_LITERAL
+LBRACE, RBRACE, LPAREN, RPAREN = _T.LBRACE, _T.RBRACE, _T.LPAREN, _T.RPAREN
+SEMI, COMMA, DOT, AT, ASSIGN, EOF = (_T.SEMI, _T.COMMA, _T.DOT, _T.AT,
+                                     _T.ASSIGN, _T.EOF)
+CLASS, INTERFACE, EXTENDS, IMPLEMENTS = (_T.CLASS, _T.INTERFACE, _T.EXTENDS,
+                                         _T.IMPLEMENTS)
+STATIC, SYNCHRONIZED, FINAL = _T.STATIC, _T.SYNCHRONIZED, _T.FINAL
+IF, ELSE, WHILE, RETURN, THROW = _T.IF, _T.ELSE, _T.WHILE, _T.RETURN, _T.THROW
+NEW, THIS, SUPER, NULL, TRUE, FALSE = (_T.NEW, _T.THIS, _T.SUPER, _T.NULL,
+                                       _T.TRUE, _T.FALSE)
+NOT, MINUS = _T.NOT, _T.MINUS
+
 
 class Parser:
     """Parse one MiniDroid source file into an AST :class:`~ast.Program`."""
 
     def __init__(self, source: str, filename: str = "<source>") -> None:
-        self.tokens = tokenize(source, filename)
+        tokens = tokenize(source, filename)
+        tokens += tokens[-1:] * _LOOKAHEAD
+        self.tokens = tokens
+        self.types = [token.type for token in tokens]
         self.filename = filename
         self.index = 0
         self._depth = 0
@@ -74,27 +99,30 @@ class Parser:
     # -- token helpers ---------------------------------------------------------
 
     def _peek(self, offset: int = 0) -> Token:
-        index = min(self.index + offset, len(self.tokens) - 1)
-        return self.tokens[index]
+        return self.tokens[self.index + offset]
 
     def _at(self, ttype: TokenType, offset: int = 0) -> bool:
-        return self._peek(offset).type is ttype
+        return self.types[self.index + offset] is ttype
 
     def _advance(self) -> Token:
-        token = self.tokens[self.index]
-        if token.type is not TokenType.EOF:
-            self.index += 1
-        return token
+        index = self.index
+        if self.types[index] is not EOF:
+            self.index = index + 1
+        return self.tokens[index]
 
     def _match(self, ttype: TokenType) -> Optional[Token]:
-        if self._at(ttype):
-            return self._advance()
+        index = self.index
+        if self.types[index] is ttype:
+            self.index = index + 1
+            return self.tokens[index]
         return None
 
     def _expect(self, ttype: TokenType, what: str = "") -> Token:
-        if self._at(ttype):
-            return self._advance()
-        token = self._peek()
+        index = self.index
+        token = self.tokens[index]
+        if self.types[index] is ttype:
+            self.index = index + 1
+            return token
         expected = what or ttype.name.lower()
         raise ParseError(
             f"expected {expected}, found {token.value!r}",
@@ -122,40 +150,39 @@ class Parser:
     # -- types and modifiers -----------------------------------------------------
 
     def _at_type(self, offset: int = 0) -> bool:
-        return self._peek(offset).type in TYPE_KEYWORDS or self._at(
-            TokenType.IDENT, offset
-        )
+        ttype = self.types[self.index + offset]
+        return ttype is IDENT or ttype in TYPE_KEYWORDS
 
     def _parse_type_name(self) -> str:
-        token = self._peek()
-        if token.type in TYPE_KEYWORDS:
+        ttype = self.types[self.index]
+        if ttype in TYPE_KEYWORDS:
             self._advance()
-            return TYPE_KEYWORDS[token.type]
-        return str(self._expect(TokenType.IDENT, "a type name").value)
+            return TYPE_KEYWORDS[ttype]
+        return str(self._expect(IDENT, "a type name").value)
 
     def _skip_annotations(self) -> None:
-        while self._match(TokenType.AT):
-            self._expect(TokenType.IDENT, "an annotation name")
-            if self._match(TokenType.LPAREN):
+        while self._match(AT):
+            self._expect(IDENT, "an annotation name")
+            if self._match(LPAREN):
                 depth = 1
                 while depth:
                     tok = self._advance()
-                    if tok.type is TokenType.LPAREN:
+                    if tok.type is LPAREN:
                         depth += 1
-                    elif tok.type is TokenType.RPAREN:
+                    elif tok.type is RPAREN:
                         depth -= 1
-                    elif tok.type is TokenType.EOF:
+                    elif tok.type is EOF:
                         raise self._error("unterminated annotation arguments")
 
     def _parse_modifiers(self) -> dict:
         mods = {"static": False, "synchronized": False, "final": False}
-        while self._peek().type in _MODIFIERS:
+        while self.types[self.index] in _MODIFIERS:
             token = self._advance()
-            if token.type is TokenType.STATIC:
+            if token.type is STATIC:
                 mods["static"] = True
-            elif token.type is TokenType.SYNCHRONIZED:
+            elif token.type is SYNCHRONIZED:
                 mods["synchronized"] = True
-            elif token.type is TokenType.FINAL:
+            elif token.type is FINAL:
                 mods["final"] = True
         return mods
 
@@ -163,7 +190,7 @@ class Parser:
 
     def parse_program(self) -> ast.Program:
         classes: List[ast.ClassDecl] = []
-        while not self._at(TokenType.EOF):
+        while not self._at(EOF):
             classes.append(self._parse_class())
         return ast.Program(classes, self.filename)
 
@@ -171,22 +198,22 @@ class Parser:
         self._skip_annotations()
         self._parse_modifiers()  # `public class` etc.
         is_interface = False
-        if self._match(TokenType.INTERFACE):
+        if self._match(INTERFACE):
             is_interface = True
         else:
-            self._expect(TokenType.CLASS, "'class' or 'interface'")
-        name_token = self._expect(TokenType.IDENT, "a class name")
+            self._expect(CLASS, "'class' or 'interface'")
+        name_token = self._expect(IDENT, "a class name")
         super_name = None
         interfaces: List[str] = []
-        if self._match(TokenType.EXTENDS):
-            super_name = str(self._expect(TokenType.IDENT).value)
-        if self._match(TokenType.IMPLEMENTS):
-            interfaces.append(str(self._expect(TokenType.IDENT).value))
-            while self._match(TokenType.COMMA):
-                interfaces.append(str(self._expect(TokenType.IDENT).value))
-        self._expect(TokenType.LBRACE)
+        if self._match(EXTENDS):
+            super_name = str(self._expect(IDENT).value)
+        if self._match(IMPLEMENTS):
+            interfaces.append(str(self._expect(IDENT).value))
+            while self._match(COMMA):
+                interfaces.append(str(self._expect(IDENT).value))
+        self._expect(LBRACE)
         members = self._parse_members(str(name_token.value))
-        self._expect(TokenType.RBRACE)
+        self._expect(RBRACE)
         return ast.ClassDecl(
             name=str(name_token.value),
             super_name=super_name,
@@ -198,7 +225,7 @@ class Parser:
 
     def _parse_members(self, class_name: str) -> List[ast.MemberDecl]:
         members: List[ast.MemberDecl] = []
-        while not self._at(TokenType.RBRACE) and not self._at(TokenType.EOF):
+        while not self._at(RBRACE) and not self._at(EOF):
             members.append(self._parse_member(class_name))
         return members
 
@@ -209,9 +236,9 @@ class Parser:
 
         # Constructor: ClassName ( ... )
         if (
-            self._at(TokenType.IDENT)
+            self._at(IDENT)
             and str(start.value) == class_name
-            and self._at(TokenType.LPAREN, 1)
+            and self._at(LPAREN, 1)
         ):
             self._advance()
             params = self._parse_params()
@@ -228,10 +255,10 @@ class Parser:
             )
 
         type_name = self._parse_type_name()
-        name_token = self._expect(TokenType.IDENT, "a member name")
-        if self._at(TokenType.LPAREN):
+        name_token = self._expect(IDENT, "a member name")
+        if self._at(LPAREN):
             params = self._parse_params()
-            if self._match(TokenType.SEMI):  # abstract/interface method
+            if self._match(SEMI):  # abstract/interface method
                 body = ast.Block([], line=name_token.line)
             else:
                 body = self._parse_block()
@@ -246,9 +273,9 @@ class Parser:
             )
 
         init = None
-        if self._match(TokenType.ASSIGN):
+        if self._match(ASSIGN):
             init = self._parse_expr()
-        self._expect(TokenType.SEMI)
+        self._expect(SEMI)
         return ast.FieldDecl(
             type_name=type_name,
             name=str(name_token.value),
@@ -258,39 +285,39 @@ class Parser:
         )
 
     def _parse_params(self) -> List[ast.ParamDecl]:
-        self._expect(TokenType.LPAREN)
+        self._expect(LPAREN)
         params: List[ast.ParamDecl] = []
-        if not self._at(TokenType.RPAREN):
+        if not self._at(RPAREN):
             while True:
                 self._parse_modifiers()  # allow `final` on parameters
                 type_name = self._parse_type_name()
-                name = str(self._expect(TokenType.IDENT, "a parameter name").value)
+                name = str(self._expect(IDENT, "a parameter name").value)
                 params.append(ast.ParamDecl(type_name, name))
-                if not self._match(TokenType.COMMA):
+                if not self._match(COMMA):
                     break
-        self._expect(TokenType.RPAREN)
+        self._expect(RPAREN)
         return params
 
     # -- statements --------------------------------------------------------------------
 
     def _parse_block(self) -> ast.Block:
-        lbrace = self._expect(TokenType.LBRACE)
+        lbrace = self._expect(LBRACE)
         statements: List[ast.Stmt] = []
-        while not self._at(TokenType.RBRACE) and not self._at(TokenType.EOF):
+        while not self._at(RBRACE) and not self._at(EOF):
             statements.append(self._parse_stmt())
-        self._expect(TokenType.RBRACE)
+        self._expect(RBRACE)
         return ast.Block(statements, line=lbrace.line)
 
     def _looks_like_var_decl(self) -> bool:
         """Lookahead: ``type name =`` / ``type name ;`` begins a declaration."""
         offset = 0
-        if self._at(TokenType.FINAL):
+        if self._at(FINAL):
             offset = 1
         if not self._at_type(offset):
             return False
-        if not self._at(TokenType.IDENT, offset + 1):
+        if not self._at(IDENT, offset + 1):
             return False
-        return self._peek(offset + 2).type in (TokenType.ASSIGN, TokenType.SEMI)
+        return self.types[self.index + offset + 2] in (ASSIGN, SEMI)
 
     def _parse_stmt(self) -> ast.Stmt:
         self._enter_nesting()
@@ -301,63 +328,64 @@ class Parser:
 
     def _parse_stmt_inner(self) -> ast.Stmt:
         token = self._peek()
-        if token.type is TokenType.LBRACE:
+        ttype = token.type
+        if ttype is LBRACE:
             return self._parse_block()
-        if token.type is TokenType.IF:
+        if ttype is IF:
             return self._parse_if()
-        if token.type is TokenType.WHILE:
+        if ttype is WHILE:
             return self._parse_while()
-        if token.type is TokenType.RETURN:
+        if ttype is RETURN:
             self._advance()
-            value = None if self._at(TokenType.SEMI) else self._parse_expr()
-            self._expect(TokenType.SEMI)
+            value = None if self._at(SEMI) else self._parse_expr()
+            self._expect(SEMI)
             return ast.ReturnStmt(value, line=token.line)
-        if token.type is TokenType.THROW:
+        if ttype is THROW:
             self._advance()
-            self._expect(TokenType.NEW)
-            exc = str(self._expect(TokenType.IDENT, "an exception class").value)
-            self._expect(TokenType.LPAREN)
-            if self._at(TokenType.STRING_LITERAL):
+            self._expect(NEW)
+            exc = str(self._expect(IDENT, "an exception class").value)
+            self._expect(LPAREN)
+            if self._at(STRING_LITERAL):
                 self._advance()
-            self._expect(TokenType.RPAREN)
-            self._expect(TokenType.SEMI)
+            self._expect(RPAREN)
+            self._expect(SEMI)
             return ast.ThrowStmt(exc, line=token.line)
-        if token.type is TokenType.SYNCHRONIZED:
+        if ttype is SYNCHRONIZED:
             self._advance()
-            self._expect(TokenType.LPAREN)
+            self._expect(LPAREN)
             lock = self._parse_expr()
-            self._expect(TokenType.RPAREN)
+            self._expect(RPAREN)
             body = self._parse_block()
             return ast.SyncStmt(lock, body, line=token.line)
         if self._looks_like_var_decl():
-            is_final = self._match(TokenType.FINAL) is not None
+            is_final = self._match(FINAL) is not None
             type_name = self._parse_type_name()
-            name = str(self._expect(TokenType.IDENT).value)
+            name = str(self._expect(IDENT).value)
             init = None
-            if self._match(TokenType.ASSIGN):
+            if self._match(ASSIGN):
                 init = self._parse_expr()
-            self._expect(TokenType.SEMI)
+            self._expect(SEMI)
             return ast.VarDecl(type_name, name, init, is_final, line=token.line)
         expr = self._parse_expr()
-        self._expect(TokenType.SEMI)
+        self._expect(SEMI)
         return ast.ExprStmt(expr, line=token.line)
 
     def _parse_if(self) -> ast.Stmt:
-        token = self._expect(TokenType.IF)
-        self._expect(TokenType.LPAREN)
+        token = self._expect(IF)
+        self._expect(LPAREN)
         cond = self._parse_expr()
-        self._expect(TokenType.RPAREN)
+        self._expect(RPAREN)
         then_branch = self._parse_stmt()
         else_branch = None
-        if self._match(TokenType.ELSE):
+        if self._match(ELSE):
             else_branch = self._parse_stmt()
         return ast.IfStmt(cond, then_branch, else_branch, line=token.line)
 
     def _parse_while(self) -> ast.Stmt:
-        token = self._expect(TokenType.WHILE)
-        self._expect(TokenType.LPAREN)
+        token = self._expect(WHILE)
+        self._expect(LPAREN)
         cond = self._parse_expr()
-        self._expect(TokenType.RPAREN)
+        self._expect(RPAREN)
         body = self._parse_stmt()
         return ast.WhileStmt(cond, body, line=token.line)
 
@@ -366,7 +394,7 @@ class Parser:
     def _parse_expr(self) -> ast.Expr:
         """An assignment (right-recursive) or a binary expression."""
         lhs = self._parse_binary(1)
-        if not self._at(TokenType.ASSIGN):
+        if not self._at(ASSIGN):
             return lhs
         token = self._advance()
         if not isinstance(lhs, (ast.Name, ast.FieldAccess)):
@@ -387,7 +415,7 @@ class Parser:
         lhs = self._parse_unary()
         depth = self._depth
         try:
-            while _BINARY_POWER.get(self._peek().type, 0) >= min_power:
+            while _BINARY_POWER.get(self.types[self.index], 0) >= min_power:
                 token = self._advance()
                 self._enter_nesting()
                 rhs = self._parse_binary(_BINARY_POWER[token.type] + 1)
@@ -400,7 +428,7 @@ class Parser:
         self._enter_nesting()
         try:
             token = self._peek()
-            if token.type in (TokenType.NOT, TokenType.MINUS):
+            if token.type in (NOT, MINUS):
                 self._advance()
                 operand = self._parse_unary()
                 return ast.Unary(str(token.value), operand, line=token.line)
@@ -412,11 +440,11 @@ class Parser:
         expr = self._parse_primary()
         depth = self._depth
         try:
-            while self._at(TokenType.DOT):
+            while self._at(DOT):
                 dot = self._advance()
                 self._enter_nesting()
-                name = str(self._expect(TokenType.IDENT, "a member name").value)
-                if self._at(TokenType.LPAREN):
+                name = str(self._expect(IDENT, "a member name").value)
+                if self._at(LPAREN):
                     args = self._parse_args()
                     expr = ast.Call(expr, name, args, line=dot.line)
                 else:
@@ -426,60 +454,61 @@ class Parser:
         return expr
 
     def _parse_args(self) -> List[ast.Expr]:
-        self._expect(TokenType.LPAREN)
+        self._expect(LPAREN)
         args: List[ast.Expr] = []
-        if not self._at(TokenType.RPAREN):
+        if not self._at(RPAREN):
             while True:
                 args.append(self._parse_expr())
-                if not self._match(TokenType.COMMA):
+                if not self._match(COMMA):
                     break
-        self._expect(TokenType.RPAREN)
+        self._expect(RPAREN)
         return args
 
     def _parse_primary(self) -> ast.Expr:
         token = self._peek()
-        if token.type is TokenType.INT_LITERAL:
+        ttype = token.type
+        if ttype is INT_LITERAL:
             self._advance()
             return ast.IntLit(int(token.value), line=token.line)
-        if token.type is TokenType.STRING_LITERAL:
+        if ttype is STRING_LITERAL:
             self._advance()
             return ast.StrLit(str(token.value), line=token.line)
-        if token.type is TokenType.TRUE:
+        if ttype is TRUE:
             self._advance()
             return ast.BoolLit(True, line=token.line)
-        if token.type is TokenType.FALSE:
+        if ttype is FALSE:
             self._advance()
             return ast.BoolLit(False, line=token.line)
-        if token.type is TokenType.NULL:
+        if ttype is NULL:
             self._advance()
             return ast.NullLit(line=token.line)
-        if token.type is TokenType.THIS:
+        if ttype is THIS:
             self._advance()
             return ast.ThisExpr(line=token.line)
-        if token.type is TokenType.SUPER:
+        if ttype is SUPER:
             self._advance()
-            self._expect(TokenType.DOT)
-            name = str(self._expect(TokenType.IDENT).value)
+            self._expect(DOT)
+            name = str(self._expect(IDENT).value)
             args = self._parse_args()
             return ast.SuperCall(name, args, line=token.line)
-        if token.type is TokenType.NEW:
+        if ttype is NEW:
             self._advance()
-            class_name = str(self._expect(TokenType.IDENT, "a class name").value)
+            class_name = str(self._expect(IDENT, "a class name").value)
             args = self._parse_args()
             body = None
-            if self._at(TokenType.LBRACE):
-                self._expect(TokenType.LBRACE)
+            if self._at(LBRACE):
+                self._expect(LBRACE)
                 body = self._parse_members(class_name)
-                self._expect(TokenType.RBRACE)
+                self._expect(RBRACE)
             return ast.NewExpr(class_name, args, body, line=token.line)
-        if token.type is TokenType.LPAREN:
+        if ttype is LPAREN:
             self._advance()
             expr = self._parse_expr()
-            self._expect(TokenType.RPAREN)
+            self._expect(RPAREN)
             return expr
-        if token.type is TokenType.IDENT:
+        if ttype is IDENT:
             self._advance()
-            if self._at(TokenType.LPAREN):
+            if self._at(LPAREN):
                 args = self._parse_args()
                 return ast.Call(None, str(token.value), args, line=token.line)
             return ast.Name(str(token.value), line=token.line)

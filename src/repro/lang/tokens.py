@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum, auto
-from typing import Union
+from typing import NamedTuple, Union
 
 
 class TokenType(Enum):
+    # Members are singletons compared by identity, so identity is a valid
+    # hash; ``Enum``'s own ``__hash__`` is a Python call per dict or set
+    # lookup, and the parser makes one or more such lookups per token.
+    __hash__ = object.__hash__
+
     # literals and identifiers
     IDENT = auto()
     INT_LITERAL = auto()
@@ -133,8 +137,10 @@ TYPE_KEYWORDS = {
 }
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
+    """One lexeme.  A tuple, so it is immutable, hashable and equal by
+    value, and the lexer builds each one with a single C call."""
+
     type: TokenType
     value: Union[str, int]
     line: int

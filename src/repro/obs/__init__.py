@@ -43,7 +43,6 @@ from .export import (
     describe_run,
     render_metrics,
     render_spans,
-    snapshot_to_json,
     write_json,
 )
 from .hotspots import (
@@ -102,7 +101,6 @@ __all__ = [
     "set_gauge",
     "Span",
     "span",
-    "snapshot_to_json",
     "summarize_events",
     "TelemetryServer",
     "top_hotspots",

@@ -104,11 +104,6 @@ def describe_run(snapshot: MetricsSnapshot) -> str:
     return line
 
 
-def snapshot_to_json(snapshot: MetricsSnapshot, indent: int = 2) -> str:
-    """Canonical JSON for one snapshot (stable key order at every level)."""
-    return json.dumps(snapshot.to_dict(), sort_keys=True, indent=indent)
-
-
 def canonical_json(obj: Any) -> str:
     """Canonical JSON text: sorted keys, two-space indent, trailing
     newline (list order is preserved)."""

@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.core import analyze_app
+from repro.corpus import app
 from repro.ir import (
     ClassDef,
     Field,
@@ -58,6 +60,36 @@ def test_resolve_field_finds_declaring_class():
     ref = module.resolve_field("Leaf", "shared")
     assert ref == FieldRef("Base", "shared")
     assert module.resolve_field("Leaf", "ghost") is None
+
+
+def test_sealed_module_resolves_each_field_to_one_ref():
+    module = build_hierarchy().seal()
+    ref = module.resolve_field("Leaf", "shared")
+    assert ref == FieldRef("Base", "shared")
+    assert module.resolve_field("Leaf", "shared") is ref
+    assert module.resolve_field("Leaf", "ghost") is None
+    assert module.resolve_field("Leaf", "ghost") is None
+
+
+def test_unsealed_module_sees_fields_added_after_a_lookup():
+    module = build_hierarchy()
+    assert module.resolve_field("Leaf", "late") is None
+    module.classes["Mid"].add_field(Field("late", INT))
+    assert module.resolve_field("Leaf", "late") == FieldRef("Mid", "late")
+
+
+@pytest.mark.parametrize("name", ["connectbot", "k9mail", "todolist"])
+def test_field_memo_matches_the_final_class_table(name):
+    """No pass adds a field to a class after ``seal()``: every answer the
+    memo gave during a full analysis still matches a fresh walk."""
+    module = analyze_app(app(name).source()).program.module
+    memo = module._field_refs
+    assert memo
+    for (class_name, field_name), ref in memo.items():
+        walk = [cls for cls in [class_name, *module.superclasses(class_name)]
+                if cls in module.classes
+                and field_name in module.classes[cls].fields]
+        assert ref == (FieldRef(walk[0], field_name) if walk else None)
 
 
 def test_resolve_method_nearest_override():

@@ -1,9 +1,11 @@
 """Lexer unit tests."""
 
+import pickle
+
 import pytest
 
 from repro.lang import LexError, tokenize
-from repro.lang.tokens import TokenType
+from repro.lang.tokens import Token, TokenType
 
 
 def types(source):
@@ -12,6 +14,19 @@ def types(source):
 
 def test_empty_source_yields_only_eof():
     assert types("") == [TokenType.EOF]
+
+
+def test_token_is_an_immutable_hashable_value():
+    token = tokenize("x")[0]
+    assert token == Token(TokenType.IDENT, "x", 1, 1)
+    assert token != Token(TokenType.IDENT, "x", 1, 2)
+    assert hash(token) == hash(Token(TokenType.IDENT, "x", 1, 1))
+    assert len({token, Token(TokenType.IDENT, "x", 1, 1)}) == 1
+    with pytest.raises(AttributeError):
+        token.value = "y"
+    restored = pickle.loads(pickle.dumps(token))
+    assert restored == token and type(restored) is Token
+    assert restored.type is TokenType.IDENT
 
 
 def test_keywords_and_identifiers():

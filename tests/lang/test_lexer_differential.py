@@ -29,6 +29,23 @@ EDGE_CASES = [
     "a²", "a ²", "1²", "²", "\xa0", "a\xa0b", "\f", "a\fb", "\tx\t\ty",
     "/***/", "/**/x", "/*/", "/*/ */y", "a//c\nb", "a//", "x/y", "\r\nz",
     "a\n\n  /* 1\n2 */ b", "==!=<=>=&&||{}();,.@=<>+-*/%!", "#", "&", "|",
+    # trivia is a prefix of every token match, so: only trivia ...
+    " ", "\n", " \t\n\r ", "// only", "/* only */", " /* a */ // b\n ",
+    "/**/", "/*\n*/\n",
+    # ... trivia between the last token and the end ...
+    "a ", "a\n", "a // c", "a /* c */", "a\n\n\t", "a /* 1\n2 */\n",
+    # ... comments glued to tokens ...
+    "a/**/b", "/**/a/**/", "1/**/2", "x/**/=/**/y", "a//b", "//\nx",
+    # ... line counts over CRLF and bare CR ...
+    "a\r\nb\r\nc", "a\rb\rc", "a\r\n\r\n  b", "/* x\r\ny */ z",
+    "a\r", "\r\n\r\n12x",
+    # ... a token right after a multi-line block comment ...
+    "/* a\nb\nc */x", "a /* 1\n2 */b /* 3\n*/ c", "/*\n*/\"s\"",
+    # ... an unterminated block comment after whitespace ...
+    "a \n  /* never", "\n\n   /*", "a\n/* x */ /* y",
+    # ... and strings holding comment openers.
+    '"a // b"', '"/* not a comment */" x', 'x = "//"; y', '"/*" /* c */ "*/"',
+    '"//" /* "', 'a /* "x" */ "y"',
 ]
 
 ALPHABET = ("a", "Z", "x", "L", "l", "n", "t", "_", "$", "0", "1", "9",

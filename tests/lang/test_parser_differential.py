@@ -4,8 +4,9 @@
 method per precedence level.  Both must build the same AST (compared by
 ``repr``), or raise ``ParseError`` with the same message, line, column
 and filename, on the registry apps, the generated apps of two seeds, the
-inputs of the depth-limit tests, seeded random token streams and a
-seeded grammar-driven expression generator.
+inputs of the depth-limit tests, inputs whose lookahead runs past the
+final EOF, seeded random token streams and a seeded grammar-driven
+expression generator.
 
 The one allowed divergence is the nesting budget: the parser also counts
 binary folds, postfix folds and assignment right-hand sides, so an input
@@ -76,6 +77,38 @@ def test_generated_apps_parse_identically(seed):
 @pytest.mark.parametrize("shape", sorted(SHAPES))
 def test_depth_limit_inputs_differ_only_by_the_budget(shape, size):
     assert_agrees_but_for_the_budget(SHAPES[shape](size))
+
+
+#: Inputs that end where a lookahead reads past the final EOF, into the
+#: parser's EOF padding, and the diagnostic the clamping parser gave.
+PAST_EOF = {
+    'class A { final int': ("expected a member name, found ''", 1, 20),
+    '@A(': ('unterminated annotation arguments', 1, 4),
+    'class A { int x': ("expected semi, found ''", 1, 16),
+    'class A { final': ("expected a type name, found ''", 1, 16),
+    'class A { final int x': ("expected semi, found ''", 1, 22),
+    'class A { void m() { final int x': ("unexpected token 'final' in expression", 1, 22),
+    'class A { void m() { int x': ("unexpected token 'int' in expression", 1, 22),
+    'class A { void m() { final int': ("unexpected token 'final' in expression", 1, 22),
+    'class A { void m() { final': ("unexpected token 'final' in expression", 1, 22),
+    'class A { void m() { x': ("expected semi, found ''", 1, 23),
+    'class A { A': ("expected a member name, found ''", 1, 12),
+    'class A {': ("expected rbrace, found ''", 1, 10),
+    'class': ("expected a class name, found ''", 1, 6),
+    '@': ("expected an annotation name, found ''", 1, 2),
+    '@A': ("expected 'class' or 'interface', found ''", 1, 3),
+    'class A { @B(': ('unterminated annotation arguments', 1, 14),
+    'class A { void m() { x.': ("expected a member name, found ''", 1, 24),
+    'class A { void m() { new': ("expected a class name, found ''", 1, 25),
+    'class A { int x =': ("unexpected token '' in expression", 1, 18),
+    'class A implements': ("expected ident, found ''", 1, 19),
+}
+
+
+@pytest.mark.parametrize("source", sorted(PAST_EOF))
+def test_lookahead_past_eof_keeps_its_diagnostic(source):
+    assert assert_agrees(source) == ("ParseError", *PAST_EOF[source],
+                                     "f.java")
 
 
 TOKENS = (

@@ -13,11 +13,11 @@ import pytest
 
 from repro import obs
 from repro.obs import (
+    canonical_json,
     merge_snapshots,
     MetricsSnapshot,
     Recorder,
     render_spans,
-    snapshot_to_json,
     Span,
 )
 
@@ -188,7 +188,7 @@ def test_json_export_is_deterministic_modulo_durations():
 
     payloads = []
     for _ in range(2):
-        data = json.loads(snapshot_to_json(one_run()))
+        data = json.loads(canonical_json(one_run().to_dict()))
         for root in data["spans"]:
             zero_durations(root)
         payloads.append(json.dumps(data, sort_keys=True))
