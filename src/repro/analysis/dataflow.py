@@ -3,7 +3,9 @@
 Clients (the lockset analysis and the IG/IA/MA filters) supply a transfer
 function over immutable states plus a join; the engine iterates blocks in
 reverse postorder to a fixpoint and exposes the state *before* every
-instruction, keyed by uid.
+instruction, keyed by uid.  An optional ``branch(if_instr, state,
+to_then)`` hook refines the state flowing along each edge of an ``If``
+(the null-check guard analysis is edge-sensitive).
 
 States must be hashable/immutable (frozensets, tuples); the engine treats
 ``None`` as bottom (unreachable).
@@ -13,7 +15,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict, Generic, Optional, TypeVar
 
-from ..ir import Instruction, Method
+from ..ir import If, Instruction, Method
 
 S = TypeVar("S")
 
@@ -27,11 +29,13 @@ class ForwardDataflow(Generic[S]):
         entry_state: S,
         transfer: Callable[[Instruction, S], S],
         join: Callable[[S, S], S],
+        branch: Optional[Callable[[If, S, bool], S]] = None,
     ) -> None:
         self.method = method
         self.entry_state = entry_state
         self.transfer = transfer
         self.join = join
+        self.branch = branch
 
     def run(self) -> Dict[int, S]:
         """Return the in-state of every instruction, keyed by uid."""
@@ -50,9 +54,12 @@ class ForwardDataflow(Generic[S]):
                     continue
                 for instr in block.instructions:
                     state = self.transfer(instr, state)
-                for succ in block.successor_labels():
+                term = block.terminator
+                refine = self.branch if isinstance(term, If) else None
+                for i, succ in enumerate(block.successor_labels()):
+                    out = state if refine is None else refine(term, state, i == 0)
                     current = block_in.get(succ)
-                    merged = state if current is None else self.join(current, state)
+                    merged = out if current is None else self.join(current, out)
                     if merged != current:
                         block_in[succ] = merged
                         changed = True
@@ -73,6 +80,7 @@ def run_forward(
     entry_state: S,
     transfer: Callable[[Instruction, S], S],
     join: Callable[[S, S], S],
+    branch: Optional[Callable[[If, S, bool], S]] = None,
 ) -> Dict[int, S]:
     """One-call helper around :class:`ForwardDataflow`."""
-    return ForwardDataflow(method, entry_state, transfer, join).run()
+    return ForwardDataflow(method, entry_state, transfer, join, branch).run()

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
+from ..analysis.dataflow import run_forward
 from ..ir import (
     Assign,
     BinaryOp,
@@ -139,7 +140,10 @@ class GuardAnalysis:
         self.module = module
         self.method = method
         self.symbols = _SymbolicValues(module, method)
-        self._in_states = self._run()
+        self._in_states: Dict[int, GuardState] = run_forward(
+            method, frozenset(), self._transfer_instr, lambda a, b: a & b,
+            self._edge_state,
+        )
 
     def _transfer_instr(self, instr: Instruction, state: GuardState) -> GuardState:
         if isinstance(instr, (PutField, PutStatic)):
@@ -162,46 +166,6 @@ class GuardAnalysis:
         if (op == "!=" and to_then) or (op == "==" and not to_then):
             return state | {fact}
         return state
-
-    def _run(self) -> Dict[int, GuardState]:
-        cfg = self.method.cfg
-        if not cfg.blocks:
-            return {}
-        block_in: Dict[str, Optional[GuardState]] = {
-            label: None for label in cfg.blocks
-        }
-        block_in[cfg.entry_label] = frozenset()
-        changed = True
-        while changed:
-            changed = False
-            for block in cfg.reverse_postorder():
-                state = block_in[block.label]
-                if state is None:
-                    continue
-                for instr in block.instructions[:-1]:
-                    state = self._transfer_instr(instr, state)
-                term = block.terminator
-                successors = block.successor_labels()
-                for i, succ in enumerate(successors):
-                    if isinstance(term, If):
-                        out = self._edge_state(term, state, to_then=(i == 0))
-                    else:
-                        out = self._transfer_instr(term, state) if term else state
-                    current = block_in.get(succ)
-                    merged = out if current is None else (current & out)
-                    if merged != current:
-                        block_in[succ] = merged
-                        changed = True
-
-        result: Dict[int, GuardState] = {}
-        for block in cfg.reverse_postorder():
-            state = block_in[block.label]
-            if state is None:
-                continue
-            for instr in block.instructions:
-                result[instr.uid] = state
-                state = self._transfer_instr(instr, state)
-        return result
 
     def guarded_at(self, uid: int, base: str, cls: str, name: str) -> bool:
         canonical = self.symbols.path_of(base) or base
@@ -236,7 +200,9 @@ class AllocAnalysis:
         self.method = method
         self.symbols = _SymbolicValues(module, method)
         self._def_kinds = self._classify_locals()
-        self._in_states = self._run()
+        self._in_states: Dict[int, FrozenSet] = run_forward(
+            method, frozenset(), self._transfer, lambda a, b: a & b,
+        )
 
     def _classify_locals(self) -> Dict[str, Set[str]]:
         kinds: Dict[str, Set[str]] = {}
@@ -289,14 +255,6 @@ class AllocAnalysis:
                 base = self.symbols.path_of(instr.base.name) or instr.base.name
                 state = state | {(base, cls, name, source)}
         return state
-
-    def _run(self) -> Dict[int, FrozenSet]:
-        from ..analysis.dataflow import run_forward
-
-        return run_forward(
-            self.method, frozenset(), self._transfer,
-            lambda a, b: a & b,
-        )
 
     def allocated_at(self, uid: int, base: str, cls: str, name: str,
                      allow_calls: bool = False) -> bool:

@@ -177,6 +177,12 @@ class IntraAllocationFilter(Filter):
 
     name = "IA"
     sound = True
+    #: Whether a getter-call result counts as a stored allocation.
+    allow_calls = False
+
+    def holds(self, source: str) -> str:
+        """How the witness describes what the field holds."""
+        return "must hold a fresh `new`"
 
     def witness(self, occ: Occurrence, warning: UafWarning,
                 ctx: FilterContext) -> Optional[Witness]:
@@ -187,7 +193,7 @@ class IntraAllocationFilter(Filter):
         found = allocs.allocation_witness(
             use.uid, use.base_local,
             use.fieldref.class_name, use.fieldref.field_name,
-            allow_calls=False,
+            allow_calls=self.allow_calls,
         )
         if found is None:
             return None
@@ -199,7 +205,7 @@ class IntraAllocationFilter(Filter):
         lines = ", ".join(str(s["line"]) for s in sites) or "?"
         return Witness(
             kind="allocation",
-            detail=(f"{field} must hold a fresh `new` stored at "
+            detail=(f"{field} {self.holds(source)} stored at "
                     f"line(s) {lines} before the use at line {use.line}"),
             data={"source": source, "field": field, "use_line": use.line,
                   "store_sites": sites, "atomicity": atomicity},

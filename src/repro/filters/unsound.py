@@ -19,6 +19,7 @@ from ..threadify.model import ThreadNode
 from ..threadify.resolve import resolve_local_classes
 from .base import Filter, FilterContext
 from .guards import use_is_benign
+from .sound import IntraAllocationFilter
 
 _UI_LIKE = (CallbackCategory.UI, CallbackCategory.SYSTEM)
 
@@ -226,41 +227,18 @@ class PostHappensBeforeFilter(Filter):
         )
 
 
-class MaybeAllocationFilter(Filter):
+class MaybeAllocationFilter(IntraAllocationFilter):
     """MA (6.2.2): like IA, but accepts getter-call results on the
     assumption that custom getters never return null (Figure 4(a))."""
 
     name = "MA"
     sound = False
+    allow_calls = True
 
-    def witness(self, occ: Occurrence, warning: UafWarning,
-                ctx: FilterContext) -> Optional[Witness]:
-        use = occ.use
-        if use.base_local is None:
-            return None
-        allocs = ctx.allocs(use.method_qname)
-        found = allocs.allocation_witness(
-            use.uid, use.base_local,
-            use.fieldref.class_name, use.fieldref.field_name,
-            allow_calls=True,
-        )
-        if found is None:
-            return None
-        atomicity = ctx.atomicity_witness(occ)
-        if atomicity is None:
-            return None
-        source, sites = found
-        field = f"{use.fieldref.class_name}.{use.fieldref.field_name}"
-        origin = "a fresh `new`" if source == "new" \
-            else "a getter result (assumed non-null)"
-        lines = ", ".join(str(s["line"]) for s in sites) or "?"
-        return Witness(
-            kind="allocation",
-            detail=(f"{field} holds {origin} stored at line(s) {lines} "
-                    f"before the use at line {use.line}"),
-            data={"source": source, "field": field, "use_line": use.line,
-                  "store_sites": sites, "atomicity": atomicity},
-        )
+    def holds(self, source: str) -> str:
+        if source == "new":
+            return "holds a fresh `new`"
+        return "holds a getter result (assumed non-null)"
 
 
 class UsedForReturnFilter(Filter):

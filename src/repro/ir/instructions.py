@@ -21,7 +21,7 @@ refer to program points by value.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple, Union
+from typing import List, NamedTuple, Optional, Tuple, Union
 
 from .types import Type
 
@@ -63,12 +63,13 @@ class Const:
 Operand = Union[Local, Const]
 
 
-@dataclass(frozen=True)
-class FieldRef:
+class FieldRef(NamedTuple):
     """A symbolic reference to ``class_name.field_name``.
 
     The race analysis resolves field references against the class hierarchy
-    so that a field inherited from a superclass has one identity.
+    so that a field inherited from a superclass has one identity.  A
+    ``NamedTuple``, so points-to hashes it in C; no container mixes
+    ``FieldRef``s with plain ``(class, field)`` tuples, which compare equal.
     """
 
     class_name: str

@@ -4,7 +4,9 @@ Each intrinsic implements one framework method for the simulator: posting
 to the main looper, spawning threads, registering callbacks, cancelling
 work, driving AsyncTasks, or just returning a plausible environment
 object.  The table mirrors :mod:`repro.android.api` -- the static and
-dynamic views of the framework must agree, and tests assert they do.
+dynamic views of the framework must agree.  Every ``API_TABLE`` row has
+an intrinsic here except a named allowlist of APIs the simulator does
+not execute (``tests/runtime/test_intrinsic_table.py``).
 """
 
 from __future__ import annotations
@@ -277,6 +279,7 @@ def _register_all(table: Dict[Tuple[str, str], Intrinsic]) -> None:
 
     @reg("LocationManager", "removeUpdates")
     @reg("SensorManager", "unregisterListener")
+    @reg("SharedPreferences", "unregisterOnSharedPreferenceChangeListener")
     def _remove_listener(sim, thread, receiver, args, instr):
         target = args[0]
         if isinstance(target, ObjRef):

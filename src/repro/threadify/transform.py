@@ -1,22 +1,29 @@
 """Threadification: transform + thread-forest construction (paper section 4).
 
-The transform mirrors what nAdroid does with Soot:
+The transform mirrors what nAdroid does with Soot.  Everything it knows
+about the framework's registration contract comes from ``API_TABLE`` and
+one channel table (``_channels``):
 
 1. **Registry synthesis.**  A synthetic ``$Registry`` class gets one static
-   field per callback channel (posted runnables, handlers, threads,
-   AsyncTasks, service connections, receivers, and one per listener
-   interface).
-2. **Stub rewriting.**  Framework posting/registration methods get bodies
-   that store their callback object into the matching registry field, so
-   callback receivers flow through the heap exactly once.  The rewritten
-   stubs depend only on whether the app uses fragments and ordered
-   broadcasts, so each of the four variants is built and sealed once per
-   process and swapped in for the module's shared framework prelude.
+   field per callback channel of the channel table: posted runnables,
+   executor tasks, threads, handlers, AsyncTasks, service connections,
+   receivers, fragments and ordered-broadcast result receivers (these two
+   only in apps that use those APIs), and one per listener interface that
+   a ``REGISTER_LISTENER`` stub takes.
+2. **Stub rewriting.**  Every registering ``API_TABLE`` row's framework
+   stub gets a body that stores its callback object (the receiver, or the
+   row's ``callback_arg`` parameter) into the channel of the row's kind,
+   so callback receivers flow through the heap exactly once.  The
+   rewritten stubs depend only on whether the app uses fragments and
+   ordered broadcasts, so each of the four variants is built and sealed
+   once per process and swapped in for the module's shared framework
+   prelude.
 3. **Dummy main.**  A synthetic ``DummyMain.main`` allocates every
-   component, invokes its entry callbacks, and drains every registry field
-   by invoking the registered callbacks -- giving downstream analyses a
-   single entry point (like FlowDroid's dummy main), with flow-insensitive
-   points-to closing the loop for callbacks registered inside callbacks.
+   component, invokes its entry callbacks, and drains every registry
+   channel by invoking the callbacks the channel table lists for it --
+   giving downstream analyses a single entry point (like FlowDroid's dummy
+   main), with flow-insensitive points-to closing the loop for callbacks
+   registered inside callbacks.
 4. **Forest construction.**  Entry callbacks become children of the dummy
    main; posted callbacks and threads become children of their
    poster/spawner, discovered by a region fixpoint over the CHA call graph.
@@ -28,12 +35,8 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Dict, List, Optional, Set, Tuple
 
-from ..android.api import ApiKind, ApiSpec, lookup_api
-from ..android.callbacks import (
-    CallbackCategory,
-    FRAGMENT_LIFECYCLE,
-    PC_CATEGORY_BY_CALLBACK,
-)
+from ..android.api import API_TABLE, ApiKind, ApiSpec, CANCEL_KINDS, lookup_api
+from ..android.callbacks import CallbackCategory, PC_CATEGORY_BY_CALLBACK
 from ..android.framework import (
     framework_module,
     is_framework_class,
@@ -65,17 +68,82 @@ from .resolve import resolve_local_classes, resolve_thread_tasks
 REGISTRY_CLASS = "$Registry"
 DUMMY_MAIN_CLASS = "DummyMain"
 
-#: Listener interfaces that get their own registry slot.
-_LISTENER_INTERFACES = (
-    "OnClickListener",
-    "OnLongClickListener",
-    "OnTouchListener",
-    "OnItemClickListener",
-    "LocationListener",
-    "SensorEventListener",
-    "OnCompletionListener",
-    "OnSharedPreferenceChangeListener",
-)
+#: ``$Registry`` channel -> (declared type, callbacks the dummy main drains
+#: from it), in drain order.  The listener channels follow (``_channels``).
+_FIXED_CHANNELS: Dict[str, Tuple[str, Tuple[str, ...]]] = {
+    "$runnables": ("Runnable", ("run",)),
+    "$tasks": ("Runnable", ("run",)),
+    "$threads": ("Thread", ("run",)),
+    "$handlers": ("Handler", ("handleMessage",)),
+    "$asynctasks": ("AsyncTask", ("onPreExecute", "doInBackground",
+                                  "onProgressUpdate", "onPostExecute",
+                                  "onCancelled")),
+    "$connections": ("ServiceConnection", ("onServiceConnected",
+                                           "onServiceDisconnected")),
+    "$receivers": ("BroadcastReceiver", ("onReceive",)),
+    "$fragments": ("Fragment", ("onAttach", "onCreate", "onStart",
+                                "onResume", "onPause", "onStop",
+                                "onDestroy", "onDetach")),
+    "$ordered_receivers": ("BroadcastReceiver", ("onReceive",)),
+}
+
+#: The channel a registering stub of each kind stores into.  A
+#: ``SPAWN_THREAD`` stub stores its receiver (a ``Thread``) into
+#: ``$threads`` and its argument (a task) into ``$tasks``; a
+#: ``REGISTER_LISTENER`` stub stores into its listener type's channel.
+_KIND_CHANNELS: Dict[ApiKind, str] = {
+    ApiKind.POST_RUNNABLE: "$runnables",
+    ApiKind.SEND_MESSAGE: "$handlers",
+    ApiKind.ASYNCTASK_EXECUTE: "$asynctasks",
+    ApiKind.ASYNCTASK_PUBLISH: "$asynctasks",
+    ApiKind.BIND_SERVICE: "$connections",
+    ApiKind.REGISTER_RECEIVER: "$receivers",
+    ApiKind.REGISTER_FRAGMENT: "$fragments",
+    ApiKind.SEND_ORDERED_BROADCAST: "$ordered_receivers",
+}
+
+#: Kinds whose channel (and stub rewrites) exist only in apps that call an
+#: API of that kind, so apps that never touch fragments or ordered
+#: broadcasts produce the same facts and forests as before those APIs
+#: were modeled.
+_ON_DEMAND_KINDS = (ApiKind.REGISTER_FRAGMENT, ApiKind.SEND_ORDERED_BROADCAST)
+
+#: Posted-callback kinds -> (category, group-key prefix) of the children a
+#: site creates for each callback its class implements.  A ``None``
+#: category is looked up per callback in ``PC_CATEGORY_BY_CALLBACK``.
+_POSTED_KINDS: Dict[ApiKind, Tuple[Optional[CallbackCategory], Optional[str]]] = {
+    ApiKind.POST_RUNNABLE: (None, None),
+    ApiKind.SEND_MESSAGE: (None, None),
+    ApiKind.REGISTER_RECEIVER: (None, None),
+    ApiKind.SEND_ORDERED_BROADCAST: (CallbackCategory.RECEIVER_RESULT, None),
+    ApiKind.REGISTER_FRAGMENT: (CallbackCategory.FRAGMENT, "frag"),
+    ApiKind.BIND_SERVICE: (CallbackCategory.SERVICE_CONN, "conn"),
+}
+
+
+def _stub_channel(spec: ApiSpec, stub: Method) -> str:
+    """The ``$Registry`` channel a registering stub stores into."""
+    if spec.kind is ApiKind.REGISTER_LISTENER:
+        return f"$listener_{stub.params[spec.callback_arg].type.name}"
+    if spec.kind is ApiKind.SPAWN_THREAD:
+        return "$threads" if spec.callback_arg is None else "$tasks"
+    return _KIND_CHANNELS[spec.kind]
+
+
+@lru_cache(maxsize=None)
+def _channels() -> Dict[str, Tuple[str, Tuple[str, ...]]]:
+    """The channel table: the fixed channels, then one channel per listener
+    interface a ``REGISTER_LISTENER`` stub takes, draining every method of
+    that interface.  Computed once per process."""
+    framework = shared_framework()
+    channels = dict(_FIXED_CHANNELS)
+    for (class_name, method_name), spec in API_TABLE.items():
+        if spec.kind is ApiKind.REGISTER_LISTENER:
+            name = _stub_channel(
+                spec, framework.lookup_method(class_name, method_name))
+            iface = name[len("$listener_"):]
+            channels[name] = (iface, tuple(framework.classes[iface].methods))
+    return channels
 
 
 @dataclass
@@ -118,111 +186,48 @@ class ThreadifiedProgram:
 # ----------------------------------------------------------------------
 
 
-def _store_registry(field_name: str):
-    def build(builder: IRBuilder, method: Method) -> None:
-        ref = FieldRef(REGISTRY_CLASS, field_name)
-        builder.put_static(ref, Local(method.params[0].name))
-    return build
-
-
-def _store_registry_this(field_name: str):
-    def build(builder: IRBuilder, method: Method) -> None:
-        builder.put_static(FieldRef(REGISTRY_CLASS, field_name), Local("this"))
-    return build
-
-
 def rewrite_framework_stubs(module: Module, fragments: bool,
                             ordered: bool) -> None:
-    """Replace the bodies of the framework posting/registration stubs in
-    ``module`` with stores into the matching ``$Registry`` field.
+    """Replace the body of every registering ``API_TABLE`` row's framework
+    stub in ``module`` with a store of its callback object into the row's
+    ``$Registry`` channel.
 
     ``fragments`` and ``ordered`` add the fragment-transaction and
     ordered-broadcast rewrites, whose registry channels exist only when
     the application uses those APIs.
     """
-    def reg(class_name: str, method_name: str, build) -> None:
+    def empty_stub(class_name: str, method_name: str) -> IRBuilder:
         method = module.lookup_method(class_name, method_name)
         assert method is not None, \
             f"missing framework stub {class_name}.{method_name}"
         method.cfg = ControlFlowGraph()
-        builder = IRBuilder(method)
-        build(builder, method)
-        builder.finish()
+        return IRBuilder(method)
 
-    reg("Handler", "post", _store_registry("$runnables"))
-    reg("Handler", "postDelayed", _store_registry("$runnables"))
-    reg("View", "post", _store_registry("$runnables"))
-    reg("View", "postDelayed", _store_registry("$runnables"))
-    reg("Activity", "runOnUiThread", _store_registry("$runnables"))
-    reg("Handler", "sendMessage", _store_registry_this("$handlers"))
-    reg("Handler", "sendMessageDelayed", _store_registry_this("$handlers"))
-    reg("Handler", "sendEmptyMessage", _store_registry_this("$handlers"))
-    reg("Thread", "start", _store_registry_this("$threads"))
-    reg("ExecutorService", "execute", _store_registry("$tasks"))
-    reg("ExecutorService", "submit", _store_registry("$tasks"))
-    reg("Timer", "schedule", _store_registry("$tasks"))
-    reg("AsyncTask", "execute", _store_registry_this("$asynctasks"))
-    reg("AsyncTask", "publishProgress", _store_registry_this("$asynctasks"))
-    reg("Context", "registerReceiver", _store_registry("$receivers"))
-
-    def bind_service(builder: IRBuilder, method: Method) -> None:
-        builder.put_static(
-            FieldRef(REGISTRY_CLASS, "$connections"),
-            Local(method.params[1].name),
-        )
-    reg("Context", "bindService", bind_service)
-
-    if fragments:
-        def commit_fragment(builder: IRBuilder, method: Method) -> None:
-            builder.put_static(
-                FieldRef(REGISTRY_CLASS, "$fragments"),
-                Local(method.params[1].name),
-            )
+    skipped = set(CANCEL_KINDS)
+    if not fragments:
+        skipped.add(ApiKind.REGISTER_FRAGMENT)
+    if not ordered:
+        skipped.add(ApiKind.SEND_ORDERED_BROADCAST)
+    for (class_name, method_name), spec in API_TABLE.items():
+        if spec.kind in skipped:
+            continue
+        builder = empty_stub(class_name, method_name)
+        stub = builder.method
+        callback = ("this" if spec.callback_arg is None
+                    else stub.params[spec.callback_arg].name)
+        builder.put_static(FieldRef(REGISTRY_CLASS,
+                                    _stub_channel(spec, stub)),
+                           Local(callback))
+        if spec.kind is ApiKind.REGISTER_FRAGMENT:
             # Preserve the chaining return value of the original stub.
             builder.ret(builder.new("FragmentTransaction"))
-        reg("FragmentTransaction", "add", commit_fragment)
-        reg("FragmentTransaction", "replace", commit_fragment)
+        builder.finish()
 
-    if ordered:
-        def ordered_broadcast(builder: IRBuilder, method: Method) -> None:
-            builder.put_static(
-                FieldRef(REGISTRY_CLASS, "$ordered_receivers"),
-                Local(method.params[1].name),
-            )
-        reg("Context", "sendOrderedBroadcast", ordered_broadcast)
-
-    def thread_init(builder: IRBuilder, method: Method) -> None:
-        builder.put_field(
-            Local("this"), FieldRef("Thread", "$task"),
-            Local(method.params[0].name),
-        )
-    reg("Thread", "<init>", thread_init)
-
-    listener_registrations = [
-        ("View", "setOnClickListener", "OnClickListener"),
-        ("View", "setOnLongClickListener", "OnLongClickListener"),
-        ("View", "setOnTouchListener", "OnTouchListener"),
-        ("ListView", "setOnItemClickListener", "OnItemClickListener"),
-        ("MediaPlayer", "setOnCompletionListener", "OnCompletionListener"),
-        ("SharedPreferences", "registerOnSharedPreferenceChangeListener",
-         "OnSharedPreferenceChangeListener"),
-    ]
-    for class_name, method_name, iface in listener_registrations:
-        reg(class_name, method_name, _store_registry(f"$listener_{iface}"))
-
-    def location_updates(builder: IRBuilder, method: Method) -> None:
-        builder.put_static(
-            FieldRef(REGISTRY_CLASS, "$listener_LocationListener"),
-            Local(method.params[3].name),
-        )
-    reg("LocationManager", "requestLocationUpdates", location_updates)
-
-    def sensor_listener(builder: IRBuilder, method: Method) -> None:
-        builder.put_static(
-            FieldRef(REGISTRY_CLASS, "$listener_SensorEventListener"),
-            Local(method.params[0].name),
-        )
-    reg("SensorManager", "registerListener", sensor_listener)
+    # `new Thread(r)` keeps its task, which the $threads drain runs.
+    builder = empty_stub("Thread", "<init>")
+    builder.put_field(Local("this"), FieldRef("Thread", "$task"),
+                      Local(builder.method.params[0].name))
+    builder.finish()
 
 
 @lru_cache(maxsize=None)
@@ -255,21 +260,27 @@ class Threadifier:
         self.module = module
         self.manifest = manifest
         self.synthetic: Set[str] = set()
-        #: ApiKinds that actually occur at application call sites; registry
-        #: channels for the newer APIs (fragments, ordered broadcasts) are
-        #: synthesized only on demand so apps that never touch them produce
-        #: byte-identical facts and forests to earlier versions.
+        #: ApiKinds that actually occur at application call sites.
         self._present_kinds: Set[ApiKind] = set()
+        #: The registry channels of this app, in drain order.
+        self._channels: Dict[str, Tuple[str, Tuple[str, ...]]] = {}
+        self._skip_cache: Optional[Set[str]] = None
 
     # ------------------------------------------------------------------
     # Main entry point
     # ------------------------------------------------------------------
 
     def run(self) -> ThreadifiedProgram:
-        self._present_kinds = self._scan_api_kinds()
+        calls = self._scan_call_sites()
+        self._present_kinds = {spec.kind for _, _, spec in calls}
+        absent = {_KIND_CHANNELS[kind] for kind in _ON_DEMAND_KINDS
+                  if kind not in self._present_kinds}
+        self._channels = {name: channel
+                          for name, channel in _channels().items()
+                          if name not in absent}
         if self.manifest is None:
             self.manifest = infer_manifest(self.module)
-            self._drop_dynamic_receivers(self.manifest)
+            self._drop_dynamic_receivers(self.manifest, calls)
         entry_callbacks = discover_entry_callbacks(self.module, self.manifest)
 
         self._synthesize_registry()
@@ -284,23 +295,24 @@ class Threadifier:
             forest=ThreadForest(),
             manifest=self.manifest,
             callgraph=callgraph,
+            api_sites={instr.uid: ApiSite(instr.uid, method, instr, spec)
+                       for method, instr, spec in calls},
             synthetic_classes=set(self.synthetic),
         )
-        self._collect_api_sites(program)
         self._build_forest(program, entry_callbacks, rta)
         return program
 
     # ------------------------------------------------------------------
-    # Manifest adjustment
+    # Call sites and manifest adjustment
     # ------------------------------------------------------------------
 
-    def _scan_api_kinds(self) -> Set[ApiKind]:
-        """ApiKinds referenced by any application call site."""
-        kinds: Set[ApiKind] = set()
+    def _scan_call_sites(self) -> List[Tuple[Method, Invoke, ApiSpec]]:
+        """Every application call site of an ``API_TABLE`` method.  The
+        scan runs before synthesis, and sealing later numbers these same
+        instructions, so it also yields the program's API sites."""
+        calls: List[Tuple[Method, Invoke, ApiSpec]] = []
         for method in self.module.own_methods():
             if is_framework_class(method.class_name):
-                continue
-            if method.class_name in self.synthetic:
                 continue
             for instr in method.instructions():
                 if not isinstance(instr, Invoke):
@@ -310,34 +322,28 @@ class Threadifier:
                     instr.methodref.method_name,
                 )
                 if spec is not None:
-                    kinds.add(spec.kind)
-        return kinds
+                    calls.append((method, instr, spec))
+        return calls
 
-    def _drop_dynamic_receivers(self, manifest: Manifest) -> None:
+    def _drop_dynamic_receivers(
+        self, manifest: Manifest, calls: List[Tuple[Method, Invoke, ApiSpec]]
+    ) -> None:
         """Inferred manifests list every receiver subclass; receivers that
         are registered dynamically -- or passed to ``sendOrderedBroadcast``
         as the result receiver -- are posted callbacks, not components."""
+        registrations = [
+            (method, instr.args[spec.callback_arg])
+            for method, instr, spec in calls
+            if spec.kind in (ApiKind.REGISTER_RECEIVER,
+                             ApiKind.SEND_ORDERED_BROADCAST)
+        ]
+        if not registrations:
+            return
         dynamic: Set[str] = set()
         rta = instantiated_classes(self.module)
-        for method in self.module.own_methods():
-            if is_framework_class(method.class_name):
-                continue
-            for instr in method.instructions():
-                if not isinstance(instr, Invoke):
-                    continue
-                spec = lookup_api(
-                    self.module, instr.methodref.class_name,
-                    instr.methodref.method_name,
-                )
-                if spec is None or spec.kind not in (
-                    ApiKind.REGISTER_RECEIVER, ApiKind.SEND_ORDERED_BROADCAST,
-                ):
-                    continue
-                arg = instr.args[spec.callback_arg]
-                if isinstance(arg, Local):
-                    dynamic |= resolve_local_classes(
-                        self.module, method, arg, rta,
-                    )
+        for method, arg in registrations:
+            if isinstance(arg, Local):
+                dynamic |= resolve_local_classes(self.module, method, arg, rta)
         for name in dynamic:
             decl = manifest.components.get(name)
             if decl is not None and decl.kind == "receiver":
@@ -347,28 +353,9 @@ class Threadifier:
     # Synthesis
     # ------------------------------------------------------------------
 
-    def _registry_fields(self) -> List[Tuple[str, str]]:
-        fields = [
-            ("$runnables", "Runnable"),
-            ("$tasks", "Runnable"),
-            ("$threads", "Thread"),
-            ("$handlers", "Handler"),
-            ("$asynctasks", "AsyncTask"),
-            ("$connections", "ServiceConnection"),
-            ("$receivers", "BroadcastReceiver"),
-        ]
-        fields.extend(
-            (f"$listener_{iface}", iface) for iface in _LISTENER_INTERFACES
-        )
-        if ApiKind.REGISTER_FRAGMENT in self._present_kinds:
-            fields.append(("$fragments", "Fragment"))
-        if ApiKind.SEND_ORDERED_BROADCAST in self._present_kinds:
-            fields.append(("$ordered_receivers", "BroadcastReceiver"))
-        return fields
-
     def _synthesize_registry(self) -> None:
         registry = ClassDef(REGISTRY_CLASS, super_name="Object")
-        for name, type_name in self._registry_fields():
+        for name, (type_name, _) in self._channels.items():
             registry.add_field(
                 Field(name, ClassType(type_name), is_static=True)
             )
@@ -475,72 +462,21 @@ class Threadifier:
                 continue
             self._invoke_callback(builder, base, ec.receiver_class, ec.method_name)
 
-        # Drain the registries.
-        def load(field_name: str, type_name: str) -> Local:
-            ref = FieldRef(REGISTRY_CLASS, field_name)
-            return builder.get_static(ref, target=f"$drain_{field_name[1:]}")
-
-        runnable = load("$runnables", "Runnable")
-        self._invoke_callback(builder, runnable, "Runnable", "run")
-        task = load("$tasks", "Runnable")
-        self._invoke_callback(builder, task, "Runnable", "run")
-        thread = load("$threads", "Thread")
-        self._invoke_callback(builder, thread, "Thread", "run")
-        inner = builder.get_field(thread, FieldRef("Thread", "$task"),
-                                  target="$drain_thread_task")
-        self._invoke_callback(builder, inner, "Runnable", "run")
-        handler = load("$handlers", "Handler")
-        self._invoke_callback(builder, handler, "Handler", "handleMessage")
-        atask = load("$asynctasks", "AsyncTask")
-        for callback in ("onPreExecute", "doInBackground",
-                         "onProgressUpdate", "onPostExecute", "onCancelled"):
-            self._invoke_callback(builder, atask, "AsyncTask", callback)
-        conn = load("$connections", "ServiceConnection")
-        self._invoke_callback(builder, conn, "ServiceConnection",
-                              "onServiceConnected")
-        self._invoke_callback(builder, conn, "ServiceConnection",
-                              "onServiceDisconnected")
-        receiver = load("$receivers", "BroadcastReceiver")
-        self._invoke_callback(builder, receiver, "BroadcastReceiver", "onReceive")
-        if ApiKind.REGISTER_FRAGMENT in self._present_kinds:
-            fragment = load("$fragments", "Fragment")
-            for callback in ("onAttach", "onCreate", "onStart", "onResume",
-                             "onPause", "onStop", "onDestroy", "onDetach"):
-                self._invoke_callback(builder, fragment, "Fragment", callback)
-        if ApiKind.SEND_ORDERED_BROADCAST in self._present_kinds:
-            ordered = load("$ordered_receivers", "BroadcastReceiver")
-            self._invoke_callback(builder, ordered, "BroadcastReceiver",
-                                  "onReceive")
-        for iface in _LISTENER_INTERFACES:
-            listener = load(f"$listener_{iface}", iface)
-            iface_cls = self.module.lookup_class(iface)
-            if iface_cls is None:
-                continue
-            for method_name in iface_cls.methods:
-                self._invoke_callback(builder, listener, iface, method_name)
+        # Drain the registry channels.
+        for name, (type_name, callbacks) in self._channels.items():
+            drained = builder.get_static(FieldRef(REGISTRY_CLASS, name),
+                                         target=f"$drain_{name[1:]}")
+            for callback in callbacks:
+                self._invoke_callback(builder, drained, type_name, callback)
+            if name == "$threads":
+                task = builder.get_field(drained, FieldRef("Thread", "$task"),
+                                         target="$drain_thread_task")
+                self._invoke_callback(builder, task, "Runnable", "run")
         builder.finish()
 
     # ------------------------------------------------------------------
     # Forest construction
     # ------------------------------------------------------------------
-
-    def _collect_api_sites(self, program: ThreadifiedProgram) -> None:
-        for method in self.module.own_methods():
-            if is_framework_class(method.class_name):
-                continue
-            if method.class_name in self.synthetic:
-                continue
-            for instr in method.instructions():
-                if not isinstance(instr, Invoke):
-                    continue
-                spec = lookup_api(
-                    self.module, instr.methodref.class_name,
-                    instr.methodref.method_name,
-                )
-                if spec is not None:
-                    program.api_sites[instr.uid] = ApiSite(
-                        instr.uid, method, instr, spec
-                    )
 
     def _callback_operand(self, site: ApiSite) -> Optional[Local]:
         if site.spec.callback_arg is None:
@@ -549,7 +485,7 @@ class Threadifier:
         return arg if isinstance(arg, Local) else None
 
     def _region_skip_set(self, program: ThreadifiedProgram) -> Set[str]:
-        if not hasattr(self, "_skip_cache"):
+        if self._skip_cache is None:
             self._skip_cache = {
                 qname
                 for qname in program.callgraph.methods
@@ -681,65 +617,30 @@ class Threadifier:
     ) -> List[ThreadNode]:
         kind = site.spec.kind
         created: List[ThreadNode] = []
+        if kind not in _POSTED_KINDS and kind not in (
+                ApiKind.SPAWN_THREAD, ApiKind.ASYNCTASK_EXECUTE):
+            return created
         operand = self._callback_operand(site)
         if operand is None:
             return created
         classes = resolve_local_classes(self.module, site.method, operand, rta)
 
-        if kind in (ApiKind.POST_RUNNABLE, ApiKind.SEND_MESSAGE,
-                    ApiKind.REGISTER_RECEIVER):
-            for cls_name in sorted(classes):
-                for callback in site.spec.callbacks:
-                    if not self._app_implements(cls_name, callback):
-                        continue
-                    child = self._add_child(
-                        program, parent, ThreadKind.POSTED_CALLBACK,
-                        cls_name, callback, site,
-                    )
-                    if child is not None:
-                        created.append(child)
+        def add(anchor: ThreadNode, thread_kind: ThreadKind, cls_name: str,
+                callback: str, **kwargs) -> Optional[ThreadNode]:
+            child = self._add_child(program, anchor, thread_kind, cls_name,
+                                    callback, site, **kwargs)
+            if child is not None:
+                created.append(child)
+            return child
 
-        elif kind is ApiKind.SEND_ORDERED_BROADCAST:
+        if kind in _POSTED_KINDS:
+            category, prefix = _POSTED_KINDS[kind]
             for cls_name in sorted(classes):
-                if not self._app_implements(cls_name, "onReceive"):
-                    continue
-                child = self._add_child(
-                    program, parent, ThreadKind.POSTED_CALLBACK,
-                    cls_name, "onReceive", site,
-                    category=CallbackCategory.RECEIVER_RESULT,
-                )
-                if child is not None:
-                    created.append(child)
-
-        elif kind is ApiKind.REGISTER_FRAGMENT:
-            for cls_name in sorted(classes):
+                group = None if prefix is None else f"{prefix}:{cls_name}"
                 for callback in site.spec.callbacks:
-                    if callback not in FRAGMENT_LIFECYCLE:
-                        continue
-                    if not self._app_implements(cls_name, callback):
-                        continue
-                    child = self._add_child(
-                        program, parent, ThreadKind.POSTED_CALLBACK,
-                        cls_name, callback, site,
-                        category=CallbackCategory.FRAGMENT,
-                        group_key=f"frag:{cls_name}",
-                    )
-                    if child is not None:
-                        created.append(child)
-
-        elif kind is ApiKind.BIND_SERVICE:
-            for cls_name in sorted(classes):
-                for callback in site.spec.callbacks:
-                    if not self._app_implements(cls_name, callback):
-                        continue
-                    child = self._add_child(
-                        program, parent, ThreadKind.POSTED_CALLBACK,
-                        cls_name, callback, site,
-                        category=CallbackCategory.SERVICE_CONN,
-                        group_key=f"conn:{cls_name}",
-                    )
-                    if child is not None:
-                        created.append(child)
+                    if self._app_implements(cls_name, callback):
+                        add(parent, ThreadKind.POSTED_CALLBACK, cls_name,
+                            callback, category=category, group_key=group)
 
         elif kind is ApiKind.SPAWN_THREAD:
             for cls_name in sorted(classes):
@@ -749,47 +650,27 @@ class Threadifier:
                         self.module, site.method, operand, rta
                     )
                     for task_cls in sorted(tasks):
-                        if not self._app_implements(task_cls, "run"):
-                            continue
-                        child = self._add_child(
-                            program, parent, ThreadKind.NATIVE_THREAD,
-                            task_cls, "run", site,
-                        )
-                        if child is not None:
-                            created.append(child)
+                        if self._app_implements(task_cls, "run"):
+                            add(parent, ThreadKind.NATIVE_THREAD, task_cls,
+                                "run")
                 elif self._app_implements(cls_name, "run"):
-                    child = self._add_child(
-                        program, parent, ThreadKind.NATIVE_THREAD,
-                        cls_name, "run", site,
-                    )
-                    if child is not None:
-                        created.append(child)
+                    add(parent, ThreadKind.NATIVE_THREAD, cls_name, "run")
 
-        elif kind is ApiKind.ASYNCTASK_EXECUTE:
+        else:  # ApiKind.ASYNCTASK_EXECUTE
             for cls_name in sorted(classes):
                 group = f"task:{cls_name}"
                 bg: Optional[ThreadNode] = None
                 if self._app_implements(cls_name, "doInBackground"):
-                    bg = self._add_child(
-                        program, parent, ThreadKind.ASYNC_BACKGROUND,
-                        cls_name, "doInBackground", site, group_key=group,
-                    )
-                    if bg is not None:
-                        created.append(bg)
+                    bg = add(parent, ThreadKind.ASYNC_BACKGROUND, cls_name,
+                             "doInBackground", group_key=group)
                 # The looper-side callbacks are modeled as children of the
                 # AsyncTask thread (paper Figure 3(e)).
                 anchor = bg if bg is not None else parent
                 for callback in ("onPreExecute", "onProgressUpdate",
                                  "onPostExecute", "onCancelled"):
-                    if not self._app_implements(cls_name, callback):
-                        continue
-                    child = self._add_child(
-                        program, anchor, ThreadKind.POSTED_CALLBACK,
-                        cls_name, callback, site,
-                        group_key=group,
-                    )
-                    if child is not None:
-                        created.append(child)
+                    if self._app_implements(cls_name, callback):
+                        add(anchor, ThreadKind.POSTED_CALLBACK, cls_name,
+                            callback, group_key=group)
         return created
 
 

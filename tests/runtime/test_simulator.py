@@ -301,3 +301,36 @@ def test_validator_rejects_guarded_same_looper_pattern():
         systematic_branches=25,
     )
     assert not validation.confirmed
+
+
+def test_an_unregistered_prefs_listener_never_fires():
+    """``unregisterOnSharedPreferenceChangeListener`` before the free in
+    ``onDestroy`` means no schedule can dereference the freed field."""
+    program = build(
+        """
+        class Data { void touch() { } }
+        class A extends Activity implements OnSharedPreferenceChangeListener {
+          SharedPreferences prefs;
+          Data data;
+          void onCreate(Bundle b) {
+            data = new Data();
+            prefs.registerOnSharedPreferenceChangeListener(this);
+          }
+          public void onSharedPreferenceChanged(SharedPreferences p, String k) {
+            data.touch();
+          }
+          void onDestroy() {
+            prefs.unregisterOnSharedPreferenceChangeListener(this);
+            data = null;
+          }
+        }
+        """
+    )
+    fired = 0
+    for seed in range(41):
+        sim = Simulator(program.module, program.manifest)
+        sim.run(RandomScheduler(seed), max_decisions=2000)
+        assert not sim.npe_events, f"seed {seed}: {sim.npe_events[0]}"
+        fired += any(line.endswith("#onSharedPreferenceChanged")
+                     for line in sim.trace)
+    assert fired, "the listener fires while it is registered"
