@@ -1,17 +1,18 @@
 """Semantic table of concurrency-relevant Android APIs.
 
-The threadifier, the filters and the dynamic interpreter all need to know
-what a framework call *means*: does it post a callback, spawn a thread,
-register a listener, or cancel pending work?  This module is the single
-source of truth, mirroring the roles of FlowDroid's listener-callback list
-and nAdroid's modified dummy-main generator (paper sections 4 and 8.1).
+The threadifier, the filters and the simulator's intrinsic table all need
+to know what a framework call *means*: does it post a callback, spawn a
+thread, register a listener, or cancel pending work?  This module is the
+single source of truth, mirroring the roles of FlowDroid's listener-
+callback list and nAdroid's modified dummy-main generator (paper
+sections 4 and 8.1).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum, auto
-from typing import Dict, Optional, Tuple
+from typing import Any, Dict, Mapping, Optional, Tuple
 
 from ..ir import Module
 
@@ -146,17 +147,22 @@ POSTING_KINDS = {
 }
 
 
+def lookup_in_supertypes(table: Mapping[Tuple[str, str], Any], module: Module,
+                         class_name: str, method_name: str) -> Any:
+    """The entry of ``table`` for ``class_name.method_name`` or, failing
+    that, for the same method on the first of its supertypes (in sorted
+    order) that has one; ``None`` if there is none."""
+    for name in [class_name, *sorted(module.supertypes(class_name))]:
+        entry = table.get((name, method_name))
+        if entry is not None:
+            return entry
+    return None
+
+
 def lookup_api(
     module: Module, class_name: str, method_name: str
 ) -> Optional[ApiSpec]:
-    """Resolve a call site ``class_name.method_name`` against the API table.
-
-    The declared class of a call site is usually an application subclass
-    (``MyActivity.runOnUiThread``); the lookup walks the supertype chain of
-    the module's class table until a table entry matches.
-    """
-    for name in [class_name, *sorted(module.supertypes(class_name))]:
-        spec = API_TABLE.get((name, method_name))
-        if spec is not None:
-            return spec
-    return None
+    """Resolve a call site ``class_name.method_name`` against the API
+    table; its declared class is usually an app subclass
+    (``MyActivity.runOnUiThread``)."""
+    return lookup_in_supertypes(API_TABLE, module, class_name, method_name)

@@ -3,13 +3,16 @@
 The corpus applications extend and call into a faithful-in-shape subset of
 the Android API.  Each framework class is materialized as an IR
 :class:`~repro.ir.ClassDef` whose methods have empty bodies; their real
-semantics live in
+semantics live in :mod:`repro.android.api` -- which calls register
+callbacks, post events, spawn threads or cancel pending work.  The
+threadifier and the filters read that table, and so does
+:mod:`repro.runtime.intrinsics`, which executes it for the dynamic
+validator.
 
-* :mod:`repro.android.api` -- which calls register callbacks, post events,
-  spawn threads or cancel pending work (consumed by the threadifier and
-  the filters), and
-* :mod:`repro.runtime.intrinsics` -- executable semantics for the dynamic
-  validator.
+Two questions about an app module are answered here once, for the
+threadifier and the simulator alike: which component fields the runtime
+provides (:func:`provided_fields`), and whether a call reaches app code
+rather than a framework stub (:func:`app_override`).
 
 The set is the transitive closure of what the 27 corpus apps and the
 paper's examples (Figures 1, 3 and 4) need.
@@ -23,6 +26,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 from ..ir import (
     ClassDef,
     Field,
+    FieldRef,
     IRBuilder,
     Method,
     Module,
@@ -516,3 +520,40 @@ def install_framework(module: Module) -> Module:
 
 def is_framework_class(name: str) -> bool:
     return name in FRAMEWORK_CLASS_NAMES
+
+
+def app_override(module: Module, class_name: str,
+                 method_name: str) -> Optional[Method]:
+    """The app method a call of ``method_name`` on ``class_name`` runs, or
+    ``None`` when it resolves to a framework stub or to nothing."""
+    resolved = module.resolve_method(class_name, method_name)
+    if resolved is None or is_framework_class(resolved.class_name):
+        return None
+    return resolved
+
+
+def provided_fields(module: Module,
+                    class_name: str) -> List[Tuple[FieldRef, str]]:
+    """Environment injection: the framework-typed instance fields of an app
+    component (``Handler handler;``, ``ExecutorService pool;``) that the
+    Android runtime provides, each with the concrete class it provides.
+    App-typed fields are never provided -- their values must flow from
+    real application code -- and a field shadowed by a subclass field of
+    the same name is skipped."""
+    provided: List[Tuple[FieldRef, str]] = []
+    seen: Set[str] = set()
+    for owner in [class_name, *module.superclasses(class_name)]:
+        cls = module.lookup_class(owner)
+        if cls is None or is_framework_class(owner):
+            break
+        for field_obj in cls.fields.values():
+            if field_obj.name in seen or field_obj.is_static:
+                continue
+            seen.add(field_obj.name)
+            if not field_obj.type.is_reference() \
+                    or not is_framework_class(field_obj.type.name):
+                continue
+            concrete = concrete_return_class(field_obj.type.name)
+            if concrete is not None:
+                provided.append((FieldRef(owner, field_obj.name), concrete))
+    return provided

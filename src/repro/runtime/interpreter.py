@@ -95,11 +95,10 @@ class ThreadState:
 class Interpreter:
     """Shared execution engine; one per simulator."""
 
-    def __init__(self, module, heap: Heap, intrinsics, on_exception) -> None:
+    def __init__(self, module, heap: Heap, intrinsics) -> None:
         self.module = module
         self.heap = heap
         self.intrinsics = intrinsics  #: IntrinsicTable
-        self.on_exception = on_exception
         self._string_counter = 0
 
     # -- frame helpers ----------------------------------------------------------
@@ -126,7 +125,7 @@ class Interpreter:
             return operand.value
         return frame.locals.get(operand.name)
 
-    def _raise(self, thread: ThreadState, name: str, instr: Instruction,
+    def _raise(self, sim, thread: ThreadState, name: str, instr: Instruction,
                detail: str = "") -> str:
         exc = ThrownException(
             name=name,
@@ -136,7 +135,7 @@ class Interpreter:
             detail=detail,
         )
         thread.frames.clear()
-        self.on_exception(exc)
+        sim.exceptions.append(exc)
         # The exception is recorded on the simulator; the looper keeps
         # dispatching so one crash does not mask other warnings' windows
         # (the validator instruments one warning at a time, like the
@@ -170,7 +169,7 @@ class Interpreter:
                     self._value(frame, instr.rhs),
                 )
             except ZeroDivisionError:
-                return self._raise(thread, "ArithmeticException", instr)
+                return self._raise(sim, thread, "ArithmeticException", instr)
         elif isinstance(instr, UnaryOp):
             operand = self._value(frame, instr.operand)
             frame.locals[instr.target] = (
@@ -180,7 +179,7 @@ class Interpreter:
             base = self._value(frame, instr.base)
             if not isinstance(base, ObjRef):
                 return self._raise(
-                    thread, "NullPointerException", instr,
+                    sim, thread, "NullPointerException", instr,
                     f"read of {instr.fieldref} on null",
                 )
             ref = self.module.resolve_field(
@@ -191,7 +190,7 @@ class Interpreter:
             base = self._value(frame, instr.base)
             if not isinstance(base, ObjRef):
                 return self._raise(
-                    thread, "NullPointerException", instr,
+                    sim, thread, "NullPointerException", instr,
                     f"write of {instr.fieldref} on null",
                 )
             ref = self.module.resolve_field(
@@ -211,7 +210,7 @@ class Interpreter:
         elif isinstance(instr, MonitorEnter):
             lock = self._value(frame, instr.lock)
             if not isinstance(lock, ObjRef):
-                return self._raise(thread, "NullPointerException", instr,
+                return self._raise(sim, thread, "NullPointerException", instr,
                                    "monitorenter on null")
             owner = self.heap.monitors.get(lock.oid)
             if owner is not None and owner[0] != thread.thread_id:
@@ -245,7 +244,8 @@ class Interpreter:
             return self._do_return(thread, self._value(frame, instr.value)
                                    if instr.value is not None else None)
         elif isinstance(instr, Throw):
-            return self._raise(thread, instr.exception, instr, "explicit throw")
+            return self._raise(sim, thread, instr.exception, instr,
+                               "explicit throw")
         else:  # pragma: no cover - exhaustive
             raise SimulationError(f"cannot interpret {instr!r}")
 
@@ -302,7 +302,7 @@ class Interpreter:
             receiver = self._value(frame, instr.base)
             if not isinstance(receiver, ObjRef):
                 return self._raise(
-                    thread, "NullPointerException", instr,
+                    sim, thread, "NullPointerException", instr,
                     f"call {instr.methodref.method_name} on null",
                 )
 

@@ -3,18 +3,22 @@
 Each intrinsic implements one framework method for the simulator: posting
 to the main looper, spawning threads, registering callbacks, cancelling
 work, driving AsyncTasks, or just returning a plausible environment
-object.  The table mirrors :mod:`repro.android.api` -- the static and
-dynamic views of the framework must agree.  Every ``API_TABLE`` row has
-an intrinsic here except a named allowlist of APIs the simulator does
-not execute (``tests/runtime/test_intrinsic_table.py``).
+object.  The table derives from :mod:`repro.android.api`: each
+``API_TABLE`` row runs the handler of its kind on the row's callback
+object and callbacks, so the static and dynamic views of the framework
+agree by construction.  Calls outside the API table are hand-written.
+Rows of a kind without a handler are the named allowlist of
+``tests/runtime/test_intrinsic_table.py``.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Callable, Dict, Optional, Tuple
 
-from ..android.framework import is_framework_class
-from ..ir import FieldRef, Module
+from ..android.api import API_TABLE, ApiKind, ApiSpec, lookup_in_supertypes
+from ..android.framework import app_override, is_framework_class, shared_framework
+from ..ir import BOOLEAN, FieldRef, Module
 from .values import ObjRef
 
 Intrinsic = Callable  # (sim, thread, receiver, args, instr) -> Value
@@ -24,16 +28,12 @@ class IntrinsicTable:
     """Dispatch table keyed by (framework class, method name)."""
 
     def __init__(self) -> None:
-        self._table: Dict[Tuple[str, str], Intrinsic] = {}
-        _register_all(self._table)
+        self._table = _intrinsics()
 
     def lookup(self, class_name: str, method_name: str,
                module: Module) -> Optional[Intrinsic]:
-        for name in [class_name, *sorted(module.supertypes(class_name))]:
-            handler = self._table.get((name, method_name))
-            if handler is not None:
-                return handler
-        return None
+        return lookup_in_supertypes(self._table, module, class_name,
+                                    method_name)
 
     @staticmethod
     def overrides(resolved_method) -> bool:
@@ -42,164 +42,156 @@ class IntrinsicTable:
         return is_framework_class(resolved_method.class_name)
 
 
-# ---------------------------------------------------------------------------
-# Registration helpers
-# ---------------------------------------------------------------------------
+_THREAD_TASK = FieldRef("Thread", "$task")
 
 
-def _register_all(table: Dict[Tuple[str, str], Intrinsic]) -> None:
+def _kind_handlers() -> Dict[ApiKind, Callable]:
+    """One handler per simulated API kind, called with the row's callback
+    object as ``target`` (the receiver when the row names no argument)
+    whenever that object is not null.  ``REGISTER_FRAGMENT`` and
+    ``SEND_ORDERED_BROADCAST`` have none: they are not simulated."""
+    handlers: Dict[ApiKind, Callable] = {}
+
+    def handles(*kinds: ApiKind):
+        def wrap(fn: Callable) -> Callable:
+            handlers.update(dict.fromkeys(kinds, fn))
+            return fn
+        return wrap
+
+    @handles(ApiKind.POST_RUNNABLE)
+    def _post(sim, thread, receiver, target, args, spec):
+        for callback in spec.callbacks:
+            sim.world.post(target, callback, poster=receiver)
+
+    @handles(ApiKind.SEND_MESSAGE)
+    def _send_message(sim, thread, receiver, target, args, spec):
+        message = args[0] if args and isinstance(args[0], ObjRef) else None
+        for callback in spec.callbacks:
+            sim.world.post(target, callback, args=[message], poster=receiver)
+
+    @handles(ApiKind.ASYNCTASK_PUBLISH)
+    def _publish(sim, thread, receiver, target, args, spec):
+        if not sim.world.is_cancelled(target):
+            _post(sim, thread, receiver, target, args, spec)
+
+    @handles(ApiKind.SPAWN_THREAD)
+    def _spawn(sim, thread, receiver, target, args, spec):
+        # Thread.start runs the thread's own run() or else the task it was
+        # constructed with; executors and timers run their argument
+        prefix = "pool" if spec.callback_arg is not None else "thread"
+        if prefix == "thread" and \
+                app_override(sim.module, target.class_name, "run") is None:
+            target = sim.heap.get_field(receiver, _THREAD_TASK)
+        if isinstance(target, ObjRef):
+            for callback in spec.callbacks:
+                sim.spawn_thread(target, callback,
+                                 name=f"{prefix}:{target.class_name}")
+
+    @handles(ApiKind.ASYNCTASK_EXECUTE)
+    def _execute(sim, thread, receiver, target, args, spec):
+        sim.world.start_asynctask(sim, thread, target)
+        return target
+
+    @handles(ApiKind.REGISTER_RECEIVER, ApiKind.REGISTER_LISTENER)
+    def _register(sim, thread, receiver, target, args, spec):
+        sim.world.register(target, spec.callbacks, anchor=receiver)
+
+    @handles(ApiKind.CANCEL_REMOVE_POSTS)
+    def _remove_posts(sim, thread, receiver, target, args, spec):
+        # with a callback argument, drop that object's posts; without
+        # one, drop everything the receiver posted
+        if spec.callback_arg is None:
+            sim.world.remove_posts(lambda task: task.poster == receiver)
+        else:
+            sim.world.remove_posts(lambda task: task.receiver == target)
+
+    @handles(ApiKind.BIND_SERVICE)
+    def _bind(sim, thread, receiver, target, args, spec):
+        sim.world.bind_connection(target)
+
+    @handles(ApiKind.CANCEL_UNBIND)
+    def _unbind(sim, thread, receiver, target, args, spec):
+        sim.world.unbind_connection(target)
+
+    @handles(ApiKind.CANCEL_UNREGISTER)
+    def _unregister(sim, thread, receiver, target, args, spec):
+        sim.world.unregister(target)
+
+    @handles(ApiKind.CANCEL_FINISH)
+    def _finish(sim, thread, receiver, target, args, spec):
+        sim.world.finish_activity(target)
+
+    @handles(ApiKind.CANCEL_ASYNCTASK)
+    def _cancel_task(sim, thread, receiver, target, args, spec):
+        sim.world.cancelled_tasks.add(target.oid)
+
+    return handlers
+
+
+def _row_intrinsic(handler, spec: ApiSpec, returns_true: bool) -> Intrinsic:
+    """The intrinsic of one ``API_TABLE`` row.  A boolean framework call
+    reports success (``true``); any other returns what its handler
+    returns (the task, for ``AsyncTask.execute``)."""
+    def intrinsic(sim, thread, receiver, args, instr):
+        target = receiver if spec.callback_arg is None \
+            else args[spec.callback_arg]
+        result = None
+        if isinstance(target, ObjRef):
+            result = handler(sim, thread, receiver, target, args, spec)
+        return True if returns_true else result
+    return intrinsic
+
+
+@lru_cache(maxsize=None)
+def _intrinsics() -> Dict[Tuple[str, str], Intrinsic]:
+    """The whole table, built once per process: the hand-written
+    intrinsics plus one per simulated ``API_TABLE`` row."""
+    table = _hand_written()
+    handlers = _kind_handlers()
+    framework = shared_framework()
+    for key, spec in API_TABLE.items():
+        if spec.kind in handlers:
+            boolean = framework.resolve_method(*key).return_type == BOOLEAN
+            table[key] = _row_intrinsic(handlers[spec.kind], spec, boolean)
+    return table
+
+
+def _hand_written() -> Dict[Tuple[str, str], Intrinsic]:
+    """Intrinsics for the framework calls outside the API table."""
+    table: Dict[Tuple[str, str], Intrinsic] = {}
+
     def reg(class_name: str, method_name: str):
         def wrap(fn: Intrinsic) -> Intrinsic:
             table[(class_name, method_name)] = fn
             return fn
         return wrap
 
-    # -- posting to the main looper ------------------------------------------
-
-    @reg("Handler", "post")
-    @reg("Handler", "postDelayed")
-    @reg("View", "post")
-    @reg("View", "postDelayed")
-    @reg("Activity", "runOnUiThread")
-    def _post(sim, thread, receiver, args, instr):
-        runnable = args[0]
-        if isinstance(runnable, ObjRef):
-            sim.world.post(runnable, "run", poster=receiver)
-        return True
-
-    @reg("Handler", "sendMessage")
-    @reg("Handler", "sendMessageDelayed")
-    @reg("Handler", "sendEmptyMessage")
-    def _send_message(sim, thread, receiver, args, instr):
-        message = args[0] if args and isinstance(args[0], ObjRef) else None
-        sim.world.post(receiver, "handleMessage", args=[message],
-                       poster=receiver)
-        return True
-
-    @reg("Handler", "removeCallbacks")
-    @reg("View", "removeCallbacks")
-    def _remove_callbacks(sim, thread, receiver, args, instr):
-        target = args[0]
-        sim.world.remove_posts(lambda t: t.receiver == target)
-        return True
-
-    @reg("Handler", "removeCallbacksAndMessages")
-    @reg("Handler", "removeMessages")
-    def _remove_all(sim, thread, receiver, args, instr):
-        sim.world.remove_posts(lambda t: t.poster == receiver)
-        return None
-
-    # -- threads ------------------------------------------------------------------
-
     @reg("Thread", "<init>")
     def _thread_init(sim, thread, receiver, args, instr):
-        sim.heap.put_field(receiver, FieldRef("Thread", "$task"), args[0])
-        return None
-
-    @reg("Thread", "start")
-    def _thread_start(sim, thread, receiver, args, instr):
-        target = receiver
-        resolved = sim.module.resolve_method(receiver.class_name, "run")
-        if resolved is None or is_framework_class(resolved.class_name):
-            task = sim.heap.get_field(receiver, FieldRef("Thread", "$task"))
-            if isinstance(task, ObjRef):
-                target = task
-            else:
-                return None
-        sim.spawn_thread(target, "run", name=f"thread:{target.class_name}")
-        return None
+        sim.heap.put_field(receiver, _THREAD_TASK, args[0])
 
     @reg("Thread", "sleep")
     @reg("Thread", "join")
     @reg("Thread", "interrupt")
-    def _thread_noop(sim, thread, receiver, args, instr):
+    @reg("ExecutorService", "shutdown")
+    @reg("Context", "startService")
+    @reg("Context", "stopService")
+    @reg("Context", "startActivity")
+    @reg("Context", "sendBroadcast")
+    def _noop(sim, thread, receiver, args, instr):
         return None
 
     @reg("Thread", "isAlive")
     def _thread_is_alive(sim, thread, receiver, args, instr):
         return False
 
-    @reg("ExecutorService", "execute")
-    @reg("ExecutorService", "submit")
-    @reg("Timer", "schedule")
-    def _executor_execute(sim, thread, receiver, args, instr):
-        task = args[0]
-        if isinstance(task, ObjRef):
-            sim.spawn_thread(task, "run", name=f"pool:{task.class_name}")
-        return None
-
-    @reg("Timer", "cancel")
-    @reg("ExecutorService", "shutdown")
-    def _executor_noop(sim, thread, receiver, args, instr):
-        return None
-
-    # -- AsyncTask -------------------------------------------------------------------
-
-    @reg("AsyncTask", "execute")
-    def _async_execute(sim, thread, receiver, args, instr):
-        sim.world.start_asynctask(sim, thread, receiver)
-        return receiver
-
-    @reg("AsyncTask", "publishProgress")
-    def _async_publish(sim, thread, receiver, args, instr):
-        if not sim.world.is_cancelled(receiver):
-            sim.world.post(receiver, "onProgressUpdate", poster=receiver)
-        return None
-
-    @reg("AsyncTask", "cancel")
-    def _async_cancel(sim, thread, receiver, args, instr):
-        sim.world.cancelled_tasks.add(receiver.oid)
-        return True
-
     @reg("AsyncTask", "isCancelled")
     def _async_is_cancelled(sim, thread, receiver, args, instr):
         return sim.world.is_cancelled(receiver)
 
-    # -- components and cancellation ----------------------------------------------------
-
-    @reg("Activity", "finish")
-    def _finish(sim, thread, receiver, args, instr):
-        sim.world.finish_activity(receiver)
-        return None
-
     @reg("Activity", "isFinishing")
     def _is_finishing(sim, thread, receiver, args, instr):
         return sim.world.is_finished(receiver)
-
-    @reg("Context", "bindService")
-    def _bind_service(sim, thread, receiver, args, instr):
-        conn = args[1]
-        if isinstance(conn, ObjRef):
-            sim.world.bind_connection(conn)
-        return True
-
-    @reg("Context", "unbindService")
-    def _unbind_service(sim, thread, receiver, args, instr):
-        conn = args[0]
-        if isinstance(conn, ObjRef):
-            sim.world.unbind_connection(conn)
-        return None
-
-    @reg("Context", "registerReceiver")
-    def _register_receiver(sim, thread, receiver, args, instr):
-        target = args[0]
-        if isinstance(target, ObjRef):
-            sim.world.register(target, ("onReceive",))
-        return None
-
-    @reg("Context", "unregisterReceiver")
-    def _unregister_receiver(sim, thread, receiver, args, instr):
-        target = args[0]
-        if isinstance(target, ObjRef):
-            sim.world.unregister(target)
-        return None
-
-    @reg("Context", "startService")
-    @reg("Context", "stopService")
-    @reg("Context", "startActivity")
-    @reg("Context", "sendBroadcast")
-    def _component_noop(sim, thread, receiver, args, instr):
-        return None
 
     @reg("Context", "getSystemService")
     def _get_system_service(sim, thread, receiver, args, instr):
@@ -211,27 +203,6 @@ def _register_all(table: Dict[Tuple[str, str], Intrinsic]) -> None:
         }
         return sim.heap.alloc(mapping.get(args[0] or "", "Object"))
 
-    # -- listener registration -----------------------------------------------------------
-
-    listener_regs = [
-        ("View", "setOnClickListener", ("onClick",)),
-        ("View", "setOnLongClickListener", ("onLongClick",)),
-        ("View", "setOnTouchListener", ("onTouch",)),
-        ("ListView", "setOnItemClickListener", ("onItemClick",)),
-        ("MediaPlayer", "setOnCompletionListener", ("onCompletion",)),
-        ("SharedPreferences", "registerOnSharedPreferenceChangeListener",
-         ("onSharedPreferenceChanged",)),
-    ]
-    for cls_name, mname, callbacks in listener_regs:
-        def _make(callbacks=callbacks):
-            def _register_listener(sim, thread, receiver, args, instr):
-                target = args[0]
-                if isinstance(target, ObjRef):
-                    sim.world.register(target, callbacks, anchor=receiver)
-                return None
-            return _register_listener
-        table[(cls_name, mname)] = _make()
-
     @reg("Activity", "findViewById")
     def _find_view(sim, thread, receiver, args, instr):
         view = sim.heap.alloc("View")
@@ -241,59 +212,31 @@ def _register_all(table: Dict[Tuple[str, str], Intrinsic]) -> None:
     @reg("View", "setEnabled")
     def _set_enabled(sim, thread, receiver, args, instr):
         sim.world.set_anchor_enabled(receiver, bool(args[0]))
-        return None
 
     @reg("View", "setVisibility")
     def _set_visibility(sim, thread, receiver, args, instr):
         # Android: 0 = VISIBLE; 4 = INVISIBLE; 8 = GONE
         sim.world.set_anchor_enabled(receiver, args[0] == 0)
-        return None
 
     @reg("View", "isEnabled")
     def _is_enabled(sim, thread, receiver, args, instr):
         return receiver.oid not in sim.world.disabled_anchors
 
+    # ContentObserver is deliberately outside the API table (see
+    # repro.android.framework): only the runtime delivers onChange.
     @reg("ContentResolver", "registerContentObserver")
     def _register_observer(sim, thread, receiver, args, instr):
         target = args[1]
         if isinstance(target, ObjRef):
             sim.world.register(target, ("onChange",))
-        return None
 
     @reg("ContentResolver", "unregisterContentObserver")
     def _unregister_observer(sim, thread, receiver, args, instr):
         target = args[0]
         if isinstance(target, ObjRef):
             sim.world.unregister(target)
-        return None
 
-    @reg("LocationManager", "requestLocationUpdates")
-    def _request_location(sim, thread, receiver, args, instr):
-        target = args[3]
-        if isinstance(target, ObjRef):
-            sim.world.register(target, (
-                "onLocationChanged", "onStatusChanged",
-                "onProviderEnabled", "onProviderDisabled",
-            ))
-        return None
-
-    @reg("LocationManager", "removeUpdates")
-    @reg("SensorManager", "unregisterListener")
-    @reg("SharedPreferences", "unregisterOnSharedPreferenceChangeListener")
-    def _remove_listener(sim, thread, receiver, args, instr):
-        target = args[0]
-        if isinstance(target, ObjRef):
-            sim.world.unregister(target)
-        return None
-
-    @reg("SensorManager", "registerListener")
-    def _register_sensor(sim, thread, receiver, args, instr):
-        target = args[0]
-        if isinstance(target, ObjRef):
-            sim.world.register(target, ("onSensorChanged", "onAccuracyChanged"))
-        return True
-
-    # -- small leaf APIs ------------------------------------------------------------------
+    # -- small leaf APIs ------------------------------------------------------------
 
     @reg("Object", "equals")
     def _equals(sim, thread, receiver, args, instr):
@@ -323,3 +266,5 @@ def _register_all(table: Dict[Tuple[str, str], Intrinsic]) -> None:
     @reg("StringUtils", "valueOf")
     def _value_of(sim, thread, receiver, args, instr):
         return str(args[0])
+
+    return table

@@ -17,11 +17,12 @@ match the static analysis) under an explicit schedule:
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..android.callbacks import SYSTEM_CALLBACKS, UI_CALLBACKS
-from ..android.framework import is_framework_class
+from ..android.framework import app_override, is_framework_class, provided_fields
 from ..android.lifecycle import ACTIVE_STATES, ACTIVITY_TRANSITIONS
 from ..android.manifest import Manifest
 from ..ir import Module
@@ -58,8 +59,9 @@ class AndroidWorld:
         self.main_queue: List[PostedTask] = []
         #: listener object -> callbacks it may receive while registered
         self.listeners: Dict[ObjRef, Tuple[str, ...]] = {}
-        #: listener object -> the View it is attached to (for enable/disable)
-        self.listener_anchor: Dict[ObjRef, ObjRef] = {}
+        #: (listener object, callback) -> the object it was registered on;
+        #: only a View anchor gates the callback (for enable/disable)
+        self.listener_anchor: Dict[Tuple[ObjRef, str], ObjRef] = {}
         #: oids of disabled/hidden views: their listeners do not fire
         self.disabled_anchors: Set[int] = set()
         #: view oid -> owning activity (clicks only arrive while resumed)
@@ -92,11 +94,12 @@ class AndroidWorld:
         merged = tuple(dict.fromkeys((*existing, *callbacks)))
         self.listeners[obj] = merged
         if anchor is not None:
-            self.listener_anchor[obj] = anchor
+            for callback in callbacks:
+                self.listener_anchor[(obj, callback)] = anchor
 
     def unregister(self, obj: ObjRef) -> None:
-        self.listeners.pop(obj, None)
-        self.listener_anchor.pop(obj, None)
+        for callback in self.listeners.pop(obj, ()):
+            self.listener_anchor.pop((obj, callback), None)
 
     def set_anchor_enabled(self, anchor: ObjRef, enabled: bool) -> None:
         """View.setEnabled/setVisibility semantics: listeners attached to a
@@ -107,8 +110,8 @@ class AndroidWorld:
         else:
             self.disabled_anchors.add(anchor.oid)
 
-    def anchor_enabled(self, obj: ObjRef) -> bool:
-        anchor = self.listener_anchor.get(obj)
+    def anchor_enabled(self, obj: ObjRef, callback: str) -> bool:
+        anchor = self.listener_anchor.get((obj, callback))
         if anchor is None:
             return True
         if anchor.oid in self.disabled_anchors:
@@ -145,16 +148,14 @@ class AndroidWorld:
         """AsyncTask.execute: onPreExecute synchronously on the caller,
         then doInBackground on a fresh thread (started only after
         onPreExecute returns), then onPostExecute posted to the looper."""
-        pre = sim.module.resolve_method(task.class_name, "onPreExecute")
+        pre = app_override(sim.module, task.class_name, "onPreExecute")
         gate: Optional[Tuple[int, Frame]] = None
-        if pre is not None and pre.cfg.blocks \
-                and not is_framework_class(pre.class_name):
+        if pre is not None and pre.cfg.blocks:
             frame = sim.interpreter.make_frame(pre, task, [])
             thread.frames.append(frame)
             gate = (thread.thread_id, frame)
-        bg = sim.module.resolve_method(task.class_name, "doInBackground")
-        if bg is not None and bg.cfg.blocks \
-                and not is_framework_class(bg.class_name):
+        bg = app_override(sim.module, task.class_name, "doInBackground")
+        if bg is not None and bg.cfg.blocks:
             worker = sim.spawn_thread(task, "doInBackground",
                                       name=f"async:{task.class_name}")
             worker.waiting_on_frame = gate
@@ -183,9 +184,7 @@ class Simulator:
         self.watchpoints: Set[int] = set()
         self.hit_watchpoints: Set[int] = set()
         self.intrinsics = IntrinsicTable()
-        self.interpreter = Interpreter(
-            self.module, self.heap, self.intrinsics, self.exceptions.append
-        )
+        self.interpreter = Interpreter(self.module, self.heap, self.intrinsics)
         self.threads: Dict[int, ThreadState] = {
             MAIN_THREAD: ThreadState(MAIN_THREAD, "main", is_looper=True)
         }
@@ -225,7 +224,12 @@ class Simulator:
                 continue
             obj = self.heap.alloc(decl.name)
             self.components[decl.name] = obj
-            self._seed_framework_fields(obj)
+            # environment injection, as in the threadifier's dummy main
+            for ref, concrete in provided_fields(self.module, decl.name):
+                seeded = self.heap.alloc(concrete)
+                if self.module.is_subtype(concrete, "View"):
+                    self.world.view_owner[seeded.oid] = obj
+                self.heap.put_field(obj, ref, seeded)
             ctor = self.module.lookup_method(decl.name, "<init>")
             if ctor is not None and ctor.arity == 0:
                 self._run_synchronously(obj, decl.name, "<init>", [])
@@ -236,33 +240,6 @@ class Simulator:
                 callbacks = ("onReceive",) if decl.kind == "receiver" else ()
                 if callbacks:
                     self.world.register(obj, callbacks)
-
-    def _seed_framework_fields(self, obj: ObjRef) -> None:
-        """Environment injection, mirroring the threadifier's dummy-main
-        seeding: framework-typed component fields (Views, managers, pools)
-        are provided by the runtime, not by application code."""
-        from ..android.framework import concrete_return_class
-        from ..ir import FieldRef
-
-        for owner in [obj.class_name, *self.module.superclasses(obj.class_name)]:
-            cls = self.module.lookup_class(owner)
-            if cls is None or is_framework_class(owner):
-                break
-            for field_decl in cls.fields.values():
-                if field_decl.is_static or not field_decl.type.is_reference():
-                    continue
-                if not is_framework_class(field_decl.type.name):
-                    continue
-                concrete = concrete_return_class(field_decl.type.name)
-                if concrete is not None:
-                    seeded = self.heap.alloc(concrete)
-                    if concrete == "View" or self.module.is_subtype(
-                        concrete, "View"
-                    ):
-                        self.world.view_owner[seeded.oid] = obj
-                    self.heap.put_field(
-                        obj, FieldRef(owner, field_decl.name), seeded
-                    )
 
     # -- threads -------------------------------------------------------------------------
 
@@ -303,20 +280,13 @@ class Simulator:
         for succ in ACTIVITY_TRANSITIONS.get(state, ()):
             if finished and succ in ("onResume", "onRestart"):
                 continue  # finish(): fast-forward to destruction only
-            if self._implements(obj.class_name, succ):
-                events.append((f"{obj.class_name}#{succ}", succ))
-            else:
-                # transition still happens even without an override
-                events.append((f"{obj.class_name}#{succ}", succ))
+            # the transition happens even without an override
+            events.append((f"{obj.class_name}#{succ}", succ))
         if state in ACTIVE_STATES and not finished:
             cls_callbacks = self._component_ui_callbacks(obj.class_name)
             for callback in cls_callbacks:
                 events.append((f"{obj.class_name}#{callback}", callback))
         return events
-
-    def _implements(self, class_name: str, method_name: str) -> bool:
-        resolved = self.module.resolve_method(class_name, method_name)
-        return resolved is not None and not is_framework_class(resolved.class_name)
 
     def _component_ui_callbacks(self, class_name: str) -> List[str]:
         names: List[str] = []
@@ -344,10 +314,9 @@ class Simulator:
                 if allowed(key):
                     events.append((key, obj, callback))
         for obj, callbacks in self.world.listeners.items():
-            if not self.world.anchor_enabled(obj):
-                continue
             for callback in callbacks:
-                if not self._implements(obj.class_name, callback):
+                if not self.world.anchor_enabled(obj, callback) or \
+                        not app_override(self.module, obj.class_name, callback):
                     continue
                 key = f"{obj.class_name}@{obj.oid}#{callback}"
                 if allowed(key):
@@ -395,9 +364,11 @@ class Simulator:
             if status == DONE and choice[1] in self.async_completions:
                 task = self.async_completions.pop(choice[1])
                 if self.world.is_cancelled(task):
-                    if self._implements(task.class_name, "onCancelled"):
+                    if app_override(self.module, task.class_name,
+                                    "onCancelled"):
                         self.world.post(task, "onCancelled", poster=task)
-                elif self._implements(task.class_name, "onPostExecute"):
+                elif app_override(self.module, task.class_name,
+                                  "onPostExecute"):
                     self.world.post(task, "onPostExecute", poster=task)
         elif kind == "dispatch":
             task = self.world.main_queue.pop(0)
@@ -434,13 +405,22 @@ class Simulator:
 
     def _dispatch(self, receiver: ObjRef, method_name: str,
                   args: List[Value]) -> None:
-        method = self.module.resolve_method(receiver.class_name, method_name)
+        method = app_override(self.module, receiver.class_name, method_name)
         main = self.threads[MAIN_THREAD]
-        if method is None or not method.cfg.blocks \
-                or is_framework_class(method.class_name):
+        if method is None or not method.cfg.blocks:
             return
         main.exception = None
         main.frames.append(self.interpreter.make_frame(method, receiver, args))
+
+    def fork(self) -> "Simulator":
+        """An independent copy of this execution.  The mutable state (heap,
+        threads, queues, trace) is copied; the sealed module, the methods
+        of the live frames and the intrinsic table are shared, since
+        nothing writes to them."""
+        shared = [self.module, self.manifest, self.intrinsics,
+                  *(frame.method for thread in self.threads.values()
+                    for frame in thread.frames)]
+        return copy.deepcopy(self, {id(obj): obj for obj in shared})
 
     # -- convenience runners ---------------------------------------------------------------------
 

@@ -16,7 +16,6 @@ Two strategies, combined by :func:`validate_warning`:
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Set, Tuple
 
@@ -235,7 +234,7 @@ def _systematic_search(
                 explored += 1
                 # fork: explore every interesting option
                 for choice in interesting[1:]:
-                    fork = copy.deepcopy(sim)
+                    fork = sim.fork()
                     fork.apply(choice)
                     stack.append(fork)
                 sim.apply(interesting[0])

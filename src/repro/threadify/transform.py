@@ -38,8 +38,10 @@ from typing import Dict, List, Optional, Set, Tuple
 from ..android.api import API_TABLE, ApiKind, ApiSpec, CANCEL_KINDS, lookup_api
 from ..android.callbacks import CallbackCategory, PC_CATEGORY_BY_CALLBACK
 from ..android.framework import (
+    app_override,
     framework_module,
     is_framework_class,
+    provided_fields,
     shared_framework,
 )
 from ..android.manifest import infer_manifest, Manifest
@@ -394,37 +396,6 @@ class Threadifier:
         ref = MethodRef(declared_class, method_name, resolved.arity)
         builder.invoke("virtual", base, ref, args, None)
 
-    def _seed_framework_fields(self, builder: IRBuilder, obj: Local,
-                               class_name: str) -> None:
-        """Environment injection: fields of *framework* type on a component
-        (``Handler handler;``, ``ExecutorService pool;``) are provided by
-        the Android runtime; seed them with fresh framework objects so the
-        points-to analysis can dispatch calls through them.  Application-
-        class fields are never seeded -- their values must flow from real
-        application code."""
-        from ..android.framework import concrete_return_class
-
-        seen: Set[str] = set()
-        for owner in [class_name, *self.module.superclasses(class_name)]:
-            cls = self.module.lookup_class(owner)
-            if cls is None or is_framework_class(owner):
-                break
-            for field_obj in cls.fields.values():
-                if field_obj.name in seen or field_obj.is_static:
-                    continue
-                seen.add(field_obj.name)
-                if not field_obj.type.is_reference():
-                    continue
-                if not is_framework_class(field_obj.type.name):
-                    continue
-                concrete = concrete_return_class(field_obj.type.name)
-                if concrete is None:
-                    continue
-                seeded = builder.new(concrete)
-                builder.put_field(
-                    obj, FieldRef(owner, field_obj.name), seeded
-                )
-
     def _synthesize_dummy_main(self, entry_callbacks) -> None:
         dummy = ClassDef(DUMMY_MAIN_CLASS, super_name="Object")
         main = Method(DUMMY_MAIN_CLASS, "main", is_static=True)
@@ -455,7 +426,8 @@ class Threadifier:
                 builder.invoke(
                     "special", obj, MethodRef(ctor.class_name, "<init>", 0), []
                 )
-            self._seed_framework_fields(builder, obj, decl.name)
+            for ref, concrete in provided_fields(self.module, decl.name):
+                builder.put_field(obj, ref, builder.new(concrete))
         for ec in entry_callbacks:
             base = component_locals.get(ec.receiver_class)
             if base is None:
@@ -504,12 +476,6 @@ class Threadifier:
             {entry.qualified_name}, skip=self._region_skip_set(program)
         )
 
-    def _app_implements(self, class_name: str, method_name: str) -> bool:
-        """Does the class (or an app superclass) actually implement this
-        callback, rather than inheriting the empty framework stub?"""
-        resolved = self.module.resolve_method(class_name, method_name)
-        return resolved is not None and not is_framework_class(resolved.class_name)
-
     def _build_forest(self, program: ThreadifiedProgram, entry_callbacks,
                       rta: Set[str]) -> None:
         forest = program.forest
@@ -535,7 +501,7 @@ class Threadifier:
             classes = resolve_local_classes(self.module, site.method, operand, rta)
             for cls_name in sorted(classes):
                 for callback in site.spec.callbacks:
-                    if not self._app_implements(cls_name, callback):
+                    if not app_override(self.module, cls_name, callback):
                         continue
                     if (cls_name, callback) in seen_listeners:
                         continue
@@ -638,7 +604,7 @@ class Threadifier:
             for cls_name in sorted(classes):
                 group = None if prefix is None else f"{prefix}:{cls_name}"
                 for callback in site.spec.callbacks:
-                    if self._app_implements(cls_name, callback):
+                    if app_override(self.module, cls_name, callback):
                         add(parent, ThreadKind.POSTED_CALLBACK, cls_name,
                             callback, category=category, group_key=group)
 
@@ -650,17 +616,17 @@ class Threadifier:
                         self.module, site.method, operand, rta
                     )
                     for task_cls in sorted(tasks):
-                        if self._app_implements(task_cls, "run"):
+                        if app_override(self.module, task_cls, "run"):
                             add(parent, ThreadKind.NATIVE_THREAD, task_cls,
                                 "run")
-                elif self._app_implements(cls_name, "run"):
+                elif app_override(self.module, cls_name, "run"):
                     add(parent, ThreadKind.NATIVE_THREAD, cls_name, "run")
 
         else:  # ApiKind.ASYNCTASK_EXECUTE
             for cls_name in sorted(classes):
                 group = f"task:{cls_name}"
                 bg: Optional[ThreadNode] = None
-                if self._app_implements(cls_name, "doInBackground"):
+                if app_override(self.module, cls_name, "doInBackground"):
                     bg = add(parent, ThreadKind.ASYNC_BACKGROUND, cls_name,
                              "doInBackground", group_key=group)
                 # The looper-side callbacks are modeled as children of the
@@ -668,7 +634,7 @@ class Threadifier:
                 anchor = bg if bg is not None else parent
                 for callback in ("onPreExecute", "onProgressUpdate",
                                  "onPostExecute", "onCancelled"):
-                    if self._app_implements(cls_name, callback):
+                    if app_override(self.module, cls_name, callback):
                         add(anchor, ThreadKind.POSTED_CALLBACK, cls_name,
                             callback, group_key=group)
         return created

@@ -6,6 +6,7 @@ from repro.core import analyze_app
 from repro.lowering import compile_app
 from repro.runtime import (
     FifoScheduler,
+    MAIN_THREAD,
     RandomScheduler,
     ScriptedScheduler,
     Simulator,
@@ -334,3 +335,36 @@ def test_an_unregistered_prefs_listener_never_fires():
         fired += any(line.endswith("#onSharedPreferenceChanged")
                      for line in sim.trace)
     assert fired, "the listener fires while it is registered"
+
+
+def test_a_disabled_view_gates_only_the_callbacks_registered_on_it():
+    """One object listens for clicks on a view and for location updates:
+    disabling the view stops the clicks, not the location updates."""
+    program = build(
+        """
+        class A extends Activity implements OnClickListener, LocationListener {
+          View button;
+          LocationManager lm;
+          void onCreate(Bundle b) {
+            button.setOnClickListener(this);
+            lm.requestLocationUpdates("gps", 0, 0, this);
+            button.setEnabled(false);
+          }
+          public void onClick(View v) { }
+          public void onLocationChanged(Location location) { }
+          public void onStatusChanged(String provider, int status) { }
+          public void onProviderEnabled(String provider) { }
+          public void onProviderDisabled(String provider) { }
+        }
+        """
+    )
+    sim = Simulator(program.module, program.manifest)
+    for event in ("A#onCreate", "A#onStart", "A#onResume"):
+        sim.apply(("event", event))
+        while ("step", MAIN_THREAD) in sim.choices():
+            sim.apply(("step", MAIN_THREAD))
+    # listener events carry the listener's oid ("A@1#onClick"); the
+    # activity's own UI callbacks ("A#onClick") are component events
+    keys = {key for key, _, _ in sim.external_events() if "@" in key}
+    assert any(key.endswith("#onLocationChanged") for key in keys)
+    assert not any(key.endswith("#onClick") for key in keys)

@@ -1,9 +1,17 @@
 """Validator unit tests: hint matching, targeted scheduling, results."""
 
+from pathlib import Path
+
 import pytest
 
 from repro.core import analyze_app
-from repro.runtime import Simulator, validate_warning, ValidationResult
+from repro.runtime import (
+    FifoScheduler,
+    RandomScheduler,
+    Simulator,
+    validate_warning,
+    ValidationResult,
+)
 from repro.runtime.validator import TargetedScheduler
 
 
@@ -105,3 +113,49 @@ def test_validator_matches_npe_to_the_right_field():
                                max_decisions=600)
     assert not verdict.confirmed, \
         "the ever-present `other` NPE must not confirm the `safe` warning"
+
+
+QUICKSTART = Path(__file__).resolve().parents[2] / "examples" / "quickstart.mjava"
+
+
+def test_a_fork_records_its_exceptions_on_itself():
+    result, make_sim = make_factory(QUICKSTART.read_text())
+    fresh = make_sim().run(RandomScheduler(0))
+    sim = make_sim()
+    fork = sim.fork().run(RandomScheduler(0))
+    assert fork.npe_events and fork.exceptions == fresh.exceptions
+    assert sim.exceptions == [] and sim.trace == [] and sim.total_steps == 0
+
+
+def test_a_fork_shares_the_program_and_copies_the_state():
+    result, make_sim = make_factory(QUICKSTART.read_text())
+    sim = make_sim()
+    while not any(thread.frames for thread in sim.threads.values()):
+        sim.apply(FifoScheduler().choose(sim, sim.choices()))
+    fork = sim.fork()
+    assert fork.module is sim.module
+    assert fork.intrinsics is sim.intrinsics
+    for tid, thread in sim.threads.items():
+        copied = fork.threads[tid]
+        assert copied is not thread
+        assert all(a.method is b.method and a is not b
+                   for a, b in zip(copied.frames, thread.frames))
+    assert fork.heap is not sim.heap and fork.world is not sim.world
+    assert fork.interpreter.heap is fork.heap
+
+
+def test_validation_leaves_the_program_unchanged():
+    result, make_sim = make_factory(QUICKSTART.read_text())
+    module = result.program.module
+
+    def instructions():
+        return [(instr.uid, repr(instr))
+                for method in module.methods()
+                for instr in method.instructions()]
+
+    before = instructions()
+    for warning in result.remaining():
+        # no random attempts: every verdict comes from the forking search
+        validate_warning(make_sim, warning, random_attempts=0,
+                         systematic_branches=10, max_decisions=600)
+    assert instructions() == before

@@ -150,10 +150,12 @@ def test_a_full_cache_hit_does_not_wait_behind_cold_work(daemon,
 
 def test_a_warm_job_ending_leaves_the_cold_job_of_the_same_name_active(
         tmp_path, monkeypatch):
-    # Both single-app jobs are named "app".  The hang fires at the first
-    # filter, which swiftnotes (no potential warnings) never reaches.
+    # Both single-app jobs are named "app".  The hang fires once, at the
+    # first MHB filter verdict, which swiftnotes (no potential warnings)
+    # never reaches; clipstack's later verdicts run unhindered.
     plan = FaultPlan(faults=(FaultSpec(app="app", stage="filter:MHB",
-                                       action="hang"),), hang_seconds=3.0)
+                                       action="hang", times=1),),
+                     state_dir=str(tmp_path / "faults"), hang_seconds=3.0)
     monkeypatch.setenv(ENV_VAR, json.dumps(plan.to_dict()))
     aggregator = LiveAggregator()
     service = AnalysisService(jobs=1, cache=ResultCache(tmp_path / "cache"),
