@@ -10,7 +10,7 @@ sections 4 and 8.1).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum, auto
 from typing import Any, Dict, Mapping, Optional, Tuple
 
@@ -44,7 +44,8 @@ class ApiSpec:
     ``callback_arg`` is the argument index carrying the callback object
     (``None`` means the receiver itself, e.g. ``Thread.start``);
     ``callbacks`` names the methods that the framework will subsequently
-    invoke on that object.
+    invoke on that object -- or, for ``CANCEL_UNREGISTER``, the methods it
+    stops invoking (derived below from the registrations it undoes).
     """
 
     kind: ApiKind
@@ -131,6 +132,23 @@ API_TABLE: Dict[Tuple[str, str], ApiSpec] = {
     ("AsyncTask", "cancel"): ApiSpec(ApiKind.CANCEL_ASYNCTASK),
     ("Timer", "cancel"): ApiSpec(ApiKind.CANCEL_REMOVE_POSTS),
 }
+
+
+def _derive_unregistered_callbacks() -> None:
+    """A ``CANCEL_UNREGISTER`` row undoes the receiver and listener
+    registrations declared on its own class (``removeUpdates`` undoes
+    ``requestLocationUpdates``), so its callbacks are theirs."""
+    registered: Dict[str, Tuple[str, ...]] = {}
+    for (class_name, _), spec in API_TABLE.items():
+        if spec.kind in (ApiKind.REGISTER_RECEIVER, ApiKind.REGISTER_LISTENER):
+            registered[class_name] = registered.get(class_name, ()) \
+                + spec.callbacks
+    for key, spec in API_TABLE.items():
+        if spec.kind is ApiKind.CANCEL_UNREGISTER:
+            API_TABLE[key] = replace(spec, callbacks=registered[key[0]])
+
+
+_derive_unregistered_callbacks()
 
 CANCEL_KINDS = {
     ApiKind.CANCEL_FINISH,

@@ -9,10 +9,11 @@ threadifier and the filters read that table, and so does
 :mod:`repro.runtime.intrinsics`, which executes it for the dynamic
 validator.
 
-Two questions about an app module are answered here once, for the
+Three questions about an app module are answered here once, for the
 threadifier and the simulator alike: which component fields the runtime
-provides (:func:`provided_fields`), and whether a call reaches app code
-rather than a framework stub (:func:`app_override`).
+provides (:func:`provided_fields`), which callbacks a component declares
+(:func:`declared_callbacks`), and whether a call reaches app code rather
+than a framework stub (:func:`app_override`).
 
 The set is the transitive closure of what the 27 corpus apps and the
 paper's examples (Figures 1, 3 and 4) need.
@@ -21,7 +22,9 @@ paper's examples (Figures 1, 3 and 4) need.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import (
+    AbstractSet, Callable, Dict, List, Optional, Sequence, Set, Tuple,
+)
 
 from ..ir import (
     ClassDef,
@@ -557,3 +560,20 @@ def provided_fields(module: Module,
             if concrete is not None:
                 provided.append((FieldRef(owner, field_obj.name), concrete))
     return provided
+
+
+def declared_callbacks(module: Module, class_name: str,
+                       names: AbstractSet[str]) -> List[str]:
+    """The methods in ``names`` that an app component declares itself or
+    inherits from an app superclass -- the callbacks that run while the
+    component is active -- each once, in first-declared order."""
+    found: List[str] = []
+    for owner in [class_name, *module.superclasses(class_name)]:
+        if is_framework_class(owner):
+            break
+        cls = module.lookup_class(owner)
+        if cls is None:
+            continue
+        found.extend(name for name in cls.methods
+                     if name in names and name not in found)
+    return found

@@ -9,8 +9,10 @@ deliberately *benign* variants that each exercise one sound filter
 (MHB-Lifecycle, MHB-Fragment, MHB-OrderedBroadcast, If-Guard,
 Intra-Allocation).
 
-Every injection is recorded as a :class:`GroundTruthLabel` carrying the
-field, the exact use/free source lines, the expected pair type and whether
+Each pattern is one :class:`Pattern` row: its MiniDroid source with the
+use and free lines marked.  Every injection is recorded as a
+:class:`GroundTruthLabel`, derived from the row, carrying the field, the
+exact use/free source lines, the expected pair type and whether
 the pipeline is expected to keep (``surviving``) or remove (``filtered``)
 the warning -- so generated corpora double as recall/precision oracles for
 the whole pipeline (see ``repro.report.score``).
@@ -26,7 +28,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Tuple
+from functools import cached_property
+from typing import Any, Dict, List, Sequence, Tuple
 
 from ..obs import add as obs_add
 
@@ -148,587 +151,304 @@ class GeneratedApp:
 
 
 # ---------------------------------------------------------------------------
-# Source rendering
+# Source parts
 # ---------------------------------------------------------------------------
+#
+# A pattern's source is MiniDroid text for instance ``$i``.  Rendering
+# replaces ``$i`` by the instance id, ``$v`` by its content-view id
+# (100 + i) and ``$b`` by its button-view id (200 + i).  The use line
+# starts with ``@u`` and the free line with ``@f``; the marks are stripped
+# and their line numbers become the label.  Every part below ends each of
+# its lines with a newline; a class ends with one blank line.
+
+_ON_CREATE = "onCreate(Bundle savedInstanceState)"
+_FD = "  Data$i fd$i;"
+_NEW_FD = "    fd$i = new Data$i();"
+_USE = "@u    fd$i.work();"
+_FREE = "@f    fd$i = null;"
+_OWNER_USE = "@u    owner.fd$i.work();"
+_OWNER_FREE = "@f    owner.fd$i = null;"
 
 
-class _Source:
-    """Line-accumulating renderer that records marked line numbers."""
-
-    def __init__(self) -> None:
-        self._lines: List[str] = []
-        self.marks: Dict[str, int] = {}
-
-    def line(self, text: str = "") -> None:
-        self._lines.append(text)
-
-    def lines(self, *texts: str) -> None:
-        self._lines.extend(texts)
-
-    def mark(self, key: str, text: str) -> None:
-        self._lines.append(text)
-        self.marks[key] = len(self._lines)
-
-    def render(self) -> str:
-        return "\n".join(self._lines) + "\n"
+def _method(signature: str, *body: str) -> str:
+    """A method; one with no body is written on a single line."""
+    if not body:
+        return f"  {signature} {{ }}"
+    return "\n".join((f"  {signature} {{", *body, "  }"))
 
 
-@dataclass
-class _Injection:
-    """A pattern's pending label: resolved to lines after rendering."""
+def _callback(signature: str, *body: str) -> str:
+    """A framework callback whose body first calls its super."""
+    name, params = signature[:-1].split("(")
+    args = ", ".join(p.split()[-1] for p in params.split(", ") if p)
+    return _method(f"void {signature}", f"    super.{name}({args});", *body)
 
-    class_name: str
-    field_name: str
-    use_key: str
-    free_key: str
-    pattern: str
-    pair_type: str
-    expected: str
 
-    def resolve(self, app: str, marks: Dict[str, int]) -> GroundTruthLabel:
-        return GroundTruthLabel(
-            app=app,
-            class_name=self.class_name,
-            field_name=self.field_name,
-            use_line=marks[self.use_key],
-            free_line=marks[self.free_key],
-            pattern=self.pattern,
-            pair_type=self.pair_type,
-            expected=self.expected,
-        )
+def _class(header: str, *body: str) -> str:
+    return "\n".join((f"{header} {{", *body, "}", "", ""))
+
+
+def _component(header: str, fields: Sequence[str], *methods: str) -> str:
+    """A class of fields, a blank line, then methods between blank lines."""
+    return _class(header, *fields, "", "\n\n".join(methods))
+
+
+def _owned(header: str, *methods: str) -> str:
+    """A helper class that reaches its activity through ``owner``."""
+    return _component(header, ["  Act$i owner;"], *methods)
+
+
+def _activity(fields: Sequence[str], *methods: str) -> str:
+    return _component("class Act$i extends Activity", fields, *methods)
+
+
+def _on_create(*body: str) -> str:
+    """An activity's onCreate: super call and content view, then ``body``."""
+    return _callback(_ON_CREATE, "    setContentView($v);", *body)
+
+
+def _service(*methods: str) -> str:
+    return _component("class Svc$i extends Service", [_FD], *methods)
+
+
+#: Every instance starts with the class of its raced field.
+_DATA = _class("class Data$i", _method("void work()"))
+
+#: A ServiceConnection whose disconnect callback frees ``Act$i.fd$i``.
+_CONNECTION = _owned(
+    "class Conn$i implements ServiceConnection",
+    _method("public void onServiceConnected(ComponentName name, "
+            "IBinder service)"),
+    _method("public void onServiceDisconnected(ComponentName name)",
+            _OWNER_FREE),
+)
+
+_BIND_ON_START = _callback(
+    "onStart()",
+    "    Conn$i conn = new Conn$i();",
+    "    conn.owner = this;",
+    "    bindService(new Intent(\"gen.Conn$i\"), conn, 0);",
+)
+
+
+def _posted_click(statement: str) -> str:
+    """An onClick that posts a Runnable running ``statement``."""
+    return _method("void onClick(View v)",
+                   "    hd$i.post(new Runnable() {",
+                   "      public void run() {",
+                   statement,
+                   "      }",
+                   "    });")
+
+
+def _commit_fragment(container: int, owner: bool) -> Tuple[str, ...]:
+    """onCreate lines that commit ``Frag$i`` into ``container``."""
+    return ("    Frag$i frag = new Frag$i();",
+            *(("    frag.owner = this;",) if owner else ()),
+            "    FragmentManager fm$i = getFragmentManager();",
+            "    FragmentTransaction ft$i = fm$i.beginTransaction();",
+            f"    ft$i.add({container}, frag);",
+            "    ft$i.commit();")
+
+
+def _receiver(name: str, statement: str) -> str:
+    return _owned(f"class {name}$i extends BroadcastReceiver",
+                  _method("public void onReceive(Context context, "
+                          "Intent intent)", statement))
+
+
+def _ordered_broadcast(registered: str, result: str) -> str:
+    """An activity registers ``Reg$i``, then sends an ordered broadcast
+    whose result receiver is ``Res$i``: the registered receiver runs
+    ``registered`` before the result receiver runs ``result``."""
+    return (_receiver("Reg", registered) + _receiver("Res", result)
+            + _activity([_FD, "  Reg$i reg$i;"], _on_create(
+                _NEW_FD,
+                "    reg$i = new Reg$i();",
+                "    reg$i.owner = this;",
+                "    registerReceiver(reg$i, "
+                "new IntentFilter(\"gen.ORDERED$i\"));",
+                "    Res$i res = new Res$i();",
+                "    res.owner = this;",
+                "    sendOrderedBroadcast(new Intent(\"gen.ORDERED$i\"), "
+                "res);")))
 
 
 # ---------------------------------------------------------------------------
 # Pattern catalog
 # ---------------------------------------------------------------------------
-#
-# Each emitter appends self-contained classes for instance ``i`` and
-# returns the injection record.  Instances never share fields, so patterns
-# compose within one app without perturbing each other's ground truth.
 
 
-def _data_class(src: _Source, i: int) -> None:
-    src.line(f"class Data{i} {{")
-    src.line("  void work() { }")
-    src.line("}")
-    src.line()
+@dataclass(frozen=True)
+class Pattern:
+    """One injectable use/free pair on field ``fd$i`` of ``{owner}$i``.
 
+    Instances never share classes or fields, so patterns compose within
+    one app without perturbing each other's ground truth.
+    """
 
-def _connection_class(src: _Source, i: int, free_key: str) -> None:
-    """A ServiceConnection whose disconnect callback frees ``Act{i}.fd{i}``."""
-    src.line(f"class Conn{i} implements ServiceConnection {{")
-    src.line(f"  Act{i} owner;")
-    src.line()
-    src.line("  public void onServiceConnected(ComponentName name, "
-             "IBinder service) { }")
-    src.line()
-    src.line("  public void onServiceDisconnected(ComponentName name) {")
-    src.mark(free_key, f"    owner.fd{i} = null;")
-    src.line("  }")
-    src.line("}")
-    src.line()
+    name: str
+    owner: str        #: prefix of the class declaring ``fd$i``
+    pair_type: str    #: expected Table-1 origin category
+    expected: str     #: ``surviving`` or ``filtered``
+    source: str       #: the classes after ``Data$i``, with both marks
 
+    @cached_property
+    def template(self) -> Tuple[str, int, int, int]:
+        """The instance text without marks, its line count, and the
+        1-based lines of the use and the free within it."""
+        text = _DATA + self.source
+        use, free = (text.count("\n", 0, text.index(mark)) + 1
+                     for mark in ("@u", "@f"))
+        text = text.replace("@u", "").replace("@f", "")
+        return text, text.count("\n"), use, free
 
-def _bind_in_on_start(src: _Source, i: int) -> None:
-    src.line("  void onStart() {")
-    src.line("    super.onStart();")
-    src.line(f"    Conn{i} conn = new Conn{i}();")
-    src.line("    conn.owner = this;")
-    src.line(f"    bindService(new Intent(\"gen.Conn{i}\"), conn, 0);")
-    src.line("  }")
-
-
-def _fig1a_service_conn(src: _Source, i: int) -> _Injection:
-    """Figure 1(a): an unguarded EC use races the connection teardown."""
-    _data_class(src, i)
-    _connection_class(src, i, f"f{i}")
-    src.line(f"class Act{i} extends Activity {{")
-    src.line(f"  Data{i} fd{i};")
-    src.line()
-    src.line("  void onCreate(Bundle savedInstanceState) {")
-    src.line("    super.onCreate(savedInstanceState);")
-    src.line(f"    setContentView({100 + i});")
-    src.line(f"    fd{i} = new Data{i}();")
-    src.line("  }")
-    src.line()
-    _bind_in_on_start(src, i)
-    src.line()
-    src.line("  void onCreateContextMenu(ContextMenu menu, View v, "
-             "ContextMenuInfo menuInfo) {")
-    src.mark(f"u{i}", f"    fd{i}.work();")
-    src.line("  }")
-    src.line("}")
-    src.line()
-    return _Injection(f"Act{i}", f"fd{i}", f"u{i}", f"f{i}",
-                      "fig1a-service-conn", "EC-PC", EXPECT_SURVIVING)
-
-
-def _fig1b_deferred_guard(src: _Source, i: int) -> _Injection:
-    """Figure 1(b): the guard runs on the looper, the use is deferred."""
-    _data_class(src, i)
-    _connection_class(src, i, f"f{i}")
-    src.line(f"class Act{i} extends Activity {{")
-    src.line(f"  Data{i} fd{i};")
-    src.line(f"  Handler hd{i};")
-    src.line(f"  View btn{i};")
-    src.line()
-    src.line("  void onCreate(Bundle savedInstanceState) {")
-    src.line("    super.onCreate(savedInstanceState);")
-    src.line(f"    setContentView({100 + i});")
-    src.line(f"    hd{i} = new Handler();")
-    src.line(f"    fd{i} = new Data{i}();")
-    src.line(f"    btn{i} = findViewById({200 + i});")
-    src.line(f"    btn{i}.setOnClickListener(new OnClickListener() {{")
-    src.line("      public void onClick(View v) {")
-    src.line(f"        if (fd{i} != null) {{")
-    src.line(f"          hd{i}.post(new Runnable() {{")
-    src.line("            public void run() {")
-    src.mark(f"u{i}", f"              fd{i}.work();")
-    src.line("            }")
-    src.line("          });")
-    src.line("        }")
-    src.line("      }")
-    src.line("    });")
-    src.line("  }")
-    src.line()
-    _bind_in_on_start(src, i)
-    src.line("}")
-    src.line()
-    return _Injection(f"Act{i}", f"fd{i}", f"u{i}", f"f{i}",
-                      "fig1b-deferred-guard", "PC-PC", EXPECT_SURVIVING)
-
-
-def _fig1c_looper_pool(src: _Source, i: int) -> _Injection:
-    """Figure 1(c): a pool-thread use against a posted looper-side free."""
-    _data_class(src, i)
-    src.line(f"class Task{i} implements Runnable {{")
-    src.line(f"  Act{i} owner;")
-    src.line()
-    src.line("  public void run() {")
-    src.mark(f"u{i}", f"    owner.fd{i}.work();")
-    src.line("  }")
-    src.line("}")
-    src.line()
-    src.line(f"class Act{i} extends Activity {{")
-    src.line(f"  Data{i} fd{i};")
-    src.line(f"  ExecutorService pool{i};")
-    src.line(f"  Handler hd{i};")
-    src.line()
-    src.line("  void onCreate(Bundle savedInstanceState) {")
-    src.line("    super.onCreate(savedInstanceState);")
-    src.line(f"    setContentView({100 + i});")
-    src.line(f"    hd{i} = new Handler();")
-    src.line(f"    fd{i} = new Data{i}();")
-    src.line("  }")
-    src.line()
-    src.line("  void onResume() {")
-    src.line("    super.onResume();")
-    src.line(f"    Task{i} task = new Task{i}();")
-    src.line("    task.owner = this;")
-    src.line(f"    pool{i}.execute(task);")
-    src.line("  }")
-    src.line()
-    src.line("  void onClick(View v) {")
-    src.line(f"    hd{i}.post(new Runnable() {{")
-    src.line("      public void run() {")
-    src.mark(f"f{i}", f"        fd{i} = null;")
-    src.line("      }")
-    src.line("    });")
-    src.line("  }")
-    src.line("}")
-    src.line()
-    return _Injection(f"Act{i}", f"fd{i}", f"u{i}", f"f{i}",
-                      "fig1c-looper-pool", "C-NT", EXPECT_SURVIVING)
-
-
-def _posted_vs_destroy(src: _Source, i: int) -> _Injection:
-    """A posted refresh races its activity's own onDestroy teardown."""
-    _data_class(src, i)
-    src.line(f"class Act{i} extends Activity {{")
-    src.line(f"  Data{i} fd{i};")
-    src.line(f"  Handler hd{i};")
-    src.line()
-    src.line("  void onCreate(Bundle savedInstanceState) {")
-    src.line("    super.onCreate(savedInstanceState);")
-    src.line(f"    setContentView({100 + i});")
-    src.line(f"    hd{i} = new Handler();")
-    src.line(f"    fd{i} = new Data{i}();")
-    src.line("  }")
-    src.line()
-    src.line("  void onClick(View v) {")
-    src.line(f"    hd{i}.post(new Runnable() {{")
-    src.line("      public void run() {")
-    src.mark(f"u{i}", f"        fd{i}.work();")
-    src.line("      }")
-    src.line("    });")
-    src.line("  }")
-    src.line()
-    src.line("  void onDestroy() {")
-    src.line("    super.onDestroy();")
-    src.mark(f"f{i}", f"    fd{i} = null;")
-    src.line("  }")
-    src.line("}")
-    src.line()
-    return _Injection(f"Act{i}", f"fd{i}", f"u{i}", f"f{i}",
-                      "posted-vs-destroy", "EC-PC", EXPECT_SURVIVING)
-
-
-def _commit_fragment(src: _Source, i: int, container: int,
-                     owner: bool) -> None:
-    """onCreate body lines that commit ``Frag{i}`` via a transaction."""
-    src.line(f"    Frag{i} frag = new Frag{i}();")
-    if owner:
-        src.line("    frag.owner = this;")
-    src.line(f"    FragmentManager fm{i} = getFragmentManager();")
-    src.line(f"    FragmentTransaction ft{i} = fm{i}.beginTransaction();")
-    src.line(f"    ft{i}.add({container}, frag);")
-    src.line(f"    ft{i}.commit();")
-
-
-def _fragment_activity_race(src: _Source, i: int) -> _Injection:
-    """A committed fragment's onResume races the host activity's destroy."""
-    _data_class(src, i)
-    src.line(f"class Frag{i} extends Fragment {{")
-    src.line(f"  Act{i} owner;")
-    src.line()
-    src.line("  void onResume() {")
-    src.line("    super.onResume();")
-    src.mark(f"u{i}", f"    owner.fd{i}.work();")
-    src.line("  }")
-    src.line("}")
-    src.line()
-    src.line(f"class Act{i} extends Activity {{")
-    src.line(f"  Data{i} fd{i};")
-    src.line()
-    src.line("  void onCreate(Bundle savedInstanceState) {")
-    src.line("    super.onCreate(savedInstanceState);")
-    src.line(f"    setContentView({100 + i});")
-    src.line(f"    fd{i} = new Data{i}();")
-    _commit_fragment(src, i, 1, owner=True)
-    src.line("  }")
-    src.line()
-    src.line("  void onDestroy() {")
-    src.line("    super.onDestroy();")
-    src.mark(f"f{i}", f"    fd{i} = null;")
-    src.line("  }")
-    src.line("}")
-    src.line()
-    return _Injection(f"Act{i}", f"fd{i}", f"u{i}", f"f{i}",
-                      "fragment-activity-race", "EC-PC", EXPECT_SURVIVING)
-
-
-def _ordered_broadcast_teardown(src: _Source, i: int) -> _Injection:
-    """The registered receiver frees what the result receiver still uses."""
-    _data_class(src, i)
-    src.line(f"class Reg{i} extends BroadcastReceiver {{")
-    src.line(f"  Act{i} owner;")
-    src.line()
-    src.line("  public void onReceive(Context context, Intent intent) {")
-    src.mark(f"f{i}", f"    owner.fd{i} = null;")
-    src.line("  }")
-    src.line("}")
-    src.line()
-    src.line(f"class Res{i} extends BroadcastReceiver {{")
-    src.line(f"  Act{i} owner;")
-    src.line()
-    src.line("  public void onReceive(Context context, Intent intent) {")
-    src.mark(f"u{i}", f"    owner.fd{i}.work();")
-    src.line("  }")
-    src.line("}")
-    src.line()
-    src.line(f"class Act{i} extends Activity {{")
-    src.line(f"  Data{i} fd{i};")
-    src.line(f"  Reg{i} reg{i};")
-    src.line()
-    src.line("  void onCreate(Bundle savedInstanceState) {")
-    src.line("    super.onCreate(savedInstanceState);")
-    src.line(f"    setContentView({100 + i});")
-    src.line(f"    fd{i} = new Data{i}();")
-    src.line(f"    reg{i} = new Reg{i}();")
-    src.line(f"    reg{i}.owner = this;")
-    src.line(f"    registerReceiver(reg{i}, "
-             f"new IntentFilter(\"gen.ORDERED{i}\"));")
-    src.line(f"    Res{i} res = new Res{i}();")
-    src.line("    res.owner = this;")
-    src.line(f"    sendOrderedBroadcast(new Intent(\"gen.ORDERED{i}\"), "
-             "res);")
-    src.line("  }")
-    src.line("}")
-    src.line()
-    return _Injection(f"Act{i}", f"fd{i}", f"u{i}", f"f{i}",
-                      "ordered-broadcast-teardown", "PC-PC", EXPECT_SURVIVING)
-
-
-def _foreground_service_race(src: _Source, i: int) -> _Injection:
-    """onTaskRemoved and onTimeout have no mutual order on a service."""
-    _data_class(src, i)
-    src.line(f"class Svc{i} extends Service {{")
-    src.line(f"  Data{i} fd{i};")
-    src.line()
-    src.line("  void onCreate() {")
-    src.line("    super.onCreate();")
-    src.line(f"    fd{i} = new Data{i}();")
-    src.line("    startForeground(1, new Notification());")
-    src.line("  }")
-    src.line()
-    src.line("  void onTaskRemoved(Intent rootIntent) {")
-    src.line("    super.onTaskRemoved(rootIntent);")
-    src.mark(f"u{i}", f"    fd{i}.work();")
-    src.line("  }")
-    src.line()
-    src.line("  void onTimeout(int startId) {")
-    src.line("    super.onTimeout(startId);")
-    src.mark(f"f{i}", f"    fd{i} = null;")
-    src.line("  }")
-    src.line("}")
-    src.line()
-    return _Injection(f"Svc{i}", f"fd{i}", f"u{i}", f"f{i}",
-                      "foreground-service-race", "EC-EC", EXPECT_SURVIVING)
-
-
-def _lifecycle_benign(src: _Source, i: int) -> _Injection:
-    """onStart must happen before onDestroy: MHB-Lifecycle prunes."""
-    _data_class(src, i)
-    src.line(f"class Act{i} extends Activity {{")
-    src.line(f"  Data{i} fd{i};")
-    src.line()
-    src.line("  void onCreate(Bundle savedInstanceState) {")
-    src.line("    super.onCreate(savedInstanceState);")
-    src.line(f"    setContentView({100 + i});")
-    src.line(f"    fd{i} = new Data{i}();")
-    src.line("  }")
-    src.line()
-    src.line("  void onStart() {")
-    src.line("    super.onStart();")
-    src.mark(f"u{i}", f"    fd{i}.work();")
-    src.line("  }")
-    src.line()
-    src.line("  void onDestroy() {")
-    src.line("    super.onDestroy();")
-    src.mark(f"f{i}", f"    fd{i} = null;")
-    src.line("  }")
-    src.line("}")
-    src.line()
-    return _Injection(f"Act{i}", f"fd{i}", f"u{i}", f"f{i}",
-                      "mhb-lifecycle-benign", "EC-EC", EXPECT_FILTERED)
-
-
-def _guard_benign(src: _Source, i: int) -> _Injection:
-    """A same-looper null check protects the use: If-Guard prunes."""
-    _data_class(src, i)
-    src.line(f"class Act{i} extends Activity {{")
-    src.line(f"  Data{i} fd{i};")
-    src.line()
-    src.line("  void onCreate(Bundle savedInstanceState) {")
-    src.line("    super.onCreate(savedInstanceState);")
-    src.line(f"    setContentView({100 + i});")
-    src.line(f"    fd{i} = new Data{i}();")
-    src.line("  }")
-    src.line()
-    src.line("  void onResume() {")
-    src.line("    super.onResume();")
-    src.line(f"    if (fd{i} != null) {{")
-    src.mark(f"u{i}", f"      fd{i}.work();")
-    src.line("    }")
-    src.line("  }")
-    src.line()
-    src.line("  void onStop() {")
-    src.line("    super.onStop();")
-    src.mark(f"f{i}", f"    fd{i} = null;")
-    src.line("  }")
-    src.line("}")
-    src.line()
-    return _Injection(f"Act{i}", f"fd{i}", f"u{i}", f"f{i}",
-                      "if-guard-benign", "EC-EC", EXPECT_FILTERED)
-
-
-def _fresh_alloc_benign(src: _Source, i: int) -> _Injection:
-    """The use sees the fresh allocation stored just above it: IA prunes."""
-    _data_class(src, i)
-    src.line(f"class Act{i} extends Activity {{")
-    src.line(f"  Data{i} fd{i};")
-    src.line()
-    src.line("  void onResume() {")
-    src.line("    super.onResume();")
-    src.line(f"    fd{i} = new Data{i}();")
-    src.mark(f"u{i}", f"    fd{i}.work();")
-    src.line("  }")
-    src.line()
-    src.line("  void onStop() {")
-    src.line("    super.onStop();")
-    src.mark(f"f{i}", f"    fd{i} = null;")
-    src.line("  }")
-    src.line("}")
-    src.line()
-    return _Injection(f"Act{i}", f"fd{i}", f"u{i}", f"f{i}",
-                      "fresh-alloc-benign", "EC-EC", EXPECT_FILTERED)
-
-
-def _fragment_benign(src: _Source, i: int) -> _Injection:
-    """onStart before onDestroy inside one fragment: MHB-Fragment prunes."""
-    _data_class(src, i)
-    src.line(f"class Frag{i} extends Fragment {{")
-    src.line(f"  Data{i} fd{i};")
-    src.line()
-    src.line("  void onAttach(Activity activity) {")
-    src.line("    super.onAttach(activity);")
-    src.line(f"    fd{i} = new Data{i}();")
-    src.line("  }")
-    src.line()
-    src.line("  void onStart() {")
-    src.line("    super.onStart();")
-    src.mark(f"u{i}", f"    fd{i}.work();")
-    src.line("  }")
-    src.line()
-    src.line("  void onDestroy() {")
-    src.line("    super.onDestroy();")
-    src.mark(f"f{i}", f"    fd{i} = null;")
-    src.line("  }")
-    src.line("}")
-    src.line()
-    src.line(f"class Act{i} extends Activity {{")
-    src.line()
-    src.line("  void onCreate(Bundle savedInstanceState) {")
-    src.line("    super.onCreate(savedInstanceState);")
-    src.line(f"    setContentView({100 + i});")
-    _commit_fragment(src, i, 2, owner=False)
-    src.line("  }")
-    src.line("}")
-    src.line()
-    return _Injection(f"Frag{i}", f"fd{i}", f"u{i}", f"f{i}",
-                      "fragment-benign", "PC-PC", EXPECT_FILTERED)
-
-
-def _ordered_broadcast_benign(src: _Source, i: int) -> _Injection:
-    """The registered receiver's use precedes the result receiver's free:
-    MHB-OrderedBroadcast prunes."""
-    _data_class(src, i)
-    src.line(f"class Reg{i} extends BroadcastReceiver {{")
-    src.line(f"  Act{i} owner;")
-    src.line()
-    src.line("  public void onReceive(Context context, Intent intent) {")
-    src.mark(f"u{i}", f"    owner.fd{i}.work();")
-    src.line("  }")
-    src.line("}")
-    src.line()
-    src.line(f"class Res{i} extends BroadcastReceiver {{")
-    src.line(f"  Act{i} owner;")
-    src.line()
-    src.line("  public void onReceive(Context context, Intent intent) {")
-    src.mark(f"f{i}", f"    owner.fd{i} = null;")
-    src.line("  }")
-    src.line("}")
-    src.line()
-    src.line(f"class Act{i} extends Activity {{")
-    src.line(f"  Data{i} fd{i};")
-    src.line(f"  Reg{i} reg{i};")
-    src.line()
-    src.line("  void onCreate(Bundle savedInstanceState) {")
-    src.line("    super.onCreate(savedInstanceState);")
-    src.line(f"    setContentView({100 + i});")
-    src.line(f"    fd{i} = new Data{i}();")
-    src.line(f"    reg{i} = new Reg{i}();")
-    src.line(f"    reg{i}.owner = this;")
-    src.line(f"    registerReceiver(reg{i}, "
-             f"new IntentFilter(\"gen.ORDERED{i}\"));")
-    src.line(f"    Res{i} res = new Res{i}();")
-    src.line("    res.owner = this;")
-    src.line(f"    sendOrderedBroadcast(new Intent(\"gen.ORDERED{i}\"), "
-             "res);")
-    src.line("  }")
-    src.line("}")
-    src.line()
-    return _Injection(f"Act{i}", f"fd{i}", f"u{i}", f"f{i}",
-                      "ordered-broadcast-benign", "PC-PC", EXPECT_FILTERED)
-
-
-def _foreground_benign(src: _Source, i: int) -> _Injection:
-    """onTimeout must happen before onDestroy: the widened SERVICE_MHB
-    prunes."""
-    _data_class(src, i)
-    src.line(f"class Svc{i} extends Service {{")
-    src.line(f"  Data{i} fd{i};")
-    src.line()
-    src.line("  void onCreate() {")
-    src.line("    super.onCreate();")
-    src.line(f"    fd{i} = new Data{i}();")
-    src.line("  }")
-    src.line()
-    src.line("  void onTimeout(int startId) {")
-    src.line("    super.onTimeout(startId);")
-    src.mark(f"u{i}", f"    fd{i}.work();")
-    src.line("  }")
-    src.line()
-    src.line("  void onDestroy() {")
-    src.line("    super.onDestroy();")
-    src.mark(f"f{i}", f"    fd{i} = null;")
-    src.line("  }")
-    src.line("}")
-    src.line()
-    return _Injection(f"Svc{i}", f"fd{i}", f"u{i}", f"f{i}",
-                      "foreground-benign", "EC-EC", EXPECT_FILTERED)
-
-
-_Emitter = Callable[[_Source, int], _Injection]
 
 #: The pattern catalog, ordered; rng indexes into this tuple.
-PATTERNS: Tuple[Tuple[str, _Emitter], ...] = (
-    ("fig1a-service-conn", _fig1a_service_conn),
-    ("fig1b-deferred-guard", _fig1b_deferred_guard),
-    ("fig1c-looper-pool", _fig1c_looper_pool),
-    ("posted-vs-destroy", _posted_vs_destroy),
-    ("fragment-activity-race", _fragment_activity_race),
-    ("ordered-broadcast-teardown", _ordered_broadcast_teardown),
-    ("foreground-service-race", _foreground_service_race),
-    ("mhb-lifecycle-benign", _lifecycle_benign),
-    ("if-guard-benign", _guard_benign),
-    ("fresh-alloc-benign", _fresh_alloc_benign),
-    ("fragment-benign", _fragment_benign),
-    ("ordered-broadcast-benign", _ordered_broadcast_benign),
-    ("foreground-benign", _foreground_benign),
+PATTERNS: Tuple[Pattern, ...] = (
+    # Figure 1(a): an unguarded EC use races the connection teardown.
+    Pattern("fig1a-service-conn", "Act", "EC-PC", EXPECT_SURVIVING,
+            _CONNECTION + _activity(
+                [_FD], _on_create(_NEW_FD), _BIND_ON_START,
+                _method("void onCreateContextMenu(ContextMenu menu, View v, "
+                        "ContextMenuInfo menuInfo)", _USE))),
+    # Figure 1(b): the guard runs on the looper, the use is deferred.
+    Pattern("fig1b-deferred-guard", "Act", "PC-PC", EXPECT_SURVIVING,
+            _CONNECTION + _activity(
+                [_FD, "  Handler hd$i;", "  View btn$i;"],
+                _on_create("    hd$i = new Handler();",
+                           _NEW_FD,
+                           "    btn$i = findViewById($b);",
+                           "    btn$i.setOnClickListener("
+                           "new OnClickListener() {",
+                           "      public void onClick(View v) {",
+                           "        if (fd$i != null) {",
+                           "          hd$i.post(new Runnable() {",
+                           "            public void run() {",
+                           "@u              fd$i.work();",
+                           "            }",
+                           "          });",
+                           "        }",
+                           "      }",
+                           "    });"),
+                _BIND_ON_START)),
+    # Figure 1(c): a pool-thread use against a posted looper-side free.
+    Pattern("fig1c-looper-pool", "Act", "C-NT", EXPECT_SURVIVING,
+            _owned("class Task$i implements Runnable",
+                   _method("public void run()", _OWNER_USE))
+            + _activity(
+                [_FD, "  ExecutorService pool$i;", "  Handler hd$i;"],
+                _on_create("    hd$i = new Handler();", _NEW_FD),
+                _callback("onResume()",
+                          "    Task$i task = new Task$i();",
+                          "    task.owner = this;",
+                          "    pool$i.execute(task);"),
+                _posted_click("@f        fd$i = null;"))),
+    # A posted refresh races its activity's own onDestroy teardown.
+    Pattern("posted-vs-destroy", "Act", "EC-PC", EXPECT_SURVIVING,
+            _activity([_FD, "  Handler hd$i;"],
+                      _on_create("    hd$i = new Handler();", _NEW_FD),
+                      _posted_click("@u        fd$i.work();"),
+                      _callback("onDestroy()", _FREE))),
+    # A committed fragment's onResume races the host activity's destroy.
+    Pattern("fragment-activity-race", "Act", "EC-PC", EXPECT_SURVIVING,
+            _owned("class Frag$i extends Fragment",
+                   _callback("onResume()", _OWNER_USE))
+            + _activity([_FD],
+                        _on_create(_NEW_FD, *_commit_fragment(1, True)),
+                        _callback("onDestroy()", _FREE))),
+    # The registered receiver frees what the result receiver still uses.
+    Pattern("ordered-broadcast-teardown", "Act", "PC-PC", EXPECT_SURVIVING,
+            _ordered_broadcast(_OWNER_FREE, _OWNER_USE)),
+    # onTaskRemoved and onTimeout have no mutual order on a service.
+    Pattern("foreground-service-race", "Svc", "EC-EC", EXPECT_SURVIVING,
+            _service(_callback("onCreate()", _NEW_FD,
+                               "    startForeground(1, new Notification());"),
+                     _callback("onTaskRemoved(Intent rootIntent)", _USE),
+                     _callback("onTimeout(int startId)", _FREE))),
+    # onStart must happen before onDestroy: MHB-Lifecycle prunes.
+    Pattern("mhb-lifecycle-benign", "Act", "EC-EC", EXPECT_FILTERED,
+            _activity([_FD], _on_create(_NEW_FD),
+                      _callback("onStart()", _USE),
+                      _callback("onDestroy()", _FREE))),
+    # A same-looper null check protects the use: If-Guard prunes.
+    Pattern("if-guard-benign", "Act", "EC-EC", EXPECT_FILTERED,
+            _activity([_FD], _on_create(_NEW_FD),
+                      _callback("onResume()",
+                                "    if (fd$i != null) {",
+                                "@u      fd$i.work();",
+                                "    }"),
+                      _callback("onStop()", _FREE))),
+    # The use sees the fresh allocation stored just above it: IA prunes.
+    Pattern("fresh-alloc-benign", "Act", "EC-EC", EXPECT_FILTERED,
+            _activity([_FD], _callback("onResume()", _NEW_FD, _USE),
+                      _callback("onStop()", _FREE))),
+    # onStart before onDestroy inside one fragment: MHB-Fragment prunes.
+    Pattern("fragment-benign", "Frag", "PC-PC", EXPECT_FILTERED,
+            _component("class Frag$i extends Fragment", [_FD],
+                       _callback("onAttach(Activity activity)", _NEW_FD),
+                       _callback("onStart()", _USE),
+                       _callback("onDestroy()", _FREE))
+            + _activity([], _on_create(*_commit_fragment(2, False)))),
+    # The registered receiver's use precedes the result receiver's free:
+    # MHB-OrderedBroadcast prunes.
+    Pattern("ordered-broadcast-benign", "Act", "PC-PC", EXPECT_FILTERED,
+            _ordered_broadcast(_OWNER_USE, _OWNER_FREE)),
+    # onTimeout must happen before onDestroy: the widened SERVICE_MHB
+    # prunes.
+    Pattern("foreground-benign", "Svc", "EC-EC", EXPECT_FILTERED,
+            _service(_callback("onCreate()", _NEW_FD),
+                     _callback("onTimeout(int startId)", _USE),
+                     _callback("onDestroy()", _FREE))),
 )
 
-PATTERN_NAMES: Tuple[str, ...] = tuple(name for name, _ in PATTERNS)
+PATTERN_NAMES: Tuple[str, ...] = tuple(p.name for p in PATTERNS)
 
 
 # ---------------------------------------------------------------------------
 # App assembly
 # ---------------------------------------------------------------------------
 
+#: The always-present lifecycle skeleton.  It never nulls a reference
+#: field, so it contributes no free events (clean apps stay warning-free).
+_SKELETON = _class("class BootState", _method("void warm()")) + _component(
+    "class MainActivity extends Activity",
+    ["  BootState boot;", "  View statusView;"],
+    _callback(_ON_CREATE,
+              "    setContentView(1);",
+              "    boot = new BootState();",
+              "    statusView = findViewById(7);",
+              "    boot.warm();"),
+    _callback("onResume()", "    boot.warm();"),
+)
 
-def _emit_skeleton(src: _Source) -> None:
-    """The always-present lifecycle skeleton.  It never nulls a reference
-    field, so it contributes no free events (clean apps stay warning-free)."""
-    src.line("class BootState {")
-    src.line("  void warm() { }")
-    src.line("}")
-    src.line()
-    src.line("class MainActivity extends Activity {")
-    src.line("  BootState boot;")
-    src.line("  View statusView;")
-    src.line()
-    src.line("  void onCreate(Bundle savedInstanceState) {")
-    src.line("    super.onCreate(savedInstanceState);")
-    src.line("    setContentView(1);")
-    src.line("    boot = new BootState();")
-    src.line("    statusView = findViewById(7);")
-    src.line("    boot.warm();")
-    src.line("  }")
-    src.line()
-    src.line("  void onResume() {")
-    src.line("    super.onResume();")
-    src.line("    boot.warm();")
-    src.line("  }")
-    src.line("}")
-    src.line()
+#: An inert class padding the app.
+_FILLER = _class("class Util$i", _method("void tick()"),
+                 _method("void tock()"))
 
 
-def _emit_filler(src: _Source, j: int) -> None:
-    src.line(f"class Util{j} {{")
-    src.line("  void tick() { }")
-    src.line("  void tock() { }")
-    src.line("}")
-    src.line()
+def _instantiate(template: str, i: int) -> str:
+    return (template.replace("$i", str(i)).replace("$v", str(100 + i))
+            .replace("$b", str(200 + i)))
+
+
+def _render(app: str, header: str, patterns: Sequence[Pattern],
+            fillers: int) -> Tuple[str, List[GroundTruthLabel]]:
+    """The source of ``header``, the skeleton, instance ``i`` of
+    ``patterns[i]`` for each ``i`` and ``fillers`` filler classes, with
+    one label per instance."""
+    parts = [header, _SKELETON]
+    lines = header.count("\n") + _SKELETON.count("\n")
+    labels = []
+    for i, pattern in enumerate(patterns):
+        text, height, use, free = pattern.template
+        parts.append(_instantiate(text, i))
+        labels.append(GroundTruthLabel(
+            app, f"{pattern.owner}{i}", f"fd{i}", lines + use, lines + free,
+            pattern.name, pattern.pair_type, pattern.expected))
+        lines += height
+    parts.extend(_instantiate(_FILLER, j) for j in range(fillers))
+    return "".join(parts), labels
 
 
 def _app_rng(seed: int, index: int) -> random.Random:
@@ -740,34 +460,18 @@ def generate_app(config: GeneratorConfig, index: int) -> GeneratedApp:
     rng = _app_rng(config.seed, index)
     name = generated_app_name(config.seed, index)
     clean = rng.random() < config.clean_ratio
-
-    src = _Source()
-    src.line(f"// {name} -- generated MiniDroid app "
-             f"(seed {config.seed}, index {index}).")
+    header = (f"// {name} -- generated MiniDroid app "
+              f"(seed {config.seed}, index {index}).\n")
     if clean:
-        src.line("// clean: no injected pattern; zero warnings expected.")
-    src.line()
-    _emit_skeleton(src)
-
-    injections: List[_Injection] = []
+        header += "// clean: no injected pattern; zero warnings expected.\n"
+    patterns: List[Pattern] = []
     if not clean:
         k = rng.randint(config.min_patterns, config.max_patterns)
-        for slot in range(k):
-            _, emitter = PATTERNS[rng.randrange(len(PATTERNS))]
-            injections.append(emitter(src, slot))
-
-    for j in range(rng.randint(0, config.max_filler_classes)):
-        _emit_filler(src, j)
-
-    source = src.render()
-    labels = [inj.resolve(name, src.marks) for inj in injections]
-    return GeneratedApp(
-        name=name,
-        source=source,
-        labels=labels,
-        clean=clean,
-        patterns=[inj.pattern for inj in injections],
-    )
+        patterns = [PATTERNS[rng.randrange(len(PATTERNS))] for _ in range(k)]
+    fillers = rng.randint(0, config.max_filler_classes)
+    source, labels = _render(name, header + "\n", patterns, fillers)
+    return GeneratedApp(name=name, source=source, labels=labels, clean=clean,
+                        patterns=[p.name for p in patterns])
 
 
 def generate_corpus(config: GeneratorConfig) -> List[GeneratedApp]:

@@ -13,7 +13,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Iterator, List, Optional, Set, Tuple
 
 from ..analysis.dataflow import run_forward
 from ..ir import (
@@ -296,18 +296,15 @@ class AllocAnalysis:
         return matched, sites
 
 
-def deref_consumer_uids(method: Method, use_uid: int) -> List[int]:
-    """Instructions that dereference the value produced at ``use_uid``
-    (call receivers, field-access bases), following local copies."""
-    target: Optional[str] = None
-    for instr in method.instructions():
-        if instr.uid == use_uid:
-            target = instr.target_local()
-            break
-    if target is None:
-        return []
-    derefs: List[int] = []
-    worklist = [target]
+def _value_readers(method: Method,
+                   use_uid: int) -> Iterator[Tuple[str, Instruction]]:
+    """Every instruction reading the value produced at ``use_uid``, with
+    the local it reads the value from.  Copies (``Assign`` from such a
+    local) are followed, not reported; a use that produces no value has
+    no readers."""
+    target = next((instr.target_local() for instr in method.instructions()
+                   if instr.uid == use_uid), None)
+    worklist = [] if target is None else [target]
     seen: Set[str] = set()
     while worklist:
         local = worklist.pop()
@@ -315,56 +312,45 @@ def deref_consumer_uids(method: Method, use_uid: int) -> List[int]:
             continue
         seen.add(local)
         for instr in method.instructions():
-            if isinstance(instr, Invoke) and instr.base is not None \
-                    and instr.base.name == local:
-                derefs.append(instr.uid)
-            elif isinstance(instr, (GetField, PutField)) \
-                    and instr.base.name == local:
-                derefs.append(instr.uid)
-            elif isinstance(instr, Assign) and isinstance(instr.source, Local) \
+            if isinstance(instr, Assign) and isinstance(instr.source, Local) \
                     and instr.source.name == local:
                 worklist.append(instr.target)
-    return derefs
+            elif any(isinstance(op, Local) and op.name == local
+                     for op in instr.operands()):
+                yield local, instr
+
+
+def _dereferences(instr: Instruction, local: str) -> bool:
+    """Is ``local`` the receiver of a call or the base of a field access?"""
+    return isinstance(instr, (Invoke, GetField, PutField)) \
+        and instr.base is not None and instr.base.name == local
+
+
+def _is_null_check(instr: Instruction, local: str) -> bool:
+    if not (isinstance(instr, BinaryOp) and instr.op in ("==", "!=")):
+        return False
+    other = instr.rhs if (
+        isinstance(instr.lhs, Local) and instr.lhs.name == local
+    ) else instr.lhs
+    return isinstance(other, Const) and other.is_null()
+
+
+def deref_consumer_uids(method: Method, use_uid: int) -> List[int]:
+    """Instructions that dereference the value produced at ``use_uid``
+    (call receivers, field-access bases), following local copies."""
+    return [instr.uid for local, instr in _value_readers(method, use_uid)
+            if _dereferences(instr, local)]
 
 
 def use_is_pure_check(module: Module, method: Method, use_uid: int) -> bool:
     """Is this use the guard's own read -- its value consumed *only* by
     null comparisons (following copies)?  Such a read cannot crash and is
     soundly covered by the IG filter regardless of atomicity."""
-    target: Optional[str] = None
-    for instr in method.instructions():
-        if instr.uid == use_uid:
-            target = instr.target_local()
-            break
-    if target is None:
-        return False
     saw_check = False
-    worklist = [target]
-    seen: Set[str] = set()
-    while worklist:
-        local = worklist.pop()
-        if local in seen:
-            continue
-        seen.add(local)
-        for instr in method.instructions():
-            operands = instr.operands()
-            if not any(isinstance(op, Local) and op.name == local
-                       for op in operands):
-                continue
-            if isinstance(instr, BinaryOp) and instr.op in ("==", "!="):
-                other = instr.rhs if (
-                    isinstance(instr.lhs, Local) and instr.lhs.name == local
-                ) else instr.lhs
-                if isinstance(other, Const) and other.is_null():
-                    saw_check = True
-                    continue
-                return False
-            if isinstance(instr, Assign) and isinstance(instr.source, Local) \
-                    and instr.source.name == local:
-                if instr.target is not None:
-                    worklist.append(instr.target)
-                continue
+    for local, instr in _value_readers(method, use_uid):
+        if not _is_null_check(instr, local):
             return False
+        saw_check = True
     return saw_check
 
 
@@ -374,45 +360,12 @@ def use_is_benign(module: Module, method: Method, use_uid: int) -> bool:
     Benign consumers: ``return``, call *arguments* (not receivers), and
     null comparisons.  Copies are followed.  Any other consumer (receiver
     of a call, base of a field access, arithmetic, branch) is a potential
-    dereference, so the use stays.
+    dereference, so the use stays; a use that produces no value has
+    nothing to dereference.
     """
-    target: Optional[str] = None
-    for instr in method.instructions():
-        if instr.uid == use_uid:
-            target = instr.target_local()
-            break
-    if target is None:
-        return True  # no value produced: nothing to dereference
-
-    worklist: List[str] = [target]
-    seen: Set[str] = set()
-    while worklist:
-        local = worklist.pop()
-        if local in seen:
-            continue
-        seen.add(local)
-        for instr in method.instructions():
-            operands = instr.operands()
-            if not any(isinstance(op, Local) and op.name == local
-                       for op in operands):
-                continue
-            if isinstance(instr, Return):
-                continue
-            if isinstance(instr, Invoke):
-                if instr.base is not None and instr.base.name == local:
-                    return False  # dereferenced as a receiver
-                continue  # passed as an argument: benign
-            if isinstance(instr, BinaryOp) and instr.op in ("==", "!="):
-                other = instr.rhs if (
-                    isinstance(instr.lhs, Local) and instr.lhs.name == local
-                ) else instr.lhs
-                if isinstance(other, Const) and other.is_null():
-                    continue  # null comparison: benign
-                return False
-            if isinstance(instr, Assign) and isinstance(instr.source, Local) \
-                    and instr.source.name == local:
-                if instr.target is not None:
-                    worklist.append(instr.target)
-                continue
-            return False  # field base, monitor, branch, arithmetic, store…
-    return True
+    return all(
+        isinstance(instr, Return)
+        or (isinstance(instr, Invoke) and not _dereferences(instr, local))
+        or _is_null_check(instr, local)
+        for local, instr in _value_readers(method, use_uid)
+    )

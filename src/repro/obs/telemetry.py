@@ -252,40 +252,43 @@ def telemetry_response(
     return None
 
 
-class _Handler(BaseHTTPRequestHandler):
-    """Routes GETs to the aggregator; silent (no stderr access logs)."""
+class LoopbackHandler(BaseHTTPRequestHandler):
+    """The request-handler base of every nadroid endpoint: one response
+    writer, and no access logs (they would race the process's own
+    stderr lines)."""
 
-    server_version = "nadroid-telemetry"
+    @property
+    def endpoint(self) -> "LoopbackEndpoint":
+        return self.server.endpoint  # type: ignore[attr-defined]
 
-    def _send(self, status: int, content_type: str, body: str) -> None:
+    def _send(self, status: int, content_type: str, body: str,
+              headers: Optional[Dict[str, str]] = None) -> None:
         payload = body.encode("utf-8")
         self.send_response(status)
         self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(payload)))
+        for name, value in (headers or {}).items():
+            self.send_header(name, value)
         self.end_headers()
         self.wfile.write(payload)
 
-    def do_GET(self) -> None:  # noqa: N802 - http.server API
-        aggregator = self.server.aggregator  # type: ignore[attr-defined]
-        path = self.path.split("?", 1)[0]
-        response = telemetry_response(aggregator, path)
-        if response is None:
-            response = (404, "text/plain; charset=utf-8", "not found\n")
-        self._send(*response)
-
     def log_message(self, format: str, *args: Any) -> None:
-        """Suppressed: request logs would race the run's own stderr."""
+        """Suppressed."""
 
 
-class TelemetryServer:
-    """The background HTTP thread serving one :class:`LiveAggregator`.
+class LoopbackEndpoint:
+    """One :class:`LoopbackHTTPServer` serving ``handler``: bind
+    ``127.0.0.1``, serve on a daemon thread named ``thread_name``, close.
 
-    Binds ``127.0.0.1`` only; ``port=0`` asks the OS for a free port
-    (read the real one from :attr:`port` after :meth:`start`).
+    ``port=0`` asks the OS for a free port; read the real one from
+    :attr:`port` after :meth:`bind`.  Handlers reach this object as
+    ``self.endpoint``.
     """
 
-    def __init__(self, aggregator: LiveAggregator, port: int = 0) -> None:
-        self.aggregator = aggregator
+    handler: type = LoopbackHandler
+    thread_name: str = "nadroid-http"
+
+    def __init__(self, port: int = 0) -> None:
         self.requested_port = int(port)
         self._server: Optional[LoopbackHTTPServer] = None
         self._thread: Optional[threading.Thread] = None
@@ -300,17 +303,23 @@ class TelemetryServer:
             return None
         return f"http://{TELEMETRY_HOST}:{self.port}"
 
-    def start(self) -> "TelemetryServer":
-        """Bind and serve on a daemon thread; raises ``OSError`` when the
-        port is taken (``port=0`` always binds: the OS picks one)."""
-        server = LoopbackHTTPServer(
-            (TELEMETRY_HOST, self.requested_port), _Handler
-        )
-        server.aggregator = self.aggregator  # type: ignore[attr-defined]
-        self._server = server
+    def bind(self) -> "LoopbackEndpoint":
+        """Bind the listening socket (raises ``OSError`` when a fixed
+        port is taken) without serving yet."""
+        if self._server is None:
+            server = LoopbackHTTPServer(
+                (TELEMETRY_HOST, self.requested_port), self.handler
+            )
+            server.endpoint = self  # type: ignore[attr-defined]
+            self._server = server
+        return self
+
+    def start(self) -> "LoopbackEndpoint":
+        """Bind and serve on a daemon thread."""
+        self.bind()
         self._thread = threading.Thread(
-            target=server.serve_forever,
-            name="nadroid-telemetry",
+            target=self._server.serve_forever,
+            name=self.thread_name,
             daemon=True,
         )
         self._thread.start()
@@ -318,9 +327,35 @@ class TelemetryServer:
 
     def close(self) -> None:
         if self._server is not None:
-            self._server.shutdown()
+            if self._thread is not None:
+                self._server.shutdown()
             self._server.server_close()
             self._server = None
         if self._thread is not None:
             self._thread.join(timeout=5.0)
             self._thread = None
+
+
+class _Handler(LoopbackHandler):
+    """Routes GETs to the aggregator."""
+
+    server_version = "nadroid-telemetry"
+
+    def do_GET(self) -> None:  # noqa: N802 - http.server API
+        path = self.path.split("?", 1)[0]
+        response = telemetry_response(self.endpoint.aggregator, path)
+        if response is None:
+            response = (404, "text/plain; charset=utf-8", "not found\n")
+        self._send(*response)
+
+
+class TelemetryServer(LoopbackEndpoint):
+    """The background HTTP thread serving one :class:`LiveAggregator`
+    (``port=0`` always binds: the OS picks one)."""
+
+    handler = _Handler
+    thread_name = "nadroid-telemetry"
+
+    def __init__(self, aggregator: LiveAggregator, port: int = 0) -> None:
+        super().__init__(port)
+        self.aggregator = aggregator

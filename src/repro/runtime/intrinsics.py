@@ -115,7 +115,7 @@ def _kind_handlers() -> Dict[ApiKind, Callable]:
 
     @handles(ApiKind.CANCEL_UNREGISTER)
     def _unregister(sim, thread, receiver, target, args, spec):
-        sim.world.unregister(target)
+        sim.world.unregister(target, spec.callbacks)
 
     @handles(ApiKind.CANCEL_FINISH)
     def _finish(sim, thread, receiver, target, args, spec):
@@ -234,7 +234,7 @@ def _hand_written() -> Dict[Tuple[str, str], Intrinsic]:
     def _unregister_observer(sim, thread, receiver, args, instr):
         target = args[0]
         if isinstance(target, ObjRef):
-            sim.world.unregister(target)
+            sim.world.unregister(target, ("onChange",))
 
     # -- small leaf APIs ------------------------------------------------------------
 

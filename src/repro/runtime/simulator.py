@@ -22,7 +22,9 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..android.callbacks import SYSTEM_CALLBACKS, UI_CALLBACKS
-from ..android.framework import app_override, is_framework_class, provided_fields
+from ..android.framework import (
+    app_override, declared_callbacks, is_framework_class, provided_fields,
+)
 from ..android.lifecycle import ACTIVE_STATES, ACTIVITY_TRANSITIONS
 from ..android.manifest import Manifest
 from ..ir import Module
@@ -97,8 +99,15 @@ class AndroidWorld:
             for callback in callbacks:
                 self.listener_anchor[(obj, callback)] = anchor
 
-    def unregister(self, obj: ObjRef) -> None:
-        for callback in self.listeners.pop(obj, ()):
+    def unregister(self, obj: ObjRef, callbacks: Sequence[str]) -> None:
+        """Stop ``callbacks`` on ``obj``; its other registrations stay."""
+        kept = tuple(callback for callback in self.listeners.get(obj, ())
+                     if callback not in callbacks)
+        if kept:
+            self.listeners[obj] = kept
+        else:
+            self.listeners.pop(obj, None)
+        for callback in callbacks:
             self.listener_anchor.pop((obj, callback), None)
 
     def set_anchor_enabled(self, anchor: ObjRef, enabled: bool) -> None:
@@ -191,6 +200,8 @@ class Simulator:
         self._next_thread_id = 1
         self.async_completions: Dict[int, ObjRef] = {}
         self.components: Dict[str, ObjRef] = {}
+        #: per activity class, the UI and system callbacks it declares
+        self.ui_callbacks: Dict[str, List[str]] = {}
         self._boot()
 
     # -- boot -------------------------------------------------------------------------
@@ -235,6 +246,8 @@ class Simulator:
                 self._run_synchronously(obj, decl.name, "<init>", [])
             if decl.kind == "activity":
                 self.world.activity_state[obj] = "<launch>"
+                self.ui_callbacks[decl.name] = declared_callbacks(
+                    self.module, decl.name, UI_CALLBACKS | SYSTEM_CALLBACKS)
             elif decl.kind in ("receiver", "service", "application"):
                 # components whose callbacks are externally deliverable
                 callbacks = ("onReceive",) if decl.kind == "receiver" else ()
@@ -283,24 +296,9 @@ class Simulator:
             # the transition happens even without an override
             events.append((f"{obj.class_name}#{succ}", succ))
         if state in ACTIVE_STATES and not finished:
-            cls_callbacks = self._component_ui_callbacks(obj.class_name)
-            for callback in cls_callbacks:
+            for callback in self.ui_callbacks[obj.class_name]:
                 events.append((f"{obj.class_name}#{callback}", callback))
         return events
-
-    def _component_ui_callbacks(self, class_name: str) -> List[str]:
-        names: List[str] = []
-        for owner in [class_name, *self.module.superclasses(class_name)]:
-            if is_framework_class(owner):
-                break
-            cls = self.module.lookup_class(owner)
-            if cls is None:
-                continue
-            for method_name in cls.methods:
-                if method_name in UI_CALLBACKS or method_name in SYSTEM_CALLBACKS:
-                    if method_name not in names:
-                        names.append(method_name)
-        return names
 
     def external_events(self) -> List[Tuple[str, ObjRef, str]]:
         """All deliverable (key, receiver, callback) external events."""

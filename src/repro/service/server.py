@@ -2,7 +2,8 @@
 
 Zero new dependencies -- the server is the same stdlib ``http.server``
 stack as :mod:`repro.obs.telemetry` (and shares its
-:class:`~repro.obs.telemetry.LoopbackHTTPServer` base: ``SO_REUSEADDR``
+:class:`~repro.obs.telemetry.LoopbackEndpoint` and
+:class:`~repro.obs.telemetry.LoopbackHandler` bases: ``SO_REUSEADDR``
 on, daemonic handler threads, **127.0.0.1 only**).  Two layers:
 
 * :class:`AnalysisService` -- the scheduler.  Holds the long-lived warm
@@ -37,14 +38,13 @@ import threading
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from http.server import BaseHTTPRequestHandler
 from typing import Any, Deque, Dict, List, Optional, Tuple
 
 from ..obs.export import canonical_json
 from ..obs.telemetry import (
     LiveAggregator,
-    LoopbackHTTPServer,
-    TELEMETRY_HOST,
+    LoopbackEndpoint,
+    LoopbackHandler,
     telemetry_response,
 )
 from ..resilience import FaultPolicy, WorkerPool
@@ -302,23 +302,12 @@ class AnalysisService:
 # -- the HTTP front ----------------------------------------------------------
 
 
-class _ServiceHandler(BaseHTTPRequestHandler):
+class _ServiceHandler(LoopbackHandler):
     """Routes the job API plus the shared telemetry surface."""
 
     server_version = "nadroid-service"
 
     # -- plumbing -------------------------------------------------------------
-
-    def _send(self, status: int, content_type: str, body: str,
-              headers: Optional[Dict[str, str]] = None) -> None:
-        payload = body.encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(payload)))
-        for name, value in (headers or {}).items():
-            self.send_header(name, value)
-        self.end_headers()
-        self.wfile.write(payload)
 
     def _send_json(self, status: int, payload: Dict[str, Any],
                    headers: Optional[Dict[str, str]] = None) -> None:
@@ -331,14 +320,11 @@ class _ServiceHandler(BaseHTTPRequestHandler):
 
     @property
     def _service(self) -> AnalysisService:
-        return self.server.service  # type: ignore[attr-defined]
+        return self.endpoint.service
 
     @property
     def _aggregator(self) -> LiveAggregator:
-        return self.server.aggregator  # type: ignore[attr-defined]
-
-    def log_message(self, format: str, *args: Any) -> None:
-        """Suppressed: the daemon's stderr carries its own lines."""
+        return self.endpoint.aggregator
 
     # -- GET ------------------------------------------------------------------
 
@@ -434,7 +420,7 @@ class _ServiceHandler(BaseHTTPRequestHandler):
                         headers={"Location": f"/v1/jobs/{job.id}"})
 
 
-class ServiceServer:
+class ServiceServer(LoopbackEndpoint):
     """The daemon's HTTP front: bind 127.0.0.1, serve the job API and
     the telemetry surface on one port.
 
@@ -444,49 +430,23 @@ class ServiceServer:
     foreground path, so SIGINT lands as ``KeyboardInterrupt``).
     """
 
+    handler = _ServiceHandler
+    thread_name = "nadroid-service-http"
+
     def __init__(self, service: AnalysisService,
                  aggregator: Optional[LiveAggregator] = None,
                  port: int = 0) -> None:
+        super().__init__(port)
         self.service = service
         self.aggregator = aggregator if aggregator is not None \
             else (service.telemetry or LiveAggregator())
-        self.requested_port = int(port)
-        self._server: Optional[LoopbackHTTPServer] = None
-        self._thread: Optional[threading.Thread] = None
-
-    @property
-    def port(self) -> Optional[int]:
-        return self._server.server_address[1] if self._server else None
-
-    @property
-    def url(self) -> Optional[str]:
-        if self._server is None:
-            return None
-        return f"http://{TELEMETRY_HOST}:{self.port}"
-
-    def bind(self) -> "ServiceServer":
-        """Bind the listening socket (raises ``OSError`` when a fixed
-        port is taken) without serving yet."""
-        if self._server is None:
-            server = LoopbackHTTPServer(
-                (TELEMETRY_HOST, self.requested_port), _ServiceHandler
-            )
-            server.service = self.service  # type: ignore[attr-defined]
-            server.aggregator = self.aggregator  # type: ignore[attr-defined]
-            self._server = server
-        return self
 
     def start(self) -> "ServiceServer":
         """Bind and serve on a daemon thread (also starts the service's
         drain thread)."""
         self.bind()
         self.service.start()
-        self._thread = threading.Thread(
-            target=self._server.serve_forever,
-            name="nadroid-service-http",
-            daemon=True,
-        )
-        self._thread.start()
+        super().start()
         return self
 
     def serve_forever(self) -> None:
@@ -497,12 +457,5 @@ class ServiceServer:
         self._server.serve_forever()
 
     def close(self) -> None:
-        if self._server is not None:
-            if self._thread is not None:
-                self._server.shutdown()
-            self._server.server_close()
-            self._server = None
-        if self._thread is not None:
-            self._thread.join(timeout=5.0)
-            self._thread = None
+        super().close()
         self.service.shutdown()

@@ -20,7 +20,7 @@ from ..android.callbacks import (
     categorize_entry_callback,
     SERVICE_LIFECYCLE,
 )
-from ..android.framework import is_framework_class
+from ..android.framework import declared_callbacks
 from ..android.manifest import Manifest
 from ..ir import Module
 
@@ -42,13 +42,6 @@ _KIND_CALLBACKS = {
     "application": APPLICATION_LIFECYCLE,
 }
 
-_KIND_FRAMEWORK_CLASS = {
-    "activity": "Activity",
-    "service": "Service",
-    "receiver": "BroadcastReceiver",
-    "application": "Application",
-}
-
 
 def discover_entry_callbacks(
     module: Module, manifest: Manifest
@@ -63,29 +56,16 @@ def discover_entry_callbacks(
     """
     result: List[EntryCallback] = []
     for decl in manifest.components.values():
-        cls = module.lookup_class(decl.name)
-        if cls is None:
+        if module.lookup_class(decl.name) is None:
             continue
-        names = _KIND_CALLBACKS[decl.kind]
-        seen = set()
-        # Walk the app-level hierarchy: C and its app superclasses all
-        # contribute callbacks that run when C's component is active.
-        for owner in [decl.name, *module.superclasses(decl.name)]:
-            if is_framework_class(owner):
-                break
-            owner_cls = module.lookup_class(owner)
-            if owner_cls is None:
-                continue
-            for method_name in owner_cls.methods:
-                if method_name in seen or method_name not in names:
-                    continue
-                seen.add(method_name)
-                result.append(
-                    EntryCallback(
-                        receiver_class=decl.name,
-                        method_name=method_name,
-                        category=categorize_entry_callback(method_name, decl.kind),
-                        component=decl.name,
-                    )
+        for method_name in declared_callbacks(module, decl.name,
+                                              _KIND_CALLBACKS[decl.kind]):
+            result.append(
+                EntryCallback(
+                    receiver_class=decl.name,
+                    method_name=method_name,
+                    category=categorize_entry_callback(method_name, decl.kind),
+                    component=decl.name,
                 )
+            )
     return result

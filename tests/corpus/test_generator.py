@@ -17,7 +17,7 @@ from repro.corpus import (
     PATTERNS,
     UnknownAppError,
 )
-from repro.corpus.generator import _emit_skeleton, _Source
+from repro.corpus.generator import _render, Pattern
 from repro.lowering import lower_sources
 
 CONFIG = GeneratorConfig(seed=42, count=12)
@@ -78,34 +78,48 @@ def test_manifest_round_trips():
 # -- the pattern catalog, end-to-end ------------------------------------------
 
 
-def _analyze_single_pattern(emitter):
-    src = _Source()
-    _emit_skeleton(src)
-    injection = emitter(src, 0)
-    module = lower_sources(src.render(), module_name="single", seal=False)
+def _analyze_single_pattern(pattern: Pattern):
+    source, (label,) = _render("single", "", [pattern], 0)
+    module = lower_sources(source, module_name="single", seal=False)
     result = analyze_module(module)
-    use_line = src.marks[injection.use_key]
-    free_line = src.marks[injection.free_key]
     matched = [
         w for w in result.warnings
         if (w.fieldref.class_name, w.fieldref.field_name)
-        == (injection.class_name, injection.field_name)
-        and any(o.use.line == use_line and o.free.line == free_line
+        == (label.class_name, label.field_name)
+        and any(o.use.line == label.use_line
+                and o.free.line == label.free_line
                 for o in w.occurrences)
     ]
-    return injection, matched
+    return label, matched
 
 
-@pytest.mark.parametrize("name,emitter", PATTERNS)
-def test_pattern_detected_with_expected_outcome(name, emitter):
-    injection, matched = _analyze_single_pattern(emitter)
+def _case_id(pattern: Pattern) -> str:
+    """These case ids predate the pattern table: the pattern name, then
+    the name of the function that used to render the pattern."""
+    short = {"mhb-lifecycle-benign": "lifecycle-benign",
+             "if-guard-benign": "guard-benign"}.get(pattern.name, pattern.name)
+    return f"{pattern.name}-_{short.replace('-', '_')}"
+
+
+@pytest.mark.parametrize("pattern", PATTERNS, ids=_case_id)
+def test_pattern_detected_with_expected_outcome(pattern):
+    label, matched = _analyze_single_pattern(pattern)
+    name = pattern.name
     assert matched, f"{name}: injected pair not detected"
     surviving = [w for w in matched if w.status == "remaining"]
-    if injection.expected == "surviving":
+    if label.expected == "surviving":
         assert surviving, f"{name}: expected to survive, was filtered"
-        assert injection.pair_type in {w.pair_type() for w in surviving}
+        assert label.pair_type in {w.pair_type() for w in surviving}
     else:
         assert not surviving, f"{name}: expected filtered, survived"
+
+
+@pytest.mark.parametrize("pattern", PATTERNS, ids=lambda p: p.name)
+def test_pattern_marks_one_use_and_one_free(pattern):
+    assert pattern.source.count("@u") == 1
+    assert pattern.source.count("@f") == 1
+    assert "$" not in pattern.template[0].replace("$i", "") \
+        .replace("$v", "").replace("$b", "")
 
 
 # -- negative control ---------------------------------------------------------

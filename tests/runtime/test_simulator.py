@@ -368,3 +368,59 @@ def test_a_disabled_view_gates_only_the_callbacks_registered_on_it():
     keys = {key for key, _, _ in sim.external_events() if "@" in key}
     assert any(key.endswith("#onLocationChanged") for key in keys)
     assert not any(key.endswith("#onClick") for key in keys)
+
+
+def _listener_callbacks_after_resume(source):
+    """The listener callbacks offered once the activity has resumed."""
+    program = build(source)
+    sim = Simulator(program.module, program.manifest)
+    for event in ("A#onCreate", "A#onStart", "A#onResume"):
+        sim.apply(("event", event))
+        while ("step", MAIN_THREAD) in sim.choices():
+            sim.apply(("step", MAIN_THREAD))
+    return {key.split("#")[1] for key, _, _ in sim.external_events()
+            if "@" in key}
+
+
+def test_remove_updates_keeps_the_click_registration():
+    """One object listens for clicks on a view and for location updates:
+    ``removeUpdates`` stops the location updates, not the clicks."""
+    assert _listener_callbacks_after_resume(
+        """
+        class A extends Activity implements OnClickListener, LocationListener {
+          View button;
+          LocationManager lm;
+          void onCreate(Bundle b) {
+            button.setOnClickListener(this);
+            lm.requestLocationUpdates("gps", 0, 0, this);
+            lm.removeUpdates(this);
+          }
+          public void onClick(View v) { }
+          public void onLocationChanged(Location location) { }
+          public void onStatusChanged(String provider, int status) { }
+          public void onProviderEnabled(String provider) { }
+          public void onProviderDisabled(String provider) { }
+        }
+        """
+    ) == {"onClick"}
+
+
+def test_unregister_content_observer_stops_on_change_only():
+    assert _listener_callbacks_after_resume(
+        """
+        class Obs extends ContentObserver implements OnClickListener {
+          public void onChange(boolean selfChange) { }
+          public void onClick(View v) { }
+        }
+        class A extends Activity {
+          View button;
+          ContentResolver resolver;
+          void onCreate(Bundle b) {
+            Obs obs = new Obs();
+            button.setOnClickListener(obs);
+            resolver.registerContentObserver("content://x", obs);
+            resolver.unregisterContentObserver(obs);
+          }
+        }
+        """
+    ) == {"onClick"}
